@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "cluster/fleet.hpp"
+#include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
 #include "faults/fault_plan.hpp"
@@ -180,6 +181,16 @@ std::optional<CliOptions> parse_cli(const std::vector<std::string>& args, std::o
     }
     return true;
   };
+  // Seeds parse exactly: "abc" or "-1" must not become seed 0 or 2^64-1.
+  auto need_seed = [&](std::size_t i, std::uint64_t& into) -> bool {
+    std::optional<std::uint64_t> seed = parse_seed(args[i]);
+    if (!seed) {
+      err << args[i - 1] << " takes an integer in [0, 2^53], got '" << args[i] << "'\n";
+      return false;
+    }
+    into = *seed;
+    return true;
+  };
   for (std::size_t i = 0; i < args.size(); ++i) {
     const std::string& a = args[i];
     if (a == "--help" || a == "-h") {
@@ -219,7 +230,7 @@ std::optional<CliOptions> parse_cli(const std::vector<std::string>& args, std::o
       }
     } else if (a == "--seed") {
       if (!need_value(i)) return std::nullopt;
-      opts.seed = static_cast<std::uint64_t>(std::atoll(args[++i].c_str()));
+      if (!need_seed(++i, opts.seed)) return std::nullopt;
     } else if (a == "--trace-csv") {
       if (!need_value(i)) return std::nullopt;
       opts.trace_csv = args[++i];
@@ -275,7 +286,7 @@ std::optional<CliOptions> parse_cli(const std::vector<std::string>& args, std::o
       }
     } else if (a == "--chaos") {
       if (!need_value(i)) return std::nullopt;
-      opts.chaos_seed = static_cast<std::uint64_t>(std::atoll(args[++i].c_str()));
+      if (!need_seed(++i, opts.chaos_seed)) return std::nullopt;
       if (opts.chaos_seed == 0) {
         err << "chaos seed must be non-zero\n";
         return std::nullopt;

@@ -1,6 +1,5 @@
 #include "app/run_spec.hpp"
 
-#include <cmath>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -23,10 +22,10 @@ double require_number(const JsonValue& v, const std::string& what) {
   return v.as_number();
 }
 
-std::uint64_t require_u64(const JsonValue& v, const std::string& what) {
-  double d = require_number(v, what);
-  if (d < 0.0 || d != std::floor(d)) spec_error(what + " must be a non-negative integer");
-  return static_cast<std::uint64_t>(d);
+std::uint64_t require_seed(const JsonValue& v, const std::string& what) {
+  std::optional<std::uint64_t> seed = json_seed(v);
+  if (!seed) spec_error(what + " must be an integer in [0, 2^53]");
+  return *seed;
 }
 
 int require_int(const JsonValue& v, const std::string& what) {
@@ -127,13 +126,13 @@ RunSpec parse_run_spec_value(const JsonValue& doc) {
     } else if (key == "iterations") {
       spec.iterations = require_int(value, "iterations");
     } else if (key == "seed") {
-      spec.seed = require_u64(value, "seed");
+      spec.seed = require_seed(value, "seed");
     } else if (key == "sample_utilization") {
       spec.sample_utilization = require_bool(value, "sample_utilization");
     } else if (key == "faults") {
       spec.faults = require_string(value, "faults");
     } else if (key == "chaos_seed") {
-      spec.chaos_seed = require_u64(value, "chaos_seed");
+      spec.chaos_seed = require_seed(value, "chaos_seed");
     } else if (key == "arrivals") {
       spec.arrivals = require_number(value, "arrivals");
     } else if (key == "tenants") {

@@ -265,9 +265,9 @@ FleetSpec parse_fleet_value(const JsonValue& doc) {
       if (!val.is_string()) spec_error("name must be a string");
       spec.name = val.as_string();
     } else if (key == "seed") {
-      double d = require_number(val, "seed");
-      if (d < 0.0 || d != std::floor(d)) spec_error("seed must be a non-negative integer");
-      spec.seed = static_cast<std::uint64_t>(d);
+      std::optional<std::uint64_t> seed = json_seed(val);
+      if (!seed) spec_error("seed must be an integer in [0, 2^53]");
+      spec.seed = *seed;
     } else if (key == "switch_gbps") {
       spec.switch_bandwidth = gbit_per_s(require_number(val, "switch_gbps"));
     } else if (key == "classes") {

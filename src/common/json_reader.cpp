@@ -3,6 +3,8 @@
 #include <cctype>
 #include <cstdlib>
 
+#include "common/rng.hpp"
+
 namespace rupam {
 
 bool JsonValue::as_bool() const {
@@ -13,6 +15,11 @@ bool JsonValue::as_bool() const {
 double JsonValue::as_number() const {
   if (type_ != Type::kNumber) throw std::runtime_error("JSON value is not a number");
   return number_;
+}
+
+const std::string& JsonValue::number_text() const {
+  if (type_ != Type::kNumber) throw std::runtime_error("JSON value is not a number");
+  return string_;
 }
 
 const std::string& JsonValue::as_string() const {
@@ -45,10 +52,11 @@ JsonValue JsonValue::make_bool(bool b) {
   return v;
 }
 
-JsonValue JsonValue::make_number(double n) {
+JsonValue JsonValue::make_number(double n, std::string text) {
   JsonValue v;
   v.type_ = Type::kNumber;
   v.number_ = n;
+  v.string_ = std::move(text);
   return v;
 }
 
@@ -240,6 +248,7 @@ class Parser {
       fail("malformed number");
     }
     while (pos_ < text_.size() && std::isdigit(static_cast<unsigned char>(text_[pos_]))) ++pos_;
+    std::size_t integer_end = pos_;
     if (pos_ < text_.size() && text_[pos_] == '.') {
       ++pos_;
       if (pos_ >= text_.size() || !std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
@@ -255,7 +264,11 @@ class Parser {
       }
       while (pos_ < text_.size() && std::isdigit(static_cast<unsigned char>(text_[pos_]))) ++pos_;
     }
-    return JsonValue::make_number(std::strtod(text_.c_str() + start, nullptr));
+    // Only integer literals keep their text: the readers that need it take
+    // integers, and fractions (most numbers) then cost no string.
+    double value = std::strtod(text_.c_str() + start, nullptr);
+    if (pos_ != integer_end) return JsonValue::make_number(value);
+    return JsonValue::make_number(value, text_.substr(start, pos_ - start));
   }
 
   const std::string& text_;
@@ -265,5 +278,10 @@ class Parser {
 }  // namespace
 
 JsonValue parse_json(const std::string& text) { return Parser(text).parse_document(); }
+
+std::optional<std::uint64_t> json_seed(const JsonValue& v) {
+  if (!v.is_number()) return std::nullopt;
+  return parse_seed(v.number_text());
+}
 
 }  // namespace rupam

@@ -5,8 +5,10 @@
 // keys and malformed literals are errors with position information.
 #pragma once
 
+#include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -42,6 +44,10 @@ class JsonValue {
   /// Typed accessors throw std::runtime_error on type mismatch.
   bool as_bool() const;
   double as_number() const;
+  /// A parsed integer literal exactly as written in the document, for
+  /// readers that must not round through a double (seeds). Empty when the
+  /// number has a fraction or exponent, or came from make_number.
+  const std::string& number_text() const;
   const std::string& as_string() const;
   const Array& as_array() const;
   const Object& as_object() const;
@@ -51,7 +57,7 @@ class JsonValue {
 
   static JsonValue make_null();
   static JsonValue make_bool(bool b);
-  static JsonValue make_number(double n);
+  static JsonValue make_number(double n, std::string text = {});
   static JsonValue make_string(std::string s);
   static JsonValue make_array(Array a);
   static JsonValue make_object(Object o);
@@ -60,7 +66,7 @@ class JsonValue {
   Type type_ = Type::kNull;
   bool bool_ = false;
   double number_ = 0.0;
-  std::string string_;
+  std::string string_;  // string value, or a number's source text
   Array array_;
   Object object_;
 };
@@ -68,5 +74,9 @@ class JsonValue {
 /// Parse one JSON document; throws JsonParseError on malformed input
 /// (including trailing non-whitespace and duplicate object keys).
 JsonValue parse_json(const std::string& text);
+
+/// parse_seed (common/rng.hpp) over a JSON value: the seed when `v` is an
+/// integer literal in [0, 2^53], else nullopt — never rounded via double.
+std::optional<std::uint64_t> json_seed(const JsonValue& v);
 
 }  // namespace rupam

@@ -6,6 +6,17 @@
 
 namespace rupam {
 
+std::optional<std::uint64_t> parse_seed(std::string_view text) {
+  if (text.empty()) return std::nullopt;
+  std::uint64_t value = 0;
+  for (char c : text) {
+    if (c < '0' || c > '9') return std::nullopt;
+    value = value * 10 + static_cast<std::uint64_t>(c - '0');
+    if (value > kMaxSeed) return std::nullopt;  // also stops before overflow
+  }
+  return value;
+}
+
 Rng::Rng(std::uint64_t seed, std::uint64_t stream) : state_(0), inc_((stream << 1u) | 1u) {
   next_u32();
   state_ += seed;

@@ -5,9 +5,21 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
+#include <string_view>
 #include <vector>
 
 namespace rupam {
+
+/// Largest seed any input accepts: 2^53, the last integer a JSON number
+/// (an IEEE double) holds exactly, so every seed survives run specs, sweep
+/// specs and checkpoints unchanged.
+inline constexpr std::uint64_t kMaxSeed = std::uint64_t{1} << 53;
+
+/// The one seed parser for flags and JSON number text: decimal digits only,
+/// value in [0, kMaxSeed]. Signs, fractions, exponents, blanks and larger
+/// values give nullopt.
+std::optional<std::uint64_t> parse_seed(std::string_view text);
 
 /// PCG32: small, fast, statistically solid, fully deterministic across
 /// platforms (unlike std::mt19937 paired with std:: distributions, whose

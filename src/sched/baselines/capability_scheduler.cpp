@@ -38,18 +38,21 @@ void CapabilityScheduler::task_succeeded(StageState& stage, TaskState&,
   p.gpu = p.gpu || metrics.used_gpu;
 }
 
+double CapabilityScheduler::score(NodeId node, ResourceKind kind) const {
+  // Capability first; break ties toward the emptier executor so the stage
+  // spreads instead of serializing on the single best node.
+  Executor* exec = executor(node);
+  double load = exec != nullptr ? static_cast<double>(exec->running_tasks()) : 0.0;
+  return -cluster().node(node).metrics().capability(kind) * 1000.0 + load;
+}
+
 std::vector<NodeId> CapabilityScheduler::ranked_nodes(ResourceKind kind) const {
   std::vector<NodeId> ids = cluster().node_ids();
   std::vector<std::pair<double, NodeId>> scored;
   scored.reserve(ids.size());
   for (NodeId id : ids) {
     if (!cluster().schedulable(id)) continue;  // draining/decommissioned
-    NodeMetrics m = cluster().node(id).metrics();
-    // Capability first; break ties toward the emptier executor so the
-    // stage spreads instead of serializing on the single best node.
-    Executor* exec = executor(id);
-    double load = exec != nullptr ? static_cast<double>(exec->running_tasks()) : 0.0;
-    scored.push_back({-m.capability(kind) * 1000.0 + load, id});
+    scored.push_back({score(id, kind), id});
   }
   std::sort(scored.begin(), scored.end());
   std::vector<NodeId> out(scored.size());
@@ -57,12 +60,29 @@ std::vector<NodeId> CapabilityScheduler::ranked_nodes(ResourceKind kind) const {
   return out;
 }
 
+bool CapabilityScheduler::admissible(NodeId node, ResourceKind kind) const {
+  Executor* exec = executor(node);
+  if (exec == nullptr || exec->free_slots() <= 0 || !node_usable(node)) return false;
+  return kind != ResourceKind::kGpu || cluster().node(node).gpus().idle() > 0;
+}
+
+NodeId CapabilityScheduler::best_free_node(ResourceKind kind) {
+  // The minimum (score, id) is the head of the ranking ranked_free_nodes
+  // would sort, found in one pass without building it.
+  std::pair<double, NodeId> best{0.0, kInvalidNode};
+  for_each_ready_node(0, [&](NodeId id, Executor&) {
+    if (kind == ResourceKind::kGpu && cluster().node(id).gpus().idle() == 0) return true;
+    std::pair<double, NodeId> candidate{score(id, kind), id};
+    if (best.second == kInvalidNode || candidate < best) best = candidate;
+    return true;
+  });
+  return best.second;
+}
+
 const std::vector<NodeId>& CapabilityScheduler::ranked_free_nodes(ResourceKind kind) {
   scored_scratch_.clear();
-  for_each_ready_node(0, [&](NodeId id, Executor& exec) {
-    NodeMetrics m = cluster().node(id).metrics();
-    scored_scratch_.push_back(
-        {-m.capability(kind) * 1000.0 + static_cast<double>(exec.running_tasks()), id});
+  for_each_ready_node(0, [&](NodeId id, Executor&) {
+    scored_scratch_.push_back({score(id, kind), id});
     return true;
   });
   std::sort(scored_scratch_.begin(), scored_scratch_.end());
@@ -84,30 +104,29 @@ void CapabilityScheduler::try_dispatch() {
       TaskState* next = next_launchable(stage);
       if (next == nullptr) continue;
       ResourceKind kind = stage_bottleneck(stage.set.stage_name);
-      // The audit exposes the rank index and full candidate list, so only
-      // rank every node while an audit sink is attached; the fast path
-      // ranks just the maybe-free set (same comparator, same winner).
-      std::vector<NodeId> audited;  // empty unless an audit sink is attached
-      if (audit_enabled()) audited = ranked_nodes(kind);
-      const std::vector<NodeId>& ranked = audit_enabled() ? audited : ranked_free_nodes(kind);
-      for (std::size_t rank = 0; rank < ranked.size(); ++rank) {
-        NodeId node = ranked[rank];
-        Executor* exec = executor(node);
-        if (exec == nullptr || exec->free_slots() <= 0 || !node_usable(node)) continue;
-        if (kind == ResourceKind::kGpu && cluster().node(node).gpus().idle() == 0) continue;
-        if (audit_enabled()) {
+      NodeId node = kInvalidNode;
+      if (audit_enabled()) {
+        // The audit exposes the rank index and full candidate list, so
+        // only the audited path ranks every node.
+        std::vector<NodeId> ranked = ranked_nodes(kind);
+        for (std::size_t rank = 0; rank < ranked.size(); ++rank) {
+          if (!admissible(ranked[rank], kind)) continue;
+          node = ranked[rank];
           Explain e;
           e.reason = "capability_rank";
           e.detail = "tag=" + std::string(to_string(kind)) + " rank=" + std::to_string(rank);
           e.candidates = static_cast<int>(ranked.size());
-          e.candidate_nodes = ranked;
+          e.candidate_nodes = std::move(ranked);
           explain_next_launch(std::move(e));
+          break;
         }
-        if (launch_task(stage, *next, node, next->spec.gpu_accelerable,
-                        /*speculative=*/false, kind)) {
-          progressed = true;
-        }
-        break;  // re-rank after each launch
+      } else {
+        node = best_free_node(kind);
+      }
+      if (node == kInvalidNode) continue;
+      if (launch_task(stage, *next, node, next->spec.gpu_accelerable,
+                      /*speculative=*/false, kind)) {
+        progressed = true;
       }
     }
   }

@@ -48,12 +48,22 @@ class CapabilityScheduler : public SchedulerBase {
   void task_succeeded(StageState& stage, TaskState& task, const TaskMetrics& metrics) override;
 
  private:
-  /// Nodes ordered best-first for `kind`, by static capability then load.
+  /// Ranking key of `node` for `kind`, lower is better: capability first,
+  /// then the executor's load. Ties break on the node id.
+  double score(NodeId node, ResourceKind kind) const;
+  /// Can `node` take a task whose stage bottleneck is `kind` right now?
+  bool admissible(NodeId node, ResourceKind kind) const;
+  /// Every schedulable node ordered best-first for `kind` (the audited
+  /// path: the audit records the rank and the full candidate list).
   std::vector<NodeId> ranked_nodes(ResourceKind kind) const;
-  /// Same ranking restricted to nodes with a free slot (the maybe-free
-  /// set) — the dispatch fast path. The comparator is identical, so the
-  /// first admissible node matches the full ranking's. Returns a reference
-  /// into reused scratch, valid until the next call.
+  /// The dispatch fast path: the admissible node with the minimum
+  /// (score, id) over the maybe-free set, found in one pass — the same
+  /// winner the full ranking's first admissible node gives. kInvalidNode
+  /// if no node qualifies.
+  NodeId best_free_node(ResourceKind kind);
+  /// The ranking restricted to nodes with a free slot, for speculative
+  /// copies, which fall through to the next node when a launch fails.
+  /// Returns a reference into reused scratch, valid until the next call.
   const std::vector<NodeId>& ranked_free_nodes(ResourceKind kind);
 
   Config config_;

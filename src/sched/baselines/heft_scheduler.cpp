@@ -74,7 +74,6 @@ NodeId HeftScheduler::best_free_node(const TaskSpec& task) {
   NodeId best = kInvalidNode;
   double best_cost = std::numeric_limits<double>::infinity();
   for_each_ready_node(0, [&](NodeId id, Executor& exec) {
-    note_node_visit();
     if (exec.free_slots() <= 0) return true;
     double cost = exec_cost(task, cluster().node(id).spec());
     // Ring order visits ascending NodeId from 0, so strict < breaks cost

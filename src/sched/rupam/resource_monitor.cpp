@@ -28,22 +28,27 @@ const NodeMetrics* ResourceMonitor::latest(NodeId node) const {
 
 std::vector<NodeId> ResourceMonitor::ranked(
     ResourceKind kind, const std::function<bool(const NodeMetrics&)>& admit) const {
-  std::vector<const NodeMetrics*> rows;
-  rows.reserve(latest_.size());
-  for (const auto& [id, m] : latest_) {
-    if (dead(id)) continue;
-    if (!admit || admit(m)) rows.push_back(&m);
-  }
-  std::sort(rows.begin(), rows.end(), [kind](const NodeMetrics* a, const NodeMetrics* b) {
-    double ca = a->capability(kind), cb = b->capability(kind);
-    if (ca != cb) return ca > cb;
-    double ua = a->utilization(kind), ub = b->utilization(kind);
-    if (ua != ub) return ua < ub;
-    return a->node < b->node;  // deterministic tie-break
-  });
-  std::vector<NodeId> out(rows.size());
-  for (std::size_t i = 0; i < rows.size(); ++i) out[i] = rows[i]->node;
+  std::vector<RankKey> keys;
+  std::vector<NodeId> out;
+  order_into(kind, keys, out);
+  std::erase_if(out, [&](NodeId id) { return dead(id) || (admit && !admit(*latest(id))); });
   return out;
+}
+
+void ResourceMonitor::order_into(ResourceKind kind, std::vector<RankKey>& keys,
+                                 std::vector<NodeId>& out) const {
+  keys.clear();
+  for (const auto& [id, m] : latest_) {
+    keys.push_back(RankKey{m.capability(kind), m.utilization(kind), id});
+  }
+  // Most capable first, then least utilized, then the lower id.
+  std::sort(keys.begin(), keys.end(), [](const RankKey& a, const RankKey& b) {
+    if (a.capability != b.capability) return a.capability > b.capability;
+    if (a.utilization != b.utilization) return a.utilization < b.utilization;
+    return a.node < b.node;
+  });
+  out.clear();
+  for (const RankKey& key : keys) out.push_back(key.node);
 }
 
 }  // namespace rupam

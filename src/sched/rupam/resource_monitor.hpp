@@ -13,7 +13,6 @@
 // the base scheduler's blacklist).
 #pragma once
 
-#include <algorithm>
 #include <functional>
 #include <unordered_map>
 #include <vector>
@@ -57,28 +56,19 @@ class ResourceMonitor {
   std::vector<NodeId> ranked(ResourceKind kind,
                              const std::function<bool(const NodeMetrics&)>& admit) const;
 
-  /// Dispatch-path variant of ranked(): identical ordering, but fills
-  /// caller-owned scratch instead of returning a fresh vector, and takes
-  /// the admission predicate as a template parameter so large captures
-  /// never round-trip through std::function's heap fallback.
-  template <class Admit>
-  void ranked_into(ResourceKind kind, Admit&& admit, std::vector<const NodeMetrics*>& rows,
-                   std::vector<NodeId>& out) const {
-    rows.clear();
-    for (const auto& [id, m] : latest_) {
-      if (dead(id)) continue;
-      if (admit(m)) rows.push_back(&m);
-    }
-    std::sort(rows.begin(), rows.end(), [kind](const NodeMetrics* a, const NodeMetrics* b) {
-      double ca = a->capability(kind), cb = b->capability(kind);
-      if (ca != cb) return ca > cb;
-      double ua = a->utilization(kind), ub = b->utilization(kind);
-      if (ua != ub) return ua < ub;
-      return a->node < b->node;  // deterministic tie-break
-    });
-    out.clear();
-    for (const NodeMetrics* row : rows) out.push_back(row->node);
-  }
+  /// One ranking key per row, computed once so the sort never re-derives
+  /// capability/utilization per comparison.
+  struct RankKey {
+    double capability = 0.0;
+    double utilization = 0.0;
+    NodeId node = kInvalidNode;
+  };
+  /// Every row — dead ones included — in priority order for `kind`, into
+  /// caller-owned scratch. The order is total (ties break on the node id),
+  /// so filtering it by liveness and admission yields exactly ranked():
+  /// a dispatch round sorts once per kind and checks admission as it walks.
+  void order_into(ResourceKind kind, std::vector<RankKey>& keys,
+                  std::vector<NodeId>& out) const;
 
  private:
   std::unordered_map<NodeId, NodeMetrics> latest_;

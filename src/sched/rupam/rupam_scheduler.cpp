@@ -316,6 +316,24 @@ bool RupamScheduler::dispatch_possible() const {
   return false;
 }
 
+bool RupamScheduler::node_offerable(NodeId node, ResourceKind kind) const {
+  // A row can vanish mid-round (a decommission forgets it): skip it.
+  const NodeMetrics* metrics = rm_.latest(node);
+  return metrics != nullptr && !rm_.dead(node) && node_available(*metrics, kind);
+}
+
+const std::vector<NodeId>& RupamScheduler::round_order(ResourceKind kind) {
+  std::vector<NodeId>& order = round_order_[static_cast<std::size_t>(kind)];
+  if (order.empty()) {
+    OverheadProfiler::Scope profile(profiler(), ProfileSection::kHeapMaintenance);
+    // Grow every kind's buffer together, so a kind first sorted late in a
+    // run still finds its capacity warm (scan rounds stay allocation-free).
+    for (std::vector<NodeId>& other : round_order_) other.reserve(rm_.tracked_nodes());
+    rm_.order_into(kind, rank_keys_scratch_, order);
+  }
+  return order;
+}
+
 void RupamScheduler::try_dispatch() {
   if (stages_.empty() || !dispatch_possible()) return;
   {
@@ -323,6 +341,11 @@ void RupamScheduler::try_dispatch() {
     seed_monitor();
     rm_.sweep_dead(sim().now());
   }
+  // The snapshot is frozen for the rest of the round, so each kind's
+  // priority queue is sorted at most once (the paper's one queue per
+  // resource type per round); launches only change admission, which the
+  // walk checks node by node.
+  for (std::vector<NodeId>& order : round_order_) order.clear();
   int misses = 0;
   while (misses < kNumResourceKinds) {
     ResourceKind kind = round_robin_.next();
@@ -337,17 +360,14 @@ void RupamScheduler::try_dispatch() {
     };
     bool launched = false;
     if (!rows.empty() || !speculatable().empty()) {
-      {
-        OverheadProfiler::Scope profile(profiler(), ProfileSection::kHeapMaintenance);
-        rm_.ranked_into(
-            kind, [this, kind](const NodeMetrics& m) { return node_available(m, kind); },
-            rank_rows_scratch_, ranked_scratch_);
-      }
-      const std::vector<NodeId>& nodes = ranked_scratch_;
+      const std::vector<NodeId>& order = round_order(kind);
       // Walk the priority queue until a node accepts a task; launch at
       // most one task per kind-visit so no resource type is starved.
-      for (std::size_t rank = 0; rank < nodes.size(); ++rank) {
-        NodeId node = nodes[rank];
+      std::size_t offered = 0;
+      for (NodeId node : order) {
+        if (!node_offerable(node, kind)) continue;
+        note_node_visit();
+        std::size_t rank = offered++;  // position among the admitted nodes
         Pick pick = rows.empty() ? Pick{} : pick_from_rows(rows, node);
         bool speculative_copy = false;
         if (pick.task == nullptr) {
@@ -374,8 +394,12 @@ void RupamScheduler::try_dispatch() {
           e.detail = "tag=" + std::string(to_string(tag)) +
                      " queue=" + std::string(to_string(kind)) +
                      " rank=" + std::to_string(rank);
-          e.candidates = static_cast<int>(nodes.size());
-          e.candidate_nodes = nodes;
+          // The candidates are the round's order filtered by admission
+          // now: nothing has changed since this kind-visit began.
+          for (NodeId candidate : order) {
+            if (node_offerable(candidate, kind)) e.candidate_nodes.push_back(candidate);
+          }
+          e.candidates = static_cast<int>(e.candidate_nodes.size());
           explain_next_launch(std::move(e));
         }
         if (!launch_task(*pick.stage, *pick.task, node, use_gpu, as_copy, kind)) continue;

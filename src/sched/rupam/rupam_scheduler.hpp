@@ -15,9 +15,13 @@
 // attempt), and the candidate rows for a kind-visit are collected once
 // from the TaskManager's active queue — within a kind-visit no task state
 // changes until a launch breaks the node walk, so the per-node rebuild of
-// the old code did identical work N times.
+// the old code did identical work N times. Each kind's node ranking is
+// sorted once per dispatch round (the RM snapshot is frozen for the round)
+// and admission is checked during the walk, so a launch costs a walk, not
+// a re-sort of every node.
 #pragma once
 
+#include <array>
 #include <map>
 #include <set>
 #include <vector>
@@ -105,6 +109,13 @@ class RupamScheduler : public SchedulerBase {
 
   /// Can `node` take one more task whose bottleneck is `kind`?
   bool node_available(const NodeMetrics& metrics, ResourceKind kind) const;
+  /// node_available over `node`'s RM row; false for a dead node or one
+  /// whose row is gone.
+  bool node_offerable(NodeId node, ResourceKind kind) const;
+  /// `kind`'s priority queue for this dispatch round: every RM row, best
+  /// first, sorted on first use in the round. Admission is checked while
+  /// walking it.
+  const std::vector<NodeId>& round_order(ResourceKind kind);
   /// All rows the `kind` queue offers this kind-visit, in queue order:
   /// active refs that are launchable, plus (GPU queue under racing) parked
   /// refs whose running task a freed device may poach, plus (CPU queue
@@ -143,8 +154,10 @@ class RupamScheduler : public SchedulerBase {
   /// clearing is O(pools seen this call), not O(all pools ever).
   std::vector<std::vector<DispatchTaskView>> by_pool_;
   std::vector<std::size_t> by_pool_used_;
-  std::vector<const NodeMetrics*> rank_rows_scratch_;
-  std::vector<NodeId> ranked_scratch_;
+  std::vector<ResourceMonitor::RankKey> rank_keys_scratch_;
+  /// Per-kind round_order() results, cleared at each round start (empty =
+  /// not sorted yet this round).
+  std::array<std::vector<NodeId>, kNumResourceKinds> round_order_;
 };
 
 }  // namespace rupam

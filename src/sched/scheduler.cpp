@@ -463,11 +463,6 @@ void SchedulerBase::request_dispatch() {
     dispatch_requested_ = false;
     ++dispatch_rounds_;
     ++dispatch_work_.rounds;
-    // What the pre-index O(nodes × tasks) sweep would have cost this round
-    // — the baseline the indexed work counters are measured against.
-    std::size_t total_tasks = 0;
-    for (const auto& [id, stage] : stages_) total_tasks += stage.tasks.size();
-    dispatch_work_.full_scan_equivalent += cluster().size() * total_tasks;
     if (dispatch_counter_ != nullptr) dispatch_counter_->inc();
     if (profiler_ != nullptr && profiler_->counting_allocs()) {
       // Allocation accounting (bench-only: a replaced operator new feeds

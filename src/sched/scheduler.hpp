@@ -199,15 +199,14 @@ class SchedulerBase {
   /// speculative copies) — the fair-share "running cores" input.
   int pool_running_tasks(const std::string& pool) const;
 
-  /// Dispatch-cost accounting for the indexed hot paths. `node_visits` and
-  /// `task_checks` count actual work done inside try_dispatch rounds;
-  /// `full_scan_equivalent` accumulates what the pre-index O(nodes × tasks)
-  /// sweep would have cost per round, so the ratio is the speedup.
+  /// Dispatch-cost accounting for the indexed hot paths: work actually
+  /// done inside try_dispatch rounds. `node_visits` counts nodes offered
+  /// to placement logic once each (a ready node of the ring walk, or a
+  /// RUPAM node passed to Algorithm 2); `task_checks` counts tasks examined.
   struct DispatchWorkCounters {
     std::size_t rounds = 0;
     std::size_t node_visits = 0;
     std::size_t task_checks = 0;
-    std::size_t full_scan_equivalent = 0;
   };
   const DispatchWorkCounters& dispatch_work() const { return dispatch_work_; }
 

@@ -153,7 +153,10 @@ SparkScheduler::Candidate SparkScheduler::pick_task_for(
 void SparkScheduler::try_dispatch() {
   if (stages_.empty()) return;
   std::size_t n = cluster().size();
-  bool progressed = true;
+  // Nothing waits for a slot: an offer pass would visit every ready node
+  // and launch nothing, so skip it and take the one rotation step it takes.
+  bool progressed = pending_tasks() > 0;
+  if (!progressed) ++offer_rotation_;
   while (progressed) {
     progressed = false;
     // Re-rank tasksets each offer round: under FAIR the launches of the

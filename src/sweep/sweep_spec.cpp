@@ -184,7 +184,9 @@ SweepSpec parse_sweep_json(const std::string& text) {
     if (key == "name") {
       spec.name = require_string(value, "name");
     } else if (key == "base_seed") {
-      spec.base_seed = require_u64(value, "base_seed");
+      std::optional<std::uint64_t> seed = json_seed(value);
+      if (!seed) spec_error("base_seed must be an integer in [0, 2^53]");
+      spec.base_seed = *seed;
     } else if (key == "replications") {
       spec.replications = require_int(value, "replications");
     } else if (key == "schedulers") {

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "app/cli.hpp"
+#include "common/rng.hpp"
 
 namespace rupam {
 namespace {
@@ -147,6 +148,31 @@ TEST(Cli, RejectsBadInput) {
   EXPECT_FALSE(parse({"--repetitions", "0"}).has_value());
   EXPECT_FALSE(parse({"--iterations", "-1"}).has_value());
   EXPECT_FALSE(parse({"--what"}).has_value());
+}
+
+// Seeds go through the one strict parser: junk used to run as seed 0 and
+// negatives used to wrap to 2^64-1.
+TEST(Cli, SeedRejectsNonIntegerText) {
+  std::ostringstream err;
+  EXPECT_FALSE(parse_cli({"--seed", "abc"}, err).has_value());
+  EXPECT_EQ(err.str(), "--seed takes an integer in [0, 2^53], got 'abc'\n");
+  EXPECT_FALSE(parse({"--seed", "1.5"}).has_value());
+  EXPECT_FALSE(parse({"--seed", ""}).has_value());
+  EXPECT_FALSE(parse({"--chaos", "7x"}).has_value());
+}
+
+TEST(Cli, SeedRejectsNegative) {
+  EXPECT_FALSE(parse({"--seed", "-1"}).has_value());
+  EXPECT_FALSE(parse({"--chaos", "-1"}).has_value());
+}
+
+TEST(Cli, SeedAcceptsExactlyUpToTwoToThe53) {
+  auto opts = parse({"--seed", "9007199254740992", "--chaos", "9007199254740992"});
+  ASSERT_TRUE(opts.has_value());
+  EXPECT_EQ(opts->seed, kMaxSeed);
+  EXPECT_EQ(opts->chaos_seed, kMaxSeed);
+  EXPECT_FALSE(parse({"--seed", "9007199254740993"}).has_value());
+  EXPECT_FALSE(parse({"--seed", "18446744073709551617"}).has_value());  // 2^64 + 1
 }
 
 TEST(Cli, HelpAndList) {

@@ -12,6 +12,7 @@
 #include "app/cli.hpp"
 #include "app/run_spec.hpp"
 #include "app/simulation.hpp"
+#include "common/rng.hpp"
 #include "metrics/event_trace.hpp"
 #include "replay/branch.hpp"
 #include "replay/checkpoint.hpp"
@@ -116,6 +117,17 @@ TEST(ReplayRunSpec, RejectsInvalidFields) {
   EXPECT_THROW(unknown_workload.validate(), std::runtime_error);
 }
 
+// A seed read through a double rounds 2^53 + 1 down to 2^53, and the
+// restored run then diverges from its pins; such seeds are rejected.
+TEST(ReplayRunSpec, SeedsParseExactlyUpToTwoToThe53) {
+  EXPECT_EQ(parse_run_spec_json(R"({"seed": 9007199254740992})").seed, kMaxSeed);
+  EXPECT_EQ(parse_run_spec_json(R"({"chaos_seed": 9007199254740992})").chaos_seed, kMaxSeed);
+  EXPECT_THROW(parse_run_spec_json(R"({"seed": 9007199254740993})"), std::runtime_error);
+  EXPECT_THROW(parse_run_spec_json(R"({"chaos_seed": 9007199254740993})"), std::runtime_error);
+  EXPECT_THROW(parse_run_spec_json(R"({"seed": 1.5})"), std::runtime_error);
+  EXPECT_THROW(parse_run_spec_json(R"({"seed": 1e3})"), std::runtime_error);
+}
+
 TEST(ReplayRunSpec, CliProjectionRoundTrips) {
   RunSpec spec = sql_on_pair();
   spec.seed = 9;
@@ -205,6 +217,15 @@ TEST(ReplayCheckpoint, ParserRejectsBadDocuments) {
       parse_checkpoint_json(
           R"({"format": "rupam-checkpoint-v1", "time": 1, "run": {}, "pins": [[1, 2]]})"),
       std::runtime_error);
+}
+
+TEST(ReplayCheckpoint, SeedAboveTwoToThe53IsRejectedNotRounded) {
+  auto with_seed = [](const std::string& seed) {
+    return parse_checkpoint_json(R"({"format": "rupam-checkpoint-v1", "time": 1, "run": {"seed": )" +
+                                 seed + R"(}, "pins": []})");
+  };
+  EXPECT_EQ(with_seed("9007199254740992").run.seed, kMaxSeed);
+  EXPECT_THROW(with_seed("9007199254740993"), std::runtime_error);
 }
 
 // --------------------------------------------------------------------------

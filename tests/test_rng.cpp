@@ -19,6 +19,16 @@ TEST(Rng, DifferentSeedsDiffer) {
   EXPECT_LT(same, 5);
 }
 
+TEST(Rng, ParseSeedIsStrict) {
+  EXPECT_EQ(parse_seed("0"), 0u);
+  EXPECT_EQ(parse_seed("42"), 42u);
+  EXPECT_EQ(parse_seed("9007199254740992"), kMaxSeed);
+  for (const char* bad : {"", "-1", "+1", " 1", "1 ", "1.0", "1e3", "0x10", "abc",
+                          "9007199254740993", "99999999999999999999999"}) {
+    EXPECT_FALSE(parse_seed(bad).has_value()) << "'" << bad << "'";
+  }
+}
+
 TEST(Rng, UniformInUnitInterval) {
   Rng rng(7);
   for (int i = 0; i < 10000; ++i) {

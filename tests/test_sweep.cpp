@@ -17,6 +17,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "sweep/orchestrator.hpp"
 #include "sweep/sweep_spec.hpp"
@@ -133,6 +134,13 @@ TEST(SweepSpec, ParserRejectsUnknownKeysAndBadValues) {
 }
 
 // ---------------------------------------------------------------- seeds --
+
+TEST(SweepSpec, BaseSeedParsesExactly) {
+  EXPECT_THROW(parse_sweep_json(R"({"base_seed": 1.5})"), std::runtime_error);
+  EXPECT_THROW(parse_sweep_json(R"({"base_seed": -1})"), std::runtime_error);
+  EXPECT_THROW(parse_sweep_json(R"({"base_seed": 9007199254740993})"), std::runtime_error);
+  EXPECT_EQ(parse_sweep_json(R"({"base_seed": 9007199254740992})").base_seed, kMaxSeed);
+}
 
 TEST(SweepSeeds, PinnedDerivations) {
   // The determinism contract: these values may never change, or every
