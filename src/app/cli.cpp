@@ -1,14 +1,15 @@
 #include "app/cli.hpp"
 
+#include <algorithm>
 #include <fstream>
 #include <optional>
 #include <sstream>
+#include <string_view>
+#include <type_traits>
 
-#include "cluster/fleet.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
-#include "faults/fault_plan.hpp"
 #include "metrics/locality_counter.hpp"
 #include "obs/comparator.hpp"
 #include "replay/whatif.hpp"
@@ -97,83 +98,50 @@ std::string cli_usage() {
          "  --help                 this text\n";
 }
 
-std::optional<SchedulerKind> scheduler_from_name(const std::string& name) {
-  return scheduler_kind_from_name(name);
-}
-
-RunSpec run_spec_from_cli(const CliOptions& options) {
-  RunSpec s;
-  s.workload = options.workload;
-  s.workload_explicit = options.workload_explicit;
-  s.scheduler = options.scheduler;
-  s.fleet = options.fleet;
-  s.fleet_spec = options.fleet_spec;
-  if (!s.fleet.empty()) s.fleet_spec.reset();  // an explicit --fleet wins
-  s.iterations = options.iterations;
-  s.seed = options.seed;
-  s.sample_utilization = options.sample_utilization;
-  s.faults = options.faults;
-  s.chaos_seed = options.chaos_seed;
-  s.arrivals = options.arrivals;
-  s.tenants = options.tenants;
-  s.pool_policy = options.pool_policy;
-  s.duration = options.duration;
-  s.diurnal = options.diurnal;
-  s.diurnal_period = options.diurnal_period;
-  s.autoscale = options.autoscale;
-  s.spot_plan = options.spot_plan;
-  s.preempt = options.preempt;
-  return s;
-}
-
-CliOptions cli_from_run_spec(const RunSpec& spec) {
-  CliOptions o;
-  o.workload = spec.workload;
-  o.workload_explicit = spec.workload_explicit;
-  o.scheduler = spec.scheduler;
-  o.fleet = spec.fleet;
-  o.fleet_spec = spec.fleet_spec;
-  o.iterations = spec.iterations;
-  o.seed = spec.seed;
-  o.sample_utilization = spec.sample_utilization;
-  o.faults = spec.faults;
-  o.chaos_seed = spec.chaos_seed;
-  o.arrivals = spec.arrivals;
-  o.tenants = spec.tenants;
-  o.pool_policy = spec.pool_policy;
-  o.duration = spec.duration;
-  o.diurnal = spec.diurnal;
-  o.diurnal_period = spec.diurnal_period;
-  o.autoscale = spec.autoscale;
-  o.spot_plan = spec.spot_plan;
-  o.preempt = spec.preempt;
-  return o;
-}
-
 std::optional<CliOptions> parse_cli(const std::vector<std::string>& args, std::ostream& err) {
   CliOptions opts;
-  // --config supplies defaults; it is applied before the flag loop so
-  // every other flag overrides it, wherever it sits on the command line.
+  RunSpec& run = opts.run;
+  // --config supplies the run; it is loaded before the flag loop so every
+  // other flag overrides it, wherever it sits on the command line.
+  bool have_config = false;
   for (std::size_t i = 0; i < args.size(); ++i) {
     if (args[i] != "--config") continue;
     if (i + 1 >= args.size()) {
       err << "missing value for --config\n";
       return std::nullopt;
     }
-    if (!opts.config.empty()) {
+    if (have_config) {
       err << "--config given twice\n";
       return std::nullopt;
     }
+    have_config = true;
     try {
-      RunSpec spec = load_run_spec_file(args[i + 1]);
-      spec.validate();
-      opts = cli_from_run_spec(spec);
+      run = load_run_spec_file(args[i + 1]);
     } catch (const std::exception& e) {
       err << e.what() << "\n";
       return std::nullopt;
     }
-    opts.config = args[i + 1];
   }
+  // Flags that take their value verbatim (paths and spec text).
+  const std::pair<std::string_view, std::string*> text_flags[] = {
+      {"--faults", &run.faults},
+      {"--spot-plan", &run.spot_plan},
+      {"--trace-csv", &opts.trace_csv},
+      {"--trace-chrome", &opts.trace_chrome},
+      {"--trace-perfetto", &opts.trace_perfetto},
+      {"--metrics-out", &opts.metrics_out},
+      {"--explain", &opts.explain_out},
+      {"--analyze", &opts.analyze_out},
+      {"--compare-out", &opts.compare_out},
+      {"--sweep", &opts.sweep},
+      {"--sweep-out", &opts.sweep_out},
+      {"--checkpoint-out", &opts.checkpoint_out},
+      {"--restore", &opts.restore},
+      {"--branch-out", &opts.branch_out},
+      {"--whatif", &opts.whatif},
+      {"--whatif-out", &opts.whatif_out},
+      {"--report-out", &opts.report_out},
+  };
   auto need_value = [&](std::size_t i) -> bool {
     if (i + 1 >= args.size()) {
       err << "missing value for " << args[i] << "\n";
@@ -182,8 +150,9 @@ std::optional<CliOptions> parse_cli(const std::vector<std::string>& args, std::o
     return true;
   };
   // Seeds parse exactly: "abc" or "-1" must not become seed 0 or 2^64-1.
-  auto need_seed = [&](std::size_t i, std::uint64_t& into) -> bool {
-    std::optional<std::uint64_t> seed = parse_seed(args[i]);
+  auto need_seed = [&](std::size_t& i, std::uint64_t& into) -> bool {
+    if (!need_value(i)) return false;
+    std::optional<std::uint64_t> seed = parse_seed(args[++i]);
     if (!seed) {
       err << args[i - 1] << " takes an integer in [0, 2^53], got '" << args[i] << "'\n";
       return false;
@@ -191,69 +160,119 @@ std::optional<CliOptions> parse_cli(const std::vector<std::string>& args, std::o
     into = *seed;
     return true;
   };
+  // So do numbers: "2x" must not run as 2, nor "inf" as a horizon that
+  // never ends.
+  auto need_number = [&](std::size_t& i, auto& into) -> bool {
+    if (!need_value(i)) return false;
+    using T = std::remove_reference_t<decltype(into)>;
+    std::optional<T> value = parse_number<T>(args[++i]);
+    if (!value) {
+      err << args[i - 1] << " takes " << (std::is_same_v<T, int> ? "an integer" : "a finite number")
+          << ", got '" << args[i] << "'\n";
+      return false;
+    }
+    into = *value;
+    return true;
+  };
+  // Ranges of flag-only values; RunSpec::validate below owns the run's.
+  auto check = [&](bool ok, const char* message) {
+    if (!ok) err << message << "\n";
+    return ok;
+  };
   for (std::size_t i = 0; i < args.size(); ++i) {
     const std::string& a = args[i];
-    if (a == "--help" || a == "-h") {
+    auto text = std::find_if(std::begin(text_flags), std::end(text_flags),
+                             [&](const auto& flag) { return flag.first == a; });
+    if (text != std::end(text_flags)) {
+      if (!need_value(i)) return std::nullopt;
+      *text->second = args[++i];
+    } else if (a == "--help" || a == "-h") {
       opts.help = true;
     } else if (a == "--list") {
       opts.list_workloads = true;
     } else if (a == "--sample") {
-      opts.sample_utilization = true;
+      run.sample_utilization = true;
+    } else if (a == "--preempt") {
+      run.preempt = true;
+    } else if (a == "--compare-strict") {
+      opts.compare_strict = true;
     } else if (a == "--workload") {
       if (!need_value(i)) return std::nullopt;
-      opts.workload = args[++i];
-      opts.workload_explicit = true;
+      run.workload = args[++i];
+      run.workload_explicit = true;
+    } else if (a == "--fleet") {
+      if (!need_value(i)) return std::nullopt;
+      run.fleet = args[++i];
+      run.fleet_spec.reset();  // an explicit --fleet beats a --config fleet
     } else if (a == "--scheduler") {
       if (!need_value(i)) return std::nullopt;
-      auto kind = scheduler_from_name(args[++i]);
+      auto kind = scheduler_kind_from_name(args[++i]);
       if (!kind) {
         err << "unknown scheduler '" << args[i] << "'\n";
         return std::nullopt;
       }
-      opts.scheduler = *kind;
-    } else if (a == "--fleet") {
+      run.scheduler = *kind;
+    } else if (a == "--pool-policy") {
       if (!need_value(i)) return std::nullopt;
-      opts.fleet = args[++i];
-    } else if (a == "--iterations") {
-      if (!need_value(i)) return std::nullopt;
-      opts.iterations = std::atoi(args[++i].c_str());
-      if (opts.iterations < 0) {
-        err << "iterations must be >= 0\n";
-        return std::nullopt;
-      }
-    } else if (a == "--repetitions") {
-      if (!need_value(i)) return std::nullopt;
-      opts.repetitions = std::atoi(args[++i].c_str());
-      if (opts.repetitions < 1) {
-        err << "repetitions must be >= 1\n";
+      const std::string& name = args[++i];
+      if (name == "fifo") {
+        run.pool_policy = PoolPolicy::kFifo;
+      } else if (name == "fair") {
+        run.pool_policy = PoolPolicy::kFair;
+      } else {
+        err << "unknown pool policy '" << name << "'\n";
         return std::nullopt;
       }
     } else if (a == "--seed") {
-      if (!need_value(i)) return std::nullopt;
-      if (!need_seed(++i, opts.seed)) return std::nullopt;
-    } else if (a == "--trace-csv") {
-      if (!need_value(i)) return std::nullopt;
-      opts.trace_csv = args[++i];
-    } else if (a == "--trace-chrome") {
-      if (!need_value(i)) return std::nullopt;
-      opts.trace_chrome = args[++i];
-    } else if (a == "--trace-perfetto") {
-      if (!need_value(i)) return std::nullopt;
-      opts.trace_perfetto = args[++i];
-    } else if (a == "--metrics-out") {
-      if (!need_value(i)) return std::nullopt;
-      opts.metrics_out = args[++i];
-    } else if (a == "--explain") {
-      if (!need_value(i)) return std::nullopt;
-      opts.explain_out = args[++i];
-    } else if (a == "--analyze") {
-      if (!need_value(i)) return std::nullopt;
-      opts.analyze_out = args[++i];
+      if (!need_seed(i, run.seed)) return std::nullopt;
+    } else if (a == "--chaos") {
+      if (!need_seed(i, run.chaos_seed) ||
+          !check(run.chaos_seed != 0, "chaos seed must be non-zero")) {
+        return std::nullopt;
+      }
+    } else if (a == "--iterations") {
+      if (!need_number(i, run.iterations)) return std::nullopt;
+    } else if (a == "--tenants") {
+      if (!need_number(i, run.tenants)) return std::nullopt;
+    } else if (a == "--duration") {
+      if (!need_number(i, run.duration)) return std::nullopt;
+    } else if (a == "--diurnal") {
+      if (!need_number(i, run.diurnal)) return std::nullopt;
+    } else if (a == "--diurnal-period") {
+      if (!need_number(i, run.diurnal_period)) return std::nullopt;
+    } else if (a == "--arrivals") {
+      if (!need_number(i, run.arrivals) || !check(run.arrivals > 0.0, "arrival rate must be > 0")) {
+        return std::nullopt;
+      }
+    } else if (a == "--autoscale") {
+      if (!need_number(i, run.autoscale) ||
+          !check(run.autoscale >= 1, "autoscale max nodes must be >= 1")) {
+        return std::nullopt;
+      }
+    } else if (a == "--repetitions") {
+      if (!need_number(i, opts.repetitions) ||
+          !check(opts.repetitions >= 1, "repetitions must be >= 1")) {
+        return std::nullopt;
+      }
     } else if (a == "--analyze-k") {
-      if (!need_value(i)) return std::nullopt;
-      opts.analyze_k = std::atof(args[++i].c_str());
-      if (opts.analyze_k <= 1.0) {
-        err << "analyze-k must be > 1\n";
+      if (!need_number(i, opts.analyze_k) ||
+          !check(opts.analyze_k > 1.0, "analyze-k must be > 1")) {
+        return std::nullopt;
+      }
+    } else if (a == "--compare-tolerance") {
+      if (!need_number(i, opts.compare_tolerance) ||
+          !check(opts.compare_tolerance >= 0.0,
+                 "--compare-tolerance takes a non-negative fraction")) {
+        return std::nullopt;
+      }
+    } else if (a == "--sweep-threads") {
+      if (!need_number(i, opts.sweep_threads) ||
+          !check(opts.sweep_threads >= 0, "sweep threads must be >= 0")) {
+        return std::nullopt;
+      }
+    } else if (a == "--checkpoint-at") {
+      if (!need_number(i, opts.checkpoint_at) ||
+          !check(opts.checkpoint_at >= 0.0, "checkpoint time must be >= 0")) {
         return std::nullopt;
       }
     } else if (a == "--compare") {
@@ -263,134 +282,6 @@ std::optional<CliOptions> parse_cli(const std::vector<std::string>& args, std::o
       }
       opts.compare_base = args[++i];
       opts.compare_test = args[++i];
-    } else if (a == "--compare-out") {
-      if (!need_value(i)) return std::nullopt;
-      opts.compare_out = args[++i];
-    } else if (a == "--compare-strict") {
-      opts.compare_strict = true;
-    } else if (a == "--compare-tolerance") {
-      if (!need_value(i)) return std::nullopt;
-      opts.compare_tolerance = std::atof(args[++i].c_str());
-      if (opts.compare_tolerance < 0.0) {
-        err << "--compare-tolerance takes a non-negative fraction\n";
-        return std::nullopt;
-      }
-    } else if (a == "--faults") {
-      if (!need_value(i)) return std::nullopt;
-      opts.faults = args[++i];
-      try {
-        parse_fault_spec(opts.faults);  // fail fast on malformed specs
-      } catch (const std::exception& e) {
-        err << e.what() << "\n";
-        return std::nullopt;
-      }
-    } else if (a == "--chaos") {
-      if (!need_value(i)) return std::nullopt;
-      if (!need_seed(++i, opts.chaos_seed)) return std::nullopt;
-      if (opts.chaos_seed == 0) {
-        err << "chaos seed must be non-zero\n";
-        return std::nullopt;
-      }
-    } else if (a == "--sweep") {
-      if (!need_value(i)) return std::nullopt;
-      opts.sweep = args[++i];
-    } else if (a == "--sweep-threads") {
-      if (!need_value(i)) return std::nullopt;
-      opts.sweep_threads = std::atoi(args[++i].c_str());
-      if (opts.sweep_threads < 0) {
-        err << "sweep threads must be >= 0\n";
-        return std::nullopt;
-      }
-    } else if (a == "--sweep-out") {
-      if (!need_value(i)) return std::nullopt;
-      opts.sweep_out = args[++i];
-    } else if (a == "--arrivals") {
-      if (!need_value(i)) return std::nullopt;
-      opts.arrivals = std::atof(args[++i].c_str());
-      if (opts.arrivals <= 0.0) {
-        err << "arrival rate must be > 0\n";
-        return std::nullopt;
-      }
-    } else if (a == "--tenants") {
-      if (!need_value(i)) return std::nullopt;
-      opts.tenants = std::atoi(args[++i].c_str());
-      if (opts.tenants < 1) {
-        err << "tenants must be >= 1\n";
-        return std::nullopt;
-      }
-    } else if (a == "--pool-policy") {
-      if (!need_value(i)) return std::nullopt;
-      const std::string& name = args[++i];
-      if (name == "fifo") {
-        opts.pool_policy = PoolPolicy::kFifo;
-      } else if (name == "fair") {
-        opts.pool_policy = PoolPolicy::kFair;
-      } else {
-        err << "unknown pool policy '" << name << "'\n";
-        return std::nullopt;
-      }
-    } else if (a == "--duration") {
-      if (!need_value(i)) return std::nullopt;
-      opts.duration = std::atof(args[++i].c_str());
-      if (opts.duration <= 0.0) {
-        err << "duration must be > 0\n";
-        return std::nullopt;
-      }
-    } else if (a == "--diurnal") {
-      if (!need_value(i)) return std::nullopt;
-      opts.diurnal = std::atof(args[++i].c_str());
-      if (opts.diurnal < 0.0 || opts.diurnal > 1.0) {
-        err << "diurnal amplitude must be in [0, 1]\n";
-        return std::nullopt;
-      }
-    } else if (a == "--diurnal-period") {
-      if (!need_value(i)) return std::nullopt;
-      opts.diurnal_period = std::atof(args[++i].c_str());
-      if (opts.diurnal_period <= 0.0) {
-        err << "diurnal period must be > 0\n";
-        return std::nullopt;
-      }
-    } else if (a == "--autoscale") {
-      if (!need_value(i)) return std::nullopt;
-      opts.autoscale = std::atoi(args[++i].c_str());
-      if (opts.autoscale < 1) {
-        err << "autoscale max nodes must be >= 1\n";
-        return std::nullopt;
-      }
-    } else if (a == "--spot-plan") {
-      if (!need_value(i)) return std::nullopt;
-      opts.spot_plan = args[++i];
-      try {
-        FaultPlan plan = parse_fault_spec(opts.spot_plan);
-        for (const FaultEvent& e : plan.events) {
-          if (e.kind != FaultKind::kSpotRevoke) {
-            err << "--spot-plan only takes spot events (got '"
-                << to_string(e.kind) << "')\n";
-            return std::nullopt;
-          }
-        }
-      } catch (const std::exception& e) {
-        err << e.what() << "\n";
-        return std::nullopt;
-      }
-    } else if (a == "--preempt") {
-      opts.preempt = true;
-    } else if (a == "--config") {
-      if (!need_value(i)) return std::nullopt;
-      ++i;  // applied in the pre-pass above
-    } else if (a == "--checkpoint-at") {
-      if (!need_value(i)) return std::nullopt;
-      opts.checkpoint_at = std::atof(args[++i].c_str());
-      if (opts.checkpoint_at < 0.0) {
-        err << "checkpoint time must be >= 0\n";
-        return std::nullopt;
-      }
-    } else if (a == "--checkpoint-out") {
-      if (!need_value(i)) return std::nullopt;
-      opts.checkpoint_out = args[++i];
-    } else if (a == "--restore") {
-      if (!need_value(i)) return std::nullopt;
-      opts.restore = args[++i];
     } else if (a == "--branch") {
       if (!need_value(i)) return std::nullopt;
       opts.branch = args[++i];
@@ -400,22 +291,20 @@ std::optional<CliOptions> parse_cli(const std::vector<std::string>& args, std::o
         err << e.what() << "\n";
         return std::nullopt;
       }
-    } else if (a == "--branch-out") {
-      if (!need_value(i)) return std::nullopt;
-      opts.branch_out = args[++i];
-    } else if (a == "--whatif") {
-      if (!need_value(i)) return std::nullopt;
-      opts.whatif = args[++i];
-    } else if (a == "--whatif-out") {
-      if (!need_value(i)) return std::nullopt;
-      opts.whatif_out = args[++i];
-    } else if (a == "--report-out") {
-      if (!need_value(i)) return std::nullopt;
-      opts.report_out = args[++i];
+    } else if (a == "--config") {
+      ++i;  // loaded in the pre-pass above
     } else {
       err << "unknown argument '" << a << "'\n";
       return std::nullopt;
     }
+  }
+  // The run's ranges, names and fault specs: the same check --config files
+  // and checkpoints pass.
+  try {
+    run.validate();
+  } catch (const std::exception& e) {
+    err << e.what() << "\n";
+    return std::nullopt;
   }
   return opts;
 }
@@ -426,43 +315,24 @@ bool has_suffix(const std::string& s, const std::string& suffix) {
   return s.size() >= suffix.size() && s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
 }
 
-/// Load --fleet (or the --config-embedded fleet spec) and override the
-/// cluster layout; returns false (after writing to err) when the spec is
-/// unreadable or invalid.
-bool apply_fleet(SimulationConfig& cfg, const CliOptions& options, std::ostream& err) {
-  try {
-    if (!options.fleet.empty()) {
-      FleetSpec spec = load_fleet_file(options.fleet);
-      cfg.nodes = generate_fleet(spec);
-      if (spec.switch_bandwidth > 0.0) cfg.switch_bandwidth = spec.switch_bandwidth;
-    } else if (options.fleet_spec) {
-      options.fleet_spec->validate();
-      cfg.nodes = generate_fleet(*options.fleet_spec);
-      if (options.fleet_spec->switch_bandwidth > 0.0) {
-        cfg.switch_bandwidth = options.fleet_spec->switch_bandwidth;
-      }
-    }
-  } catch (const std::exception& e) {
-    err << e.what() << "\n";
-    return false;
-  }
-  return true;
-}
-
-void apply_observability_flags(SimulationConfig& cfg, const CliOptions& options) {
+/// `cfg` with the sinks the output flags need. Sinks never perturb the
+/// simulated event sequence, so this is the only way a CLI run's config
+/// departs from make_simulation_config(run).
+SimulationConfig observed(SimulationConfig cfg, const CliOptions& options) {
+  cfg.enable_trace = !options.trace_csv.empty() || !options.trace_chrome.empty();
   cfg.enable_metrics = !options.metrics_out.empty();
   cfg.enable_audit = !options.explain_out.empty();
   cfg.enable_spans = !options.trace_perfetto.empty();
   if (!options.analyze_out.empty() || !options.report_out.empty()) {
     // The analyzer joins spans x audit x event trace x JCT records, so
     // --analyze (and the outcome summary behind --report-out) implies all
-    // of them. Callers set enable_trace before calling this, so the
-    // assignments here are the final word.
+    // of them.
     cfg.enable_analysis = true;
     cfg.enable_spans = true;
     cfg.enable_audit = true;
     cfg.enable_trace = true;
   }
+  return cfg;
 }
 
 /// Write --trace-csv / --trace-chrome for a finished run. Returns 0, or 2
@@ -501,28 +371,6 @@ int write_report_out(Simulation& sim, SimTime makespan, const CliOptions& option
   }
   f << outcome_to_json(outcome);
   return 0;
-}
-
-/// Wire --autoscale / --spot-plan / --preempt into the config. The spot
-/// plan merges into whatever --faults already contributed.
-bool apply_elastic(SimulationConfig& cfg, const CliOptions& options, std::ostream& err) {
-  if (options.autoscale > 0) {
-    cfg.autoscale.enabled = true;
-    cfg.autoscale.max_nodes = options.autoscale;
-  }
-  cfg.preemption.enabled = options.preempt;
-  if (!options.spot_plan.empty()) {
-    try {
-      FaultPlan plan = parse_fault_spec(options.spot_plan);
-      cfg.faults.events.insert(cfg.faults.events.end(), plan.events.begin(),
-                               plan.events.end());
-      cfg.faults.sort();
-    } catch (const std::exception& e) {
-      err << e.what() << "\n";
-      return false;
-    }
-  }
-  return true;
 }
 
 /// Write --metrics-out / --explain / --trace-perfetto / --analyze outputs
@@ -647,45 +495,21 @@ int run_multi_tenant(const CliOptions& options, std::ostream& out, std::ostream&
     err << "--report-out is single-run only (multi-tenant runs have no flat outcome)\n";
     return 2;
   }
-  SimulationConfig cfg;
-  cfg.scheduler = options.scheduler;
-  cfg.seed = options.seed;
-  cfg.pools.policy = options.pool_policy;
-  cfg.sample_utilization = options.sample_utilization;
-  cfg.enable_trace = !options.trace_csv.empty() || !options.trace_chrome.empty();
-  apply_observability_flags(cfg, options);
-  if (!apply_fleet(cfg, options, err)) return 2;
-  if (!options.faults.empty()) {
-    try {
-      cfg.faults = parse_fault_spec(options.faults);
-    } catch (const std::exception& e) {
-      err << e.what() << "\n";
-      return 2;
-    }
-  }
-  cfg.chaos_seed = options.chaos_seed;
-  if (!apply_elastic(cfg, options, err)) return 2;
+  const RunSpec& run = options.run;
   std::optional<Simulation> sim_storage;
-  try {
-    sim_storage.emplace(cfg);
-  } catch (const std::invalid_argument& e) {
-    err << e.what() << "\n";
-    return 2;
-  }
-  Simulation& sim = *sim_storage;
-
-  ArrivalConfig arrivals;
-  arrivals.rate = options.arrivals;
-  arrivals.duration = options.duration;
-  arrivals.tenants = options.tenants;
-  arrivals.seed = options.seed;
-  arrivals.iterations_override = options.iterations;
-  arrivals.diurnal_amplitude = options.diurnal;
-  arrivals.diurnal_period = options.diurnal_period;
-  if (options.workload_explicit) arrivals.mix = {options.workload};
   SubmissionStream stream;
   try {
-    stream = make_poisson_stream(arrivals, sim.cluster().node_ids());
+    sim_storage.emplace(observed(make_simulation_config(run), options));
+    ArrivalConfig arrivals;
+    arrivals.rate = run.arrivals;
+    arrivals.duration = run.duration;
+    arrivals.tenants = run.tenants;
+    arrivals.seed = run.seed;
+    arrivals.iterations_override = run.iterations;
+    arrivals.diurnal_amplitude = run.diurnal;
+    arrivals.diurnal_period = run.diurnal_period;
+    if (run.workload_explicit) arrivals.mix = {run.workload};
+    stream = make_poisson_stream(arrivals, sim_storage->cluster().node_ids());
   } catch (const std::exception& e) {
     err << e.what() << "\n";
     return 2;
@@ -695,11 +519,12 @@ int run_multi_tenant(const CliOptions& options, std::ostream& out, std::ostream&
     return 2;
   }
 
+  Simulation& sim = *sim_storage;
   TenantRunReport report = sim.run(stream);
   out << stream.size() << " applications (" << report.jobs.size() << " jobs) under "
-      << to_string(options.scheduler) << ", " << to_string(options.pool_policy)
-      << " pools (arrivals=" << options.arrivals << "/s, tenants=" << options.tenants
-      << ", duration=" << format_fixed(options.duration, 0) << "s)\n";
+      << to_string(run.scheduler) << ", " << to_string(run.pool_policy)
+      << " pools (arrivals=" << run.arrivals << "/s, tenants=" << run.tenants
+      << ", duration=" << format_fixed(run.duration, 0) << "s)\n";
   out << "makespan: " << format_fixed(report.makespan, 1) << " s\n";
   const JctSummary& o = report.overall;
   out << "JCT: mean=" << format_fixed(o.mean, 1) << "s p50=" << format_fixed(o.p50, 1)
@@ -711,7 +536,7 @@ int run_multi_tenant(const CliOptions& options, std::ostream& out, std::ostream&
         << " mean=" << format_fixed(s.mean, 1) << "s p95=" << format_fixed(s.p95, 1)
         << "s queueing=" << format_fixed(s.mean_queueing, 1) << "s\n";
   }
-  if (options.chaos_seed != 0 || !options.faults.empty() || !options.spot_plan.empty()) {
+  if (run.chaos_seed != 0 || !run.faults.empty() || !run.spot_plan.empty()) {
     out << "recomputed_partitions=" << sim.recomputed_partitions() << "\n";
     if (sim.injector() != nullptr && sim.injector()->spot_revocations() > 0) {
       out << "spot_revocations=" << sim.injector()->spot_revocations() << "\n";
@@ -723,7 +548,7 @@ int run_multi_tenant(const CliOptions& options, std::ostream& out, std::ostream&
         << " provisioned_cost=" << format_fixed(sim.cluster().provisioned_cost(sim.sim().now()), 2)
         << "\n";
   }
-  if (options.preempt) {
+  if (run.preempt) {
     out << "preemptions=" << sim.scheduler().preemptions() << "\n";
   }
   int rc = write_event_traces(sim, options, err);
@@ -741,9 +566,7 @@ int run_checkpoint_cli(const CliOptions& options, std::ostream& out, std::ostrea
     return 2;
   }
   try {
-    RunSpec spec = run_spec_from_cli(options);
-    spec.validate();
-    Checkpoint cp = capture_checkpoint(spec, options.checkpoint_at);
+    Checkpoint cp = capture_checkpoint(options.run, options.checkpoint_at);
     std::ofstream f(options.checkpoint_out);
     if (!f) {
       err << "cannot open " << options.checkpoint_out << "\n";
@@ -762,10 +585,7 @@ int run_checkpoint_cli(const CliOptions& options, std::ostream& out, std::ostrea
 int run_restore_cli(const CliOptions& options, std::ostream& out, std::ostream& err) {
   try {
     Checkpoint cp = load_checkpoint_file(options.restore);
-    SimulationConfig base;
-    base.enable_trace = !options.trace_csv.empty() || !options.trace_chrome.empty();
-    apply_observability_flags(base, options);
-    ReplayRun run = restore_checkpoint(cp, base);
+    ReplayRun run = restore_checkpoint(cp, observed({}, options));
     SimTime makespan = run.sim->finish();
     out << "restored " << options.restore << " @ t=" << format_fixed(cp.time, 3) << "s ("
         << cp.pins.size() << " pins verified)\n"
@@ -784,10 +604,7 @@ int run_restore_cli(const CliOptions& options, std::ostream& out, std::ostream& 
 /// The RunSpec a replay mode (--branch / --whatif) operates on: the
 /// checkpoint's embedded spec when --restore names one, else the flags.
 RunSpec replay_run_spec(const CliOptions& options) {
-  RunSpec spec = options.restore.empty() ? run_spec_from_cli(options)
-                                         : load_checkpoint_file(options.restore).run;
-  spec.validate();
-  return spec;
+  return options.restore.empty() ? options.run : load_checkpoint_file(options.restore).run;
 }
 
 int run_branch_cli(const CliOptions& options, std::ostream& out, std::ostream& err) {
@@ -888,26 +705,11 @@ int run_cli(const CliOptions& options, std::ostream& out, std::ostream& err) {
   if (options.checkpoint_at >= 0.0) {
     return run_checkpoint_cli(options, out, err);
   }
-  if (options.arrivals > 0.0) {
-    if (options.workload_explicit) {
-      try {
-        workload_preset(options.workload);  // fail fast on unknown names
-      } catch (const std::exception& e) {
-        err << e.what() << "\n";
-        return 2;
-      }
-    }
+  if (options.run.arrivals > 0.0) {
     return run_multi_tenant(options, out, err);
   }
 
-  const WorkloadPreset* preset = nullptr;
-  try {
-    preset = &workload_preset(options.workload);
-  } catch (const std::exception& e) {
-    err << e.what() << "\n";
-    return 2;
-  }
-
+  const RunSpec& run = options.run;
   RunningStats makespans;
   LocalityCounts locality{};
   std::size_t failures = 0, oom = 0, losses = 0, relocations = 0;
@@ -915,35 +717,20 @@ int run_cli(const CliOptions& options, std::ostream& out, std::ostream& err) {
   double cpu = 0.0, mem = 0.0;
 
   for (int rep = 0; rep < options.repetitions; ++rep) {
-    SimulationConfig cfg;
-    cfg.scheduler = options.scheduler;
-    cfg.seed = options.seed + static_cast<std::uint64_t>(rep);
-    cfg.sample_utilization = options.sample_utilization;
-    cfg.enable_trace = !options.trace_csv.empty() || !options.trace_chrome.empty();
-    apply_observability_flags(cfg, options);
-    if (!apply_fleet(cfg, options, err)) return 2;
-    if (!options.faults.empty()) {
-      try {
-        cfg.faults = parse_fault_spec(options.faults);
-      } catch (const std::exception& e) {
-        err << e.what() << "\n";
-        return 2;
-      }
-    }
-    cfg.chaos_seed = options.chaos_seed;
-    if (!apply_elastic(cfg, options, err)) return 2;
-    // The injector validates the plan against the cluster size (node ids,
-    // factors) — surface that as a CLI error, not an uncaught exception.
+    RunSpec spec = run;
+    spec.seed += static_cast<std::uint64_t>(rep);
+    // An invalid spec, or a fault plan naming nodes the cluster lacks, is
+    // a CLI error, not an uncaught exception.
     std::optional<Simulation> sim_storage;
+    Application app;
     try {
-      sim_storage.emplace(cfg);
-    } catch (const std::invalid_argument& e) {
+      sim_storage.emplace(observed(make_simulation_config(spec), options));
+      app = make_run_application(spec, *sim_storage);
+    } catch (const std::exception& e) {
       err << e.what() << "\n";
       return 2;
     }
     Simulation& sim = *sim_storage;
-    Application app = build_workload(*preset, sim.cluster().node_ids(), cfg.seed,
-                                     options.iterations, hdfs_placement_weights(sim.cluster()));
     SimTime makespan = sim.run(app);
     makespans.add(makespan);
     LocalityCounts counts = count_locality(sim.scheduler().completed());
@@ -973,8 +760,8 @@ int run_cli(const CliOptions& options, std::ostream& out, std::ostream& err) {
     }
   }
 
-  out << preset->long_name << " under " << to_string(options.scheduler) << " ("
-      << options.repetitions << " run" << (options.repetitions > 1 ? "s" : "") << ")\n";
+  out << workload_preset(run.workload).long_name << " under " << to_string(run.scheduler)
+      << " (" << options.repetitions << " run" << (options.repetitions > 1 ? "s" : "") << ")\n";
   out << "makespan: " << format_fixed(makespans.mean(), 1) << " s";
   if (options.repetitions > 1) {
     out << " +- " << format_fixed(confidence_interval_95(makespans.stddev(), makespans.count()), 1)
@@ -984,13 +771,13 @@ int run_cli(const CliOptions& options, std::ostream& out, std::ostream& err) {
       << " RACK=" << locality[2] << " ANY=" << locality[3] << "\n"
       << "failures=" << failures << " oom_kills=" << oom << " executor_losses=" << losses
       << " relocations=" << relocations << "\n";
-  if (!options.faults.empty() || !options.spot_plan.empty() || options.chaos_seed != 0) {
+  if (!run.faults.empty() || !run.spot_plan.empty() || run.chaos_seed != 0) {
     out << "faults_injected=" << faults_injected << " blacklists=" << blacklists
         << " recomputed_partitions=" << recomputed;
-    if (!options.spot_plan.empty()) out << " spot_revocations=" << spot_revocations;
+    if (!run.spot_plan.empty()) out << " spot_revocations=" << spot_revocations;
     out << "\n";
   }
-  if (options.sample_utilization) {
+  if (run.sample_utilization) {
     double n = static_cast<double>(options.repetitions);
     out << "avg cpu=" << format_fixed(cpu / n * 100.0, 1)
         << "% avg mem=" << format_fixed(mem / n / kGiB, 1) << " GB\n";

@@ -1,6 +1,11 @@
 // Command-line driver behind the `rupam_sim` tool: parse arguments, run
 // one (workload, scheduler) simulation, print a report, optionally dump
 // traces. Kept in the library so it is unit-testable.
+//
+// A run's identity lives in one RunSpec (app/run_spec.hpp): flags parse
+// straight into CliOptions::run, and every mode builds its Simulation from
+// make_simulation_config(run). The rest of CliOptions picks the mode and
+// routes output; none of it changes the simulated event sequence.
 #pragma once
 
 #include <optional>
@@ -14,15 +19,10 @@
 namespace rupam {
 
 struct CliOptions {
-  std::string workload = "PR";    // Table III short name
-  bool workload_explicit = false;  // user passed --workload
-  SchedulerKind scheduler = SchedulerKind::kRupam;
-  /// JSON fleet-spec path (see cluster/fleet.hpp); empty = Hydra preset.
-  std::string fleet;
-  int iterations = 0;  // 0 = preset default
-  int repetitions = 1;
-  std::uint64_t seed = 1;
-  bool sample_utilization = false;
+  /// The run's identity. --config loads it first; every run flag then
+  /// overwrites its own field, wherever it sits on the command line.
+  RunSpec run;
+  int repetitions = 1;  // runs seed, seed + 1, ... and reports mean +- 95% CI
   std::string trace_csv;     // write the event trace here if non-empty
   std::string trace_chrome;  // chrome://tracing JSON path
   /// Perfetto task-phase span trace path (enables span recording).
@@ -43,37 +43,12 @@ struct CliOptions {
   /// Relative significance floor for --compare (ComparisonConfig default
   /// when unset). Wall-clock benches on shared runners want a loose one.
   double compare_tolerance = -1.0;  // < 0: use the comparator default
-  std::string faults;        // fault spec (see faults/fault_plan.hpp)
-  std::uint64_t chaos_seed = 0;  // non-zero: add a seeded chaos plan
   /// Sweep mode: path to a JSON SweepSpec (see sweep/sweep_spec.hpp);
   /// non-empty runs the whole grid on a worker pool and writes one JSON
-  /// result matrix, ignoring the single-run options above.
+  /// result matrix, ignoring `run`.
   std::string sweep;
   int sweep_threads = 0;  // 0 = hardware concurrency
   std::string sweep_out;  // matrix path; empty = stdout
-  /// Multi-tenant mode (> 0): open-loop Poisson application arrivals at
-  /// this rate (apps per simulated second).
-  double arrivals = 0.0;
-  int tenants = 2;                             // tenant pools for --arrivals
-  PoolPolicy pool_policy = PoolPolicy::kFifo;  // cross-job policy
-  SimTime duration = 600.0;                    // arrival generation horizon
-  /// Diurnal arrival shape (0 = flat Poisson; see ArrivalConfig).
-  double diurnal = 0.0;
-  SimTime diurnal_period = 120.0;
-  /// > 0: enable pending-pressure autoscaling with this many max minted
-  /// nodes (default "spot" class).
-  int autoscale = 0;
-  /// Spot revocation plan: fault-spec grammar, spot events only
-  /// (e.g. "spot@60:node=3:notice=20"); merged into --faults.
-  std::string spot_plan;
-  /// Enable fair-share preemption (needs --pool-policy fair to bite).
-  bool preempt = false;
-  /// Declarative run spec (--config run.json): loaded first, every other
-  /// flag overrides its fields (see app/run_spec.hpp).
-  std::string config;
-  /// Fleet embedded by value in a --config spec. Only --config sets this
-  /// (no flag form); an explicit --fleet path overrides it.
-  std::optional<FleetSpec> fleet_spec;
   /// >= 0: capture a checkpoint at this simulated time (see
   /// replay/checkpoint.hpp) and write it to `checkpoint_out`.
   SimTime checkpoint_at = -1.0;
@@ -93,8 +68,10 @@ struct CliOptions {
   bool help = false;
 };
 
-/// Parse argv. Returns std::nullopt and writes a message to `err` on
-/// invalid input. Recognized flags:
+/// Parse argv. Returns std::nullopt and writes one line to `err` on
+/// invalid input. Flags check their own syntax; the finished `run` then
+/// goes through RunSpec::validate, the same check --config files and
+/// checkpoints pass. Recognized flags:
 ///   --config RUN.json
 ///   --workload NAME --scheduler spark|rupam|stageaware|fifo|heft --fleet PATH
 ///   --iterations N --repetitions N --seed N --sample
@@ -112,16 +89,6 @@ struct CliOptions {
 ///   --branch SPEC --branch-out PATH --whatif DIAG.json --whatif-out PATH
 ///   --list --help
 std::optional<CliOptions> parse_cli(const std::vector<std::string>& args, std::ostream& err);
-
-/// Thin forwarder to scheduler_kind_from_name (sched/factory.hpp).
-std::optional<SchedulerKind> scheduler_from_name(const std::string& name);
-
-/// CliOptions → RunSpec projection (the run-identity fields only;
-/// observability and output paths stay behind).
-RunSpec run_spec_from_cli(const CliOptions& options);
-
-/// RunSpec → CliOptions: the --config defaults later flags override.
-CliOptions cli_from_run_spec(const RunSpec& spec);
 
 /// Run per the options; returns the process exit code.
 int run_cli(const CliOptions& options, std::ostream& out, std::ostream& err);

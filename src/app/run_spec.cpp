@@ -29,10 +29,9 @@ std::uint64_t require_seed(const JsonValue& v, const std::string& what) {
 }
 
 int require_int(const JsonValue& v, const std::string& what) {
-  double d = require_number(v, what);
-  int i = static_cast<int>(d);
-  if (static_cast<double>(i) != d) spec_error(what + " must be an integer");
-  return i;
+  std::optional<int> i = json_integer<int>(v);
+  if (!i) spec_error(what + " must be an integer");
+  return *i;
 }
 
 const std::string& require_string(const JsonValue& v, const std::string& what) {

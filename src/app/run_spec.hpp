@@ -2,7 +2,8 @@
 // scheduler, fleet, faults, tenancy and elasticity — with a strict JSON
 // round-trip (parse_run_spec_json / run_spec_to_json), the FleetSpec /
 // SweepSpec idiom. It is the single source of truth the CLI, checkpoints
-// and the replay layer all build a Simulation from:
+// and the replay layer all build a Simulation from; the CLI parses its
+// flags straight into one (CliOptions::run) and keeps no copy:
 //
 //   RunSpec spec = load_run_spec_file("run.json");
 //   Simulation sim(make_simulation_config(spec));
@@ -54,8 +55,10 @@ struct RunSpec {
   std::string spot_plan;
   bool preempt = false;
 
-  /// Field-level sanity checks (same limits the CLI enforces); throws
-  /// std::runtime_error with a field-specific message.
+  /// Field-level sanity checks, the only range checks a run's fields get:
+  /// parse_run_spec_json, the CLI's parse_cli and make_simulation_config
+  /// all call this. Throws std::runtime_error with a field-specific
+  /// message.
   void validate() const;
 };
 

@@ -251,8 +251,16 @@ void Simulation::begin(const Application& app) {
   // Analysis wants per-job JCT records even on the single-app path; the
   // observers only copy ids into the accountant, so enabling them leaves
   // the simulated event sequence untouched.
+  start_run("'" + app.name + "'", /*pending_apps=*/1, config_.enable_analysis);
+  // DAG announcement (no-op for every scheduler without precomputed
+  // priorities) strictly precedes the first stage submission.
+  scheduler_->register_dag(app);
+  dag_->run(app, [this] { app_finished(); });
+}
+
+void Simulation::start_run(std::string label, std::size_t pending_apps, bool collect_jobs) {
   jct_.reset();
-  if (config_.enable_analysis) {
+  if (collect_jobs) {
     jct_.emplace();
     dag_->set_job_observer([this](const DagScheduler::JobStats& s) {
       jct_->note_finished(s.job, s.app, s.pool, s.name, s.submitted, s.finished);
@@ -260,22 +268,20 @@ void Simulation::begin(const Application& app) {
     scheduler_->set_launch_observer(
         [this](JobId job, SimTime now) { jct_->note_launch(job, now); });
   }
-  run_app_name_ = app.name;
+  run_label_ = std::move(label);
   run_started_ = sim_.now();
-  run_done_ = false;
+  run_pending_apps_ = pending_apps;
   run_finished_at_ = 0.0;
   run_steps_ = 0;
   run_active_ = true;
   heartbeats_->start();
   if (sampler_) sampler_->start();
   if (autoscaler_) autoscaler_->start();
-  // DAG announcement (no-op for every scheduler without precomputed
-  // priorities) strictly precedes the first stage submission.
-  scheduler_->register_dag(app);
-  dag_->run(app, [this] {
-    run_done_ = true;
-    run_finished_at_ = sim_.now();
-  });
+}
+
+void Simulation::app_finished() {
+  --run_pending_apps_;
+  run_finished_at_ = sim_.now();
 }
 
 void Simulation::step_once() {
@@ -295,90 +301,54 @@ bool Simulation::advance_until(SimTime t) {
   if (!run_active_) throw std::runtime_error("Simulation: advance_until() without begin()");
   // Events strictly after t stay queued, so the simulation pauses at the
   // same quiescent point a straight run passes through at time t.
-  while (!run_done_ && sim_.next_event_time() <= t) step_once();
-  return run_done_;
+  while (run_pending_apps_ > 0 && sim_.next_event_time() <= t) step_once();
+  return run_pending_apps_ == 0;
 }
 
 SimTime Simulation::finish() {
   if (!run_active_) throw std::runtime_error("Simulation: finish() without begin()");
-  while (!run_done_) step_once();
+  while (run_pending_apps_ > 0) step_once();
   if (autoscaler_) autoscaler_->stop();
   heartbeats_->stop();
   if (sampler_) sampler_->stop();
   snapshot_gauges();
-  if (config_.enable_analysis) {
+  if (jct_) {
     dag_->set_job_observer(nullptr);
     scheduler_->set_launch_observer(nullptr);
-    analysis_jobs_.insert(analysis_jobs_.end(), jct_->jobs().begin(), jct_->jobs().end());
-    jct_.reset();
+    if (config_.enable_analysis) {
+      analysis_jobs_.insert(analysis_jobs_.end(), jct_->jobs().begin(), jct_->jobs().end());
+    }
   }
   run_active_ = false;
-  RUPAM_INFO(sim_.now(), scheduler_->name(), " finished '", run_app_name_, "' in ",
+  RUPAM_INFO(sim_.now(), scheduler_->name(), " finished ", run_label_, " in ",
              run_finished_at_ - run_started_, "s");
   return run_finished_at_ - run_started_;
 }
 
 TenantRunReport Simulation::run(const SubmissionStream& stream) {
   if (stream.empty()) return {};
+  if (run_active_) {
+    throw std::runtime_error("Simulation: run(stream) while another run is active");
+  }
   for (const TimedSubmission& s : stream.items()) {
     s.app.validate();
     register_stage_parents(s.app);
   }
-  JctAccountant jct;
-  dag_->set_job_observer([&jct](const DagScheduler::JobStats& s) {
-    jct.note_finished(s.job, s.app, s.pool, s.name, s.submitted, s.finished);
-  });
-  scheduler_->set_launch_observer(
-      [&jct](JobId job, SimTime now) { jct.note_launch(job, now); });
-
-  SimTime started = sim_.now();
-  SimTime finished_at = started;
-  std::size_t remaining = stream.size();
-  heartbeats_->start();
-  if (sampler_) sampler_->start();
-  if (autoscaler_) autoscaler_->start();
+  start_run(std::to_string(stream.size()) + " applications", stream.size(),
+            /*collect_jobs=*/true);
   for (const TimedSubmission& s : stream.items()) {
-    sim_.schedule_at(started + s.at, [this, &s, &remaining, &finished_at] {
+    sim_.schedule_at(run_started_ + s.at, [this, &s] {
       // Same announce-before-submit contract as the single-app path, per
       // arriving application (still a no-op for rank-free schedulers).
       scheduler_->register_dag(s.app);
-      dag_->submit_app(s.app, [this, &remaining, &finished_at] {
-        --remaining;
-        finished_at = sim_.now();
-      });
+      dag_->submit_app(s.app, [this] { app_finished(); });
     });
   }
-  std::size_t steps = 0;
-  while (remaining > 0) {
-    if (!sim_.step()) {
-      throw std::runtime_error(
-          "Simulation: event queue drained before all applications finished");
-    }
-    if (sim_.now() - started > config_.max_sim_time) {
-      throw std::runtime_error("Simulation: exceeded max_sim_time — likely unschedulable");
-    }
-    if (++steps % 10000000 == 0) {
-      RUPAM_WARN(sim_.now(), "simulation still running after ", steps, " events (t=",
-                 sim_.now(), "s) — possible scheduling livelock");
-    }
-  }
-  if (autoscaler_) autoscaler_->stop();
-  heartbeats_->stop();
-  if (sampler_) sampler_->stop();
-  snapshot_gauges();
-  dag_->set_job_observer(nullptr);
-  scheduler_->set_launch_observer(nullptr);
-
   TenantRunReport report;
-  report.makespan = finished_at - started;
-  report.jobs = jct.jobs();
-  report.overall = jct.overall();
-  report.per_pool = jct.by_pool();
-  if (config_.enable_analysis) {
-    analysis_jobs_.insert(analysis_jobs_.end(), report.jobs.begin(), report.jobs.end());
-  }
-  RUPAM_INFO(sim_.now(), scheduler_->name(), " finished ", stream.size(), " applications (",
-             report.jobs.size(), " jobs) in ", report.makespan, "s");
+  report.makespan = finish();
+  report.jobs = jct_->jobs();
+  report.overall = jct_->overall();
+  report.per_pool = jct_->by_pool();
   return report;
 }
 

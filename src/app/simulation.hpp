@@ -145,7 +145,8 @@ class Simulation {
   /// Multi-tenant entry point: run every timed submission in `stream` to
   /// completion (applications overlap according to their arrival times and
   /// the configured pool policy) and return per-job JCT accounting. The
-  /// stream must outlive the call.
+  /// stream must outlive the call. Arrivals are scheduled events; the run
+  /// then steps through the same finish() loop as a single application.
   TenantRunReport run(const SubmissionStream& stream);
 
   Simulator& sim() { return sim_; }
@@ -213,13 +214,15 @@ class Simulation {
   std::unique_ptr<DecisionAudit> audit_;
   std::unique_ptr<SpanTrace> spans_;
   OverheadProfiler* profiler_ = nullptr;
-  /// Incremental-run state (begin/advance_until/finish).
+  /// Run state shared by begin/advance_until/finish and run(stream). The
+  /// accountant lives from the run's start to the next one, so run(stream)
+  /// reads its report after finish().
   std::optional<JctAccountant> jct_;
-  std::string run_app_name_;
+  std::string run_label_;
   SimTime run_started_ = 0.0;
   SimTime run_finished_at_ = 0.0;
   std::size_t run_steps_ = 0;
-  bool run_done_ = false;
+  std::size_t run_pending_apps_ = 0;  // submitted or still to arrive
   bool run_active_ = false;
   /// Analysis joins (filled only when config_.enable_analysis).
   std::vector<JobCompletion> analysis_jobs_;
@@ -232,6 +235,12 @@ class Simulation {
   std::size_t membership_token_ = 0;
 
   void register_stage_parents(const Application& app);
+  /// The prologue every run shares: reset run state, install the JCT
+  /// observers when `collect_jobs`, start heartbeats, sampler and
+  /// autoscaler. Submitting the applications is the caller's part.
+  void start_run(std::string label, std::size_t pending_apps, bool collect_jobs);
+  /// Completion callback of each submitted application.
+  void app_finished();
   /// Fire one event; throws on drained queue / max_sim_time overrun.
   void step_once();
   void handle_membership(NodeId node, NodeLifecycle state);

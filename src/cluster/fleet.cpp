@@ -1,6 +1,5 @@
 #include "cluster/fleet.hpp"
 
-#include <cmath>
 #include <fstream>
 #include <set>
 #include <sstream>
@@ -173,9 +172,9 @@ double require_number(const JsonValue& v, const std::string& what) {
 }
 
 int require_int(const JsonValue& v, const std::string& what) {
-  double d = require_number(v, what);
-  if (d != std::floor(d)) spec_error(what + " must be an integer");
-  return static_cast<int>(d);
+  std::optional<int> i = json_integer<int>(v);
+  if (!i) spec_error(what + " must be an integer");
+  return *i;
 }
 
 NodeSpec base_template(const std::string& name) {

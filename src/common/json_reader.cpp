@@ -1,7 +1,9 @@
 #include "common/json_reader.hpp"
 
 #include <cctype>
+#include <cmath>
 #include <cstdlib>
+#include <limits>
 
 #include "common/rng.hpp"
 
@@ -267,6 +269,11 @@ class Parser {
     // Only integer literals keep their text: the readers that need it take
     // integers, and fractions (most numbers) then cost no string.
     double value = std::strtod(text_.c_str() + start, nullptr);
+    if (!std::isfinite(value)) {
+      // 1e999 reads as inf; a run horizon or rate of inf never ends.
+      pos_ = start;
+      fail("number out of range");
+    }
     if (pos_ != integer_end) return JsonValue::make_number(value);
     return JsonValue::make_number(value, text_.substr(start, pos_ - start));
   }
@@ -283,5 +290,22 @@ std::optional<std::uint64_t> json_seed(const JsonValue& v) {
   if (!v.is_number()) return std::nullopt;
   return parse_seed(v.number_text());
 }
+
+template <typename T>
+std::optional<T> json_integer(const JsonValue& v) {
+  if (!v.is_number()) return std::nullopt;
+  double d = v.as_number();
+  // T holds [min, 2^digits); both ends are exact doubles, so this check is
+  // exact where comparing against max() would round up and let 2^63 in.
+  if (d != std::floor(d) || d < static_cast<double>(std::numeric_limits<T>::min()) ||
+      d >= std::ldexp(1.0, std::numeric_limits<T>::digits)) {
+    return std::nullopt;
+  }
+  return static_cast<T>(d);
+}
+
+template std::optional<int> json_integer<int>(const JsonValue&);
+template std::optional<long long> json_integer<long long>(const JsonValue&);
+template std::optional<std::uint64_t> json_integer<std::uint64_t>(const JsonValue&);
 
 }  // namespace rupam

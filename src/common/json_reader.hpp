@@ -79,4 +79,11 @@ JsonValue parse_json(const std::string& text);
 /// integer literal in [0, 2^53], else nullopt — never rounded via double.
 std::optional<std::uint64_t> json_seed(const JsonValue& v);
 
+/// The value when `v` is an integer-valued number inside T's range, else
+/// nullopt. The range check comes before the cast, so 1e10 never reaches
+/// an out-of-range float-to-int conversion. Defined for int, long long and
+/// std::uint64_t.
+template <typename T>
+std::optional<T> json_integer(const JsonValue& v);
+
 }  // namespace rupam

@@ -1,8 +1,10 @@
 #include "common/rng.hpp"
 
+#include <charconv>
 #include <cmath>
 #include <numbers>
 #include <stdexcept>
+#include <type_traits>
 
 namespace rupam {
 
@@ -16,6 +18,21 @@ std::optional<std::uint64_t> parse_seed(std::string_view text) {
   }
   return value;
 }
+
+template <typename T>
+std::optional<T> parse_number(std::string_view text) {
+  T value{};
+  const char* end = text.data() + text.size();
+  auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end) return std::nullopt;
+  if constexpr (std::is_floating_point_v<T>) {
+    if (!std::isfinite(value)) return std::nullopt;
+  }
+  return value;
+}
+
+template std::optional<int> parse_number<int>(std::string_view);
+template std::optional<double> parse_number<double>(std::string_view);
 
 Rng::Rng(std::uint64_t seed, std::uint64_t stream) : state_(0), inc_((stream << 1u) | 1u) {
   next_u32();

@@ -21,6 +21,13 @@ inline constexpr std::uint64_t kMaxSeed = std::uint64_t{1} << 53;
 /// values give nullopt.
 std::optional<std::uint64_t> parse_seed(std::string_view text);
 
+/// The one parser for every other numeric flag: the whole text must be one
+/// decimal number whose value is finite and fits in T. "abc", "2x", "nan",
+/// "inf", "1e999" and, for int, "1.5" or "3000000000" give nullopt.
+/// Defined for int and double.
+template <typename T>
+std::optional<T> parse_number(std::string_view text);
+
 /// PCG32: small, fast, statistically solid, fully deterministic across
 /// platforms (unlike std::mt19937 paired with std:: distributions, whose
 /// outputs are implementation-defined).

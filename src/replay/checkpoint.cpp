@@ -1,6 +1,5 @@
 #include "replay/checkpoint.hpp"
 
-#include <cmath>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -19,10 +18,9 @@ constexpr const char* kFormatTag = "rupam-checkpoint-v1";
 }
 
 long long require_integer(const JsonValue& v, const std::string& what) {
-  if (!v.is_number()) cp_error(what + " must be a number");
-  double d = v.as_number();
-  if (d != std::floor(d)) cp_error(what + " must be an integer");
-  return static_cast<long long>(d);
+  std::optional<long long> i = json_integer<long long>(v);
+  if (!i) cp_error(what + " must be an integer");
+  return *i;
 }
 
 DecisionPin parse_pin(const JsonValue& v, std::size_t index) {

@@ -1,7 +1,6 @@
 #include "replay/whatif.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <exception>
 #include <map>
 #include <sstream>
@@ -22,10 +21,9 @@ namespace {
 }
 
 long long require_integer(const JsonValue& v, const std::string& what) {
-  if (!v.is_number()) whatif_error(what + " must be a number");
-  double d = v.as_number();
-  if (d != std::floor(d)) whatif_error(what + " must be an integer");
-  return static_cast<long long>(d);
+  std::optional<long long> i = json_integer<long long>(v);
+  if (!i) whatif_error(what + " must be an integer");
+  return *i;
 }
 
 DiagnosedStraggler parse_straggler(const JsonValue& v, std::size_t index) {

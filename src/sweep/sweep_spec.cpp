@@ -152,16 +152,15 @@ double require_number(const JsonValue& v, const std::string& what) {
 }
 
 std::uint64_t require_u64(const JsonValue& v, const std::string& what) {
-  double d = require_number(v, what);
-  if (d < 0.0) spec_error(what + " must be >= 0");
-  return static_cast<std::uint64_t>(d);
+  std::optional<std::uint64_t> u = json_integer<std::uint64_t>(v);
+  if (!u) spec_error(what + " must be an integer >= 0");
+  return *u;
 }
 
 int require_int(const JsonValue& v, const std::string& what) {
-  double d = require_number(v, what);
-  int i = static_cast<int>(d);
-  if (static_cast<double>(i) != d) spec_error(what + " must be an integer");
-  return i;
+  std::optional<int> i = json_integer<int>(v);
+  if (!i) spec_error(what + " must be an integer");
+  return *i;
 }
 
 const std::string& require_string(const JsonValue& v, const std::string& what) {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cctype>
 #include <set>
 #include <sstream>
@@ -20,8 +21,8 @@ std::optional<CliOptions> parse(std::initializer_list<const char*> args) {
 TEST(Cli, Defaults) {
   auto opts = parse({});
   ASSERT_TRUE(opts.has_value());
-  EXPECT_EQ(opts->workload, "PR");
-  EXPECT_EQ(opts->scheduler, SchedulerKind::kRupam);
+  EXPECT_EQ(opts->run.workload, "PR");
+  EXPECT_EQ(opts->run.scheduler, SchedulerKind::kRupam);
   EXPECT_EQ(opts->repetitions, 1);
 }
 
@@ -30,23 +31,23 @@ TEST(Cli, ParsesEverything) {
                      "--repetitions", "3", "--seed", "42", "--sample", "--trace-csv",
                      "/tmp/x.csv", "--trace-chrome", "/tmp/x.json"});
   ASSERT_TRUE(opts.has_value());
-  EXPECT_EQ(opts->workload, "LR");
-  EXPECT_EQ(opts->scheduler, SchedulerKind::kSpark);
-  EXPECT_EQ(opts->iterations, 7);
+  EXPECT_EQ(opts->run.workload, "LR");
+  EXPECT_EQ(opts->run.scheduler, SchedulerKind::kSpark);
+  EXPECT_EQ(opts->run.iterations, 7);
   EXPECT_EQ(opts->repetitions, 3);
-  EXPECT_EQ(opts->seed, 42u);
-  EXPECT_TRUE(opts->sample_utilization);
+  EXPECT_EQ(opts->run.seed, 42u);
+  EXPECT_TRUE(opts->run.sample_utilization);
   EXPECT_EQ(opts->trace_csv, "/tmp/x.csv");
   EXPECT_EQ(opts->trace_chrome, "/tmp/x.json");
 }
 
 TEST(Cli, SchedulerNames) {
-  EXPECT_EQ(scheduler_from_name("spark"), SchedulerKind::kSpark);
-  EXPECT_EQ(scheduler_from_name("rupam"), SchedulerKind::kRupam);
-  EXPECT_EQ(scheduler_from_name("stageaware"), SchedulerKind::kStageAware);
-  EXPECT_EQ(scheduler_from_name("fifo"), SchedulerKind::kFifo);
-  EXPECT_EQ(scheduler_from_name("heft"), SchedulerKind::kHeft);
-  EXPECT_FALSE(scheduler_from_name("yarn").has_value());
+  EXPECT_EQ(scheduler_kind_from_name("spark"), SchedulerKind::kSpark);
+  EXPECT_EQ(scheduler_kind_from_name("rupam"), SchedulerKind::kRupam);
+  EXPECT_EQ(scheduler_kind_from_name("stageaware"), SchedulerKind::kStageAware);
+  EXPECT_EQ(scheduler_kind_from_name("fifo"), SchedulerKind::kFifo);
+  EXPECT_EQ(scheduler_kind_from_name("heft"), SchedulerKind::kHeft);
+  EXPECT_FALSE(scheduler_kind_from_name("yarn").has_value());
 }
 
 TEST(Cli, ParsesReplayFlags) {
@@ -65,21 +66,35 @@ TEST(Cli, ParsesReplayFlags) {
   EXPECT_EQ(opts->report_out, "/tmp/run.json");
 }
 
-// Usage-drift guard: every CliOptions field maps to a flag that must
-// appear in cli_usage(), and every --token the usage text mentions must be
-// a flag this table knows. Adding a CliOptions field without updating the
-// usage text (or documenting a flag that no longer exists) fails here.
+// Usage-drift guard: every CliOptions field, and every RunSpec field a
+// flag sets, maps to a flag that must appear in cli_usage(), and every
+// --token the usage text mentions must be a flag this table knows. Adding
+// a field without updating the usage text (or documenting a flag that no
+// longer exists) fails here.
 TEST(Cli, UsageTextCoversEveryFlag) {
-  // field → flag, one row per CliOptions member (shared flags repeat).
+  // field → flag, one row per member (shared flags repeat).
   const std::vector<std::pair<const char*, const char*>> field_flags = {
-      {"workload", "--workload"},
-      {"workload_explicit", "--workload"},
-      {"scheduler", "--scheduler"},
-      {"fleet", "--fleet"},
-      {"iterations", "--iterations"},
+      {"run", "--config"},
+      {"run.workload", "--workload"},
+      {"run.workload_explicit", "--workload"},
+      {"run.scheduler", "--scheduler"},
+      {"run.fleet", "--fleet"},
+      {"run.fleet_spec", "--config"},  // embedded fleets arrive via --config
+      {"run.iterations", "--iterations"},
+      {"run.seed", "--seed"},
+      {"run.sample_utilization", "--sample"},
+      {"run.faults", "--faults"},
+      {"run.chaos_seed", "--chaos"},
+      {"run.arrivals", "--arrivals"},
+      {"run.tenants", "--tenants"},
+      {"run.pool_policy", "--pool-policy"},
+      {"run.duration", "--duration"},
+      {"run.diurnal", "--diurnal"},
+      {"run.diurnal_period", "--diurnal-period"},
+      {"run.autoscale", "--autoscale"},
+      {"run.spot_plan", "--spot-plan"},
+      {"run.preempt", "--preempt"},
       {"repetitions", "--repetitions"},
-      {"seed", "--seed"},
-      {"sample_utilization", "--sample"},
       {"trace_csv", "--trace-csv"},
       {"trace_chrome", "--trace-chrome"},
       {"trace_perfetto", "--trace-perfetto"},
@@ -92,22 +107,9 @@ TEST(Cli, UsageTextCoversEveryFlag) {
       {"compare_out", "--compare-out"},
       {"compare_strict", "--compare-strict"},
       {"compare_tolerance", "--compare-tolerance"},
-      {"faults", "--faults"},
-      {"chaos_seed", "--chaos"},
       {"sweep", "--sweep"},
       {"sweep_threads", "--sweep-threads"},
       {"sweep_out", "--sweep-out"},
-      {"arrivals", "--arrivals"},
-      {"tenants", "--tenants"},
-      {"pool_policy", "--pool-policy"},
-      {"duration", "--duration"},
-      {"diurnal", "--diurnal"},
-      {"diurnal_period", "--diurnal-period"},
-      {"autoscale", "--autoscale"},
-      {"spot_plan", "--spot-plan"},
-      {"preempt", "--preempt"},
-      {"config", "--config"},
-      {"fleet_spec", "--config"},  // embedded fleets arrive via --config
       {"checkpoint_at", "--checkpoint-at"},
       {"checkpoint_out", "--checkpoint-out"},
       {"restore", "--restore"},
@@ -123,7 +125,7 @@ TEST(Cli, UsageTextCoversEveryFlag) {
   std::set<std::string> known;
   for (const auto& [field, flag] : field_flags) {
     EXPECT_NE(usage.find(flag), std::string::npos)
-        << "CliOptions field '" << field << "': flag " << flag << " missing from cli_usage()";
+        << "field '" << field << "': flag " << flag << " missing from cli_usage()";
     known.insert(flag);
   }
   // Reverse direction: every flag token the usage text documents is one
@@ -142,12 +144,27 @@ TEST(Cli, UsageTextCoversEveryFlag) {
   }
 }
 
+// Bad input is rejected with exactly one line: all rupam_sim prints
+// before it exits 2.
 TEST(Cli, RejectsBadInput) {
-  EXPECT_FALSE(parse({"--scheduler", "bogus"}).has_value());
-  EXPECT_FALSE(parse({"--workload"}).has_value());       // missing value
-  EXPECT_FALSE(parse({"--repetitions", "0"}).has_value());
-  EXPECT_FALSE(parse({"--iterations", "-1"}).has_value());
-  EXPECT_FALSE(parse({"--what"}).has_value());
+  const std::vector<std::vector<std::string>> bad_args = {
+      {"--scheduler", "bogus"},
+      {"--workload"},  // missing value
+      {"--repetitions", "0"},
+      {"--iterations", "-1"},
+      {"--what"},
+      {"--seed", "abc"},
+      {"--iterations", "abc"},
+      {"--arrivals", "1", "--duration", "inf"},
+      {"--faults", "meteor@10:node=1"},
+  };
+  for (const auto& bad : bad_args) {
+    std::ostringstream err;
+    EXPECT_FALSE(parse_cli(bad, err).has_value()) << bad[0];
+    const std::string text = err.str();
+    EXPECT_EQ(std::count(text.begin(), text.end(), '\n'), 1) << text;
+    EXPECT_EQ(text.find('\n'), text.size() - 1) << text;
+  }
 }
 
 // Seeds go through the one strict parser: junk used to run as seed 0 and
@@ -161,6 +178,56 @@ TEST(Cli, SeedRejectsNonIntegerText) {
   EXPECT_FALSE(parse({"--chaos", "7x"}).has_value());
 }
 
+// Every numeric flag reads through the one strict parser: the whole text,
+// a finite value, ints inside int. Junk used to run as 0 or as its numeric
+// prefix, and inf made a run horizon that never ended.
+TEST(Cli, NumbersParseStrictly) {
+  std::ostringstream err;
+  EXPECT_FALSE(parse_cli({"--iterations", "abc"}, err).has_value());
+  EXPECT_EQ(err.str(), "--iterations takes an integer, got 'abc'\n");
+  const std::vector<std::vector<std::string>> bad_args = {
+      {"--repetitions", "2x"},
+      {"--checkpoint-at", "abc"},
+      {"--diurnal", "nan"},
+      {"--arrivals", "1", "--duration", "inf"},
+      {"--arrivals", "inf"},
+      {"--duration", "1e999"},
+      {"--iterations", "1.5"},
+      {"--iterations", "1e10"},
+      {"--tenants", "3000000000"},
+      {"--autoscale", " 2"},
+      {"--analyze-k", ""},
+      {"--compare-tolerance", "0.1x"},
+      {"--sweep-threads", "-0.5"},
+  };
+  for (const auto& bad : bad_args) {
+    EXPECT_FALSE(parse_cli(bad, err).has_value()) << bad[0] << " " << bad[1];
+  }
+  auto ok = parse({"--iterations", "3", "--duration", "1e2", "--diurnal", "0.5",
+                   "--checkpoint-at", "12.25"});
+  ASSERT_TRUE(ok.has_value());
+  EXPECT_EQ(ok->run.iterations, 3);
+  EXPECT_DOUBLE_EQ(ok->run.duration, 100.0);
+  EXPECT_DOUBLE_EQ(ok->run.diurnal, 0.5);
+  EXPECT_DOUBLE_EQ(ok->checkpoint_at, 12.25);
+}
+
+// Run fields are range-checked once, by RunSpec::validate, for flags and
+// --config files alike; flag-only values keep their own checks.
+TEST(Cli, RunFieldsValidatedByRunSpec) {
+  std::ostringstream err;
+  EXPECT_FALSE(parse_cli({"--tenants", "0"}, err).has_value());
+  EXPECT_EQ(err.str(), "run spec: tenants must be >= 1\n");
+  EXPECT_FALSE(parse({"--diurnal", "1.5"}).has_value());
+  EXPECT_FALSE(parse({"--duration", "0"}).has_value());
+  EXPECT_FALSE(parse({"--workload", "NotReal"}).has_value());
+  EXPECT_FALSE(parse({"--faults", "meteor@10:node=1"}).has_value());
+  EXPECT_FALSE(parse({"--spot-plan", "crash@10:node=1"}).has_value());
+  EXPECT_FALSE(parse({"--arrivals", "0"}).has_value());
+  EXPECT_FALSE(parse({"--autoscale", "0"}).has_value());
+  EXPECT_FALSE(parse({"--chaos", "0"}).has_value());
+}
+
 TEST(Cli, SeedRejectsNegative) {
   EXPECT_FALSE(parse({"--seed", "-1"}).has_value());
   EXPECT_FALSE(parse({"--chaos", "-1"}).has_value());
@@ -169,8 +236,8 @@ TEST(Cli, SeedRejectsNegative) {
 TEST(Cli, SeedAcceptsExactlyUpToTwoToThe53) {
   auto opts = parse({"--seed", "9007199254740992", "--chaos", "9007199254740992"});
   ASSERT_TRUE(opts.has_value());
-  EXPECT_EQ(opts->seed, kMaxSeed);
-  EXPECT_EQ(opts->chaos_seed, kMaxSeed);
+  EXPECT_EQ(opts->run.seed, kMaxSeed);
+  EXPECT_EQ(opts->run.chaos_seed, kMaxSeed);
   EXPECT_FALSE(parse({"--seed", "9007199254740993"}).has_value());
   EXPECT_FALSE(parse({"--seed", "18446744073709551617"}).has_value());  // 2^64 + 1
 }
@@ -193,7 +260,7 @@ TEST(Cli, HelpAndList) {
 TEST(Cli, UnknownWorkloadFails) {
   std::ostringstream out, err;
   CliOptions opts;
-  opts.workload = "NotReal";
+  opts.run.workload = "NotReal";
   EXPECT_EQ(run_cli(opts, out, err), 2);
   EXPECT_FALSE(err.str().empty());
 }
@@ -201,11 +268,63 @@ TEST(Cli, UnknownWorkloadFails) {
 TEST(Cli, RunsSmallSimulation) {
   std::ostringstream out, err;
   CliOptions opts;
-  opts.workload = "GM";
-  opts.scheduler = SchedulerKind::kSpark;
+  opts.run.workload = "GM";
+  opts.run.scheduler = SchedulerKind::kSpark;
   EXPECT_EQ(run_cli(opts, out, err), 0);
   EXPECT_NE(out.str().find("makespan:"), std::string::npos);
   EXPECT_NE(out.str().find("Gramian"), std::string::npos);
+}
+
+// ------------------------------------------------------------------ pins
+// Stdout of flag-driven runs, captured before the CLI parsed its flags
+// straight into RunSpec. Each run takes well under a second.
+
+std::string run_flags(std::initializer_list<const char*> args) {
+  std::ostringstream out, err;
+  auto opts = parse(args);
+  EXPECT_TRUE(opts.has_value());
+  if (!opts) return {};
+  EXPECT_EQ(run_cli(*opts, out, err), 0) << err.str();
+  return out.str();
+}
+
+TEST(CliPins, RepetitionsWithCrashAndSampling) {
+  EXPECT_EQ(run_flags({"--workload", "GM", "--scheduler", "spark", "--repetitions", "3",
+                       "--iterations", "1", "--faults", "crash@30:node=2:down=20", "--sample"}),
+            "Gramian Matrix under Spark (3 runs)\n"
+            "makespan: 103.8 s +- 49.1 (95% CI)\n"
+            "locality: PROCESS=0 NODE=284 RACK=0 ANY=110\n"
+            "failures=0 oom_kills=0 executor_losses=3 relocations=0\n"
+            "faults_injected=3 blacklists=0 recomputed_partitions=22\n"
+            "avg cpu=20.7% avg mem=5.1 GB\n");
+}
+
+TEST(CliPins, MultiTenantElasticChaos) {
+  EXPECT_EQ(run_flags({"--workload", "GM", "--scheduler", "rupam", "--arrivals", "0.05",
+                       "--duration", "60", "--pool-policy", "fair", "--preempt", "--autoscale",
+                       "2", "--spot-plan", "spot@20:node=3:notice=10", "--chaos", "3"}),
+            "5 applications (5 jobs) under RUPAM, FAIR pools (arrivals=0.05/s, tenants=2, "
+            "duration=60s)\n"
+            "makespan: 187.5 s\n"
+            "JCT: mean=126.6s p50=141.2s p95=152.8s p99=154.3s max=154.7s queueing=0.0s\n"
+            "pool tenant0: jobs=3 mean=123.4s p95=144.8s queueing=0.0s\n"
+            "pool tenant1: jobs=2 mean=131.4s p95=152.3s queueing=0.0s\n"
+            "recomputed_partitions=24\n"
+            "spot_revocations=1\n"
+            "autoscale: scale_ups=2 scale_downs=0 provisioned_cost=0.00\n"
+            "preemptions=0\n");
+}
+
+// The flag path used to drop --pool-policy on single-app runs; it now
+// goes through make_simulation_config, which applies it. One pool orders
+// jobs the same under FIFO and FAIR, so the output must not move.
+TEST(CliPins, SingleAppFairPoolsWithPreemption) {
+  EXPECT_EQ(run_flags({"--workload", "GM", "--scheduler", "rupam", "--iterations", "1",
+                       "--pool-policy", "fair", "--preempt"}),
+            "Gramian Matrix under RUPAM (1 run)\n"
+            "makespan: 77.3 s\n"
+            "locality: PROCESS=0 NODE=81 RACK=0 ANY=43\n"
+            "failures=0 oom_kills=0 executor_losses=0 relocations=0\n");
 }
 
 }  // namespace

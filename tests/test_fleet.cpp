@@ -155,6 +155,10 @@ TEST(Fleet, ParserRejectsMalformedJson) {
   EXPECT_THROW(
       parse_fleet_json(R"({"name": "x", "classes": [{"name": "a", "base": "thor", "count": 1.5}]})"),
       std::runtime_error);
+  // Out of int's range: rejected before any float-to-int cast.
+  EXPECT_THROW(
+      parse_fleet_json(R"({"name": "x", "classes": [{"name": "a", "base": "thor", "count": 1e10}]})"),
+      std::runtime_error);
   EXPECT_THROW(
       parse_fleet_json(R"({"name": "x", "classes": [{"name": "a", "base": "xeon", "count": 1}]})"),
       std::runtime_error);

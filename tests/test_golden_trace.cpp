@@ -30,11 +30,11 @@ TEST_P(GoldenTraceTest, SingleAppTraceByteIdentical) {
   std::string trace_path =
       ::testing::TempDir() + "/trace_PR_" + scheduler + ".csv";
   CliOptions opts;
-  opts.workload = "PR";
-  opts.workload_explicit = true;
-  opts.scheduler = *scheduler_from_name(scheduler);
-  opts.iterations = 2;
-  opts.seed = 1;
+  opts.run.workload = "PR";
+  opts.run.workload_explicit = true;
+  opts.run.scheduler = *scheduler_kind_from_name(scheduler);
+  opts.run.iterations = 2;
+  opts.run.seed = 1;
   opts.trace_csv = trace_path;
   std::ostringstream out, err;
   ASSERT_EQ(run_cli(opts, out, err), 0) << err.str();

@@ -180,6 +180,31 @@ TEST(MultiTenantSimulation, FixedStreamReproducesByteIdenticalTrace) {
   }
 }
 
+// A stream run steps through the same loop as begin(app)/finish(): one run
+// at a time, and the same max_sim_time abort.
+TEST(MultiTenantSimulation, StreamRunSharesTheSingleAppRunLoop) {
+  SimulationConfig cfg;
+  cfg.scheduler = SchedulerKind::kSpark;
+  Simulation sim(cfg);
+  Application app = shrunk_workload(sim, "GM", 1);
+  SubmissionStream stream;
+  stream.add(0.0, shrunk_workload(sim, "GM", 2), "tenant0");
+  sim.begin(app);
+  EXPECT_THROW(sim.run(stream), std::runtime_error);
+  EXPECT_GT(sim.finish(), 0.0);
+
+  cfg.max_sim_time = 1.0;
+  Simulation capped(cfg);
+  SubmissionStream capped_stream;
+  capped_stream.add(0.0, shrunk_workload(capped, "GM", 3), "tenant0");
+  try {
+    capped.run(capped_stream);
+    FAIL() << "a stream run past max_sim_time must abort";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("max_sim_time"), std::string::npos) << e.what();
+  }
+}
+
 TEST(MultiTenantSimulation, PoissonDriverIsDeterministic) {
   ArrivalConfig cfg;
   cfg.rate = 0.1;

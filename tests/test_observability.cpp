@@ -551,8 +551,8 @@ TEST(CliObservability, WritesAllThreeExports) {
   std::string explain_path = dir + "rupam_obs_audit.csv";
   std::string perfetto_path = dir + "rupam_obs_spans.json";
   CliOptions opts;
-  opts.workload = "GM";
-  opts.iterations = 2;
+  opts.run.workload = "GM";
+  opts.run.iterations = 2;
   opts.metrics_out = metrics_path;
   opts.explain_out = explain_path;
   opts.trace_perfetto = perfetto_path;
@@ -583,9 +583,9 @@ TEST(CliObservability, JsonVariantsBySuffix) {
   std::string metrics_path = dir + "rupam_obs_metrics.json";
   std::string explain_path = dir + "rupam_obs_audit.json";
   CliOptions opts;
-  opts.workload = "GM";
-  opts.iterations = 1;
-  opts.scheduler = SchedulerKind::kFifo;
+  opts.run.workload = "GM";
+  opts.run.iterations = 1;
+  opts.run.scheduler = SchedulerKind::kFifo;
   opts.metrics_out = metrics_path;
   opts.explain_out = explain_path;
   std::ostringstream out, err;

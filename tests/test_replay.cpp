@@ -6,12 +6,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <fstream>
+#include <set>
 #include <sstream>
 
 #include "app/cli.hpp"
 #include "app/run_spec.hpp"
 #include "app/simulation.hpp"
+#include "common/json_reader.hpp"
 #include "common/rng.hpp"
 #include "metrics/event_trace.hpp"
 #include "replay/branch.hpp"
@@ -128,12 +131,94 @@ TEST(ReplayRunSpec, SeedsParseExactlyUpToTwoToThe53) {
   EXPECT_THROW(parse_run_spec_json(R"({"seed": 1e3})"), std::runtime_error);
 }
 
-TEST(ReplayRunSpec, CliProjectionRoundTrips) {
-  RunSpec spec = sql_on_pair();
-  spec.seed = 9;
+// A run described by flags and the same run loaded by --config are one
+// RunSpec: flags parse straight into it, so there is no projection to
+// drift.
+TEST(ReplayRunSpec, FlagsAndConfigParseToTheSameSpec) {
+  RunSpec spec;
+  spec.workload = "SQL";
+  spec.workload_explicit = true;
+  spec.scheduler = SchedulerKind::kHeft;
+  spec.fleet = "fleets/parity.json";  // never loaded at parse time
+  spec.iterations = 3;
+  spec.seed = 42;
+  spec.sample_utilization = true;
   spec.faults = "crash@50:node=0:down=40";
-  RunSpec back = run_spec_from_cli(cli_from_run_spec(spec));
-  EXPECT_EQ(run_spec_to_json(back), run_spec_to_json(spec));
+  spec.chaos_seed = 7;
+  spec.arrivals = 0.25;
+  spec.tenants = 3;
+  spec.pool_policy = PoolPolicy::kFair;
+  spec.duration = 90.5;
+  spec.diurnal = 0.25;
+  spec.diurnal_period = 45.0;
+  spec.autoscale = 4;
+  spec.spot_plan = "spot@20:node=1:notice=5";
+  spec.preempt = true;
+  const std::string json = run_spec_to_json(spec);
+  // Every field is off its default: no line of the default spec's JSON
+  // survives here. (fleet_spec has no flag; --fleet beating it is below.)
+  std::set<std::string> lines;
+  std::istringstream spec_lines(json);
+  for (std::string line; std::getline(spec_lines, line);) lines.insert(line);
+  std::istringstream default_lines(run_spec_to_json(RunSpec{}));
+  for (std::string line; std::getline(default_lines, line);) {
+    if (line.find(':') != std::string::npos) {
+      EXPECT_EQ(lines.count(line), 0u) << line;
+    }
+  }
+
+  std::ostringstream err;
+  auto by_flags = parse_cli(
+      {"--workload", "SQL", "--scheduler", "heft", "--fleet", "fleets/parity.json",
+       "--iterations", "3", "--seed", "42", "--sample", "--faults", "crash@50:node=0:down=40",
+       "--chaos", "7", "--arrivals", "0.25", "--tenants", "3", "--pool-policy", "fair",
+       "--duration", "90.5", "--diurnal", "0.25", "--diurnal-period", "45", "--autoscale", "4",
+       "--spot-plan", "spot@20:node=1:notice=5", "--preempt"},
+      err);
+  ASSERT_TRUE(by_flags.has_value()) << err.str();
+  EXPECT_EQ(run_spec_to_json(by_flags->run), json);
+
+  std::string path = temp_path("replay_parity_config.json");
+  write_file(path, json);
+  auto by_config = parse_cli({"--config", path}, err);
+  ASSERT_TRUE(by_config.has_value()) << err.str();
+  EXPECT_EQ(run_spec_to_json(by_config->run), json);
+
+  // --fleet beats a fleet embedded in the --config spec.
+  std::string embedded = temp_path("replay_parity_embedded.json");
+  write_file(embedded, run_spec_to_json(sql_on_pair()));
+  auto overridden = parse_cli({"--config", embedded, "--fleet", "fleets/other.json"}, err);
+  ASSERT_TRUE(overridden.has_value()) << err.str();
+  EXPECT_EQ(overridden->run.fleet, "fleets/other.json");
+  EXPECT_FALSE(overridden->run.fleet_spec.has_value());
+  std::remove(path.c_str());
+  std::remove(embedded.c_str());
+}
+
+// A literal past DBL_MAX used to read as inf ("duration": 1e999 never
+// ended a run), and an int field past int's range went through an
+// out-of-range float-to-int cast.
+TEST(ReplayRunSpec, RejectsNumbersOutOfRange) {
+  EXPECT_THROW(parse_json("1e999"), JsonParseError);
+  EXPECT_THROW(parse_json("[-1e999]"), JsonParseError);
+  EXPECT_THROW(parse_run_spec_json(R"({"duration": 1e999})"), std::runtime_error);
+  EXPECT_THROW(parse_run_spec_json(R"({"arrivals": 1e999})"), std::runtime_error);
+  EXPECT_THROW(parse_run_spec_json(R"({"iterations": 1e10})"), std::runtime_error);
+  EXPECT_THROW(parse_run_spec_json(R"({"tenants": -3000000000})"), std::runtime_error);
+  EXPECT_THROW(parse_run_spec_json(R"({"autoscale": 2.5})"), std::runtime_error);
+  EXPECT_EQ(parse_run_spec_json(R"({"iterations": 2e0})").iterations, 2);
+  EXPECT_EQ(json_integer<int>(parse_json("2147483647")), 2147483647);
+  EXPECT_FALSE(json_integer<int>(parse_json("2147483648")).has_value());
+  EXPECT_FALSE(json_integer<long long>(parse_json("9223372036854775808")).has_value());
+  EXPECT_FALSE(json_integer<std::uint64_t>(parse_json("-1")).has_value());
+
+  std::string path = temp_path("replay_overflow_config.json");
+  write_file(path, R"({"arrivals": 1, "duration": 1e999})");
+  std::ostringstream err;
+  EXPECT_FALSE(parse_cli({"--config", path}, err).has_value());
+  const std::string message = err.str();
+  EXPECT_EQ(std::count(message.begin(), message.end(), '\n'), 1) << message;
+  std::remove(path.c_str());
 }
 
 TEST(ReplayRunSpec, ConfigFlagLoadsAndFlagsOverride) {
@@ -148,14 +233,14 @@ TEST(ReplayRunSpec, ConfigFlagLoadsAndFlagsOverride) {
   std::ostringstream err;
   auto opts = parse_cli({"--config", path, "--seed", "9"}, err);
   ASSERT_TRUE(opts.has_value()) << err.str();
-  EXPECT_EQ(opts->workload, "SQL");
-  EXPECT_EQ(opts->scheduler, SchedulerKind::kSpark);
-  EXPECT_EQ(opts->seed, 9u);  // flag beats config
+  EXPECT_EQ(opts->run.workload, "SQL");
+  EXPECT_EQ(opts->run.scheduler, SchedulerKind::kSpark);
+  EXPECT_EQ(opts->run.seed, 9u);  // flag beats config
 
   // Position does not matter: flags override wherever --config sits.
   auto opts2 = parse_cli({"--seed", "9", "--config", path}, err);
   ASSERT_TRUE(opts2.has_value()) << err.str();
-  EXPECT_EQ(opts2->seed, 9u);
+  EXPECT_EQ(opts2->run.seed, 9u);
 
   auto bad = parse_cli({"--config", temp_path("replay_no_such_file.json")}, err);
   EXPECT_FALSE(bad.has_value());
@@ -216,6 +301,11 @@ TEST(ReplayCheckpoint, ParserRejectsBadDocuments) {
   EXPECT_THROW(
       parse_checkpoint_json(
           R"({"format": "rupam-checkpoint-v1", "time": 1, "run": {}, "pins": [[1, 2]]})"),
+      std::runtime_error);
+  // Past long long's range: rejected before any float-to-int cast.
+  EXPECT_THROW(
+      parse_checkpoint_json(
+          R"({"format": "rupam-checkpoint-v1", "time": 1, "run": {}, "pins": [[1e30, 0, 0, 0]]})"),
       std::runtime_error);
 }
 
@@ -367,6 +457,8 @@ TEST(ReplayWhatif, ParserRejectsBadDiagnoses) {
   EXPECT_THROW(parse_diagnosis_stragglers("{oops"), std::runtime_error);
   EXPECT_THROW(parse_diagnosis_stragglers(R"({"jobs": []})"), std::runtime_error);
   EXPECT_THROW(parse_diagnosis_stragglers(R"({"stragglers": [{"surprise": 1}]})"),
+               std::runtime_error);
+  EXPECT_THROW(parse_diagnosis_stragglers(R"({"stragglers": [{"stage": 1e30}]})"),
                std::runtime_error);
 }
 

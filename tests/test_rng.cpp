@@ -29,6 +29,23 @@ TEST(Rng, ParseSeedIsStrict) {
   }
 }
 
+TEST(Rng, ParseNumberIsStrict) {
+  EXPECT_EQ(parse_number<int>("42"), 42);
+  EXPECT_EQ(parse_number<int>("-7"), -7);
+  EXPECT_EQ(parse_number<int>("2147483647"), 2147483647);
+  for (const char* bad : {"", "abc", "2x", " 1", "1 ", "+1", "1.5", "1e3", "0x10",
+                          "2147483648", "-2147483649"}) {
+    EXPECT_FALSE(parse_number<int>(bad).has_value()) << "'" << bad << "'";
+  }
+  EXPECT_EQ(parse_number<double>("0.25"), 0.25);
+  EXPECT_EQ(parse_number<double>("-3"), -3.0);
+  EXPECT_EQ(parse_number<double>("1e2"), 100.0);
+  for (const char* bad : {"", "abc", "2x", " 1", "1..5", "nan", "inf", "-inf", "infinity",
+                          "1e999", "-1e999"}) {
+    EXPECT_FALSE(parse_number<double>(bad).has_value()) << "'" << bad << "'";
+  }
+}
+
 TEST(Rng, UniformInUnitInterval) {
   Rng rng(7);
   for (int i = 0; i < 10000; ++i) {

@@ -129,6 +129,10 @@ TEST(SweepSpec, ParserRejectsUnknownKeysAndBadValues) {
   EXPECT_THROW(parse_sweep_json(R"({"schedulers": ["klingon"]})"), std::runtime_error);
   EXPECT_THROW(parse_sweep_json(R"({"pool_policy": "lifo"})"), std::runtime_error);
   EXPECT_THROW(parse_sweep_json(R"({"replications": 2.5})"), std::runtime_error);
+  EXPECT_THROW(parse_sweep_json(R"({"replications": 1e10})"), std::runtime_error);
+  EXPECT_THROW(parse_sweep_json(R"({"max_apps": 1e30})"), std::runtime_error);
+  EXPECT_THROW(parse_sweep_json(R"({"max_apps": -1})"), std::runtime_error);
+  EXPECT_THROW(parse_sweep_json(R"({"duration": 1e999})"), std::runtime_error);
   EXPECT_THROW(parse_sweep_json(R"({"replications": 0})"), std::runtime_error);
   EXPECT_THROW(parse_sweep_json(R"([1, 2])"), std::runtime_error);
 }
