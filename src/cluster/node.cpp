@@ -85,4 +85,16 @@ NodeMetrics Node::metrics() const {
   return m;
 }
 
+double Node::capability(ResourceKind kind) const {
+  // Mirrors the fields metrics() fills for NodeMetrics::capability.
+  switch (kind) {
+    case ResourceKind::kCpu: return spec_.cpu_perf * cpu_.capacity_scale();
+    case ResourceKind::kMemory: return free_memory();
+    case ResourceKind::kDisk: return spec_.has_ssd ? 2.0 : 1.0;
+    case ResourceKind::kNetwork: return net_.capacity();
+    case ResourceKind::kGpu: return static_cast<double>(gpus_.idle());
+  }
+  return 0.0;
+}
+
 }  // namespace rupam

@@ -72,6 +72,9 @@ class Node {
   Bytes free_memory() const;
 
   NodeMetrics metrics() const;
+  /// metrics().capability(kind) without building the whole snapshot: the
+  /// one number a capability ranking reads per node.
+  double capability(ResourceKind kind) const;
 
   /// Cumulative drained bytes, for utilization samplers (Figs 2 and 8).
   Bytes net_bytes_total() { return net_.total_drained(); }

@@ -1,6 +1,7 @@
 #include "sched/baselines/capability_scheduler.hpp"
 
 #include <algorithm>
+#include <functional>
 
 namespace rupam {
 
@@ -43,7 +44,7 @@ double CapabilityScheduler::score(NodeId node, ResourceKind kind) const {
   // spreads instead of serializing on the single best node.
   Executor* exec = executor(node);
   double load = exec != nullptr ? static_cast<double>(exec->running_tasks()) : 0.0;
-  return -cluster().node(node).metrics().capability(kind) * 1000.0 + load;
+  return -cluster().node(node).capability(kind) * 1000.0 + load;
 }
 
 std::vector<NodeId> CapabilityScheduler::ranked_nodes(ResourceKind kind) const {
@@ -67,16 +68,38 @@ bool CapabilityScheduler::admissible(NodeId node, ResourceKind kind) const {
 }
 
 NodeId CapabilityScheduler::best_free_node(ResourceKind kind) {
-  // The minimum (score, id) is the head of the ranking ranked_free_nodes
-  // would sort, found in one pass without building it.
-  std::pair<double, NodeId> best{0.0, kInvalidNode};
-  for_each_ready_node(0, [&](NodeId id, Executor&) {
-    if (kind == ResourceKind::kGpu && cluster().node(id).gpus().idle() == 0) return true;
-    std::pair<double, NodeId> candidate{score(id, kind), id};
-    if (best.second == kInvalidNode || candidate < best) best = candidate;
-    return true;
-  });
-  return best.second;
+  ReadyHeap& heap = ready_[static_cast<std::size_t>(kind)];
+  std::vector<Keyed>& entries = heap.entries;
+  if (heap.round != dispatch_rounds()) {
+    heap.round = dispatch_rounds();
+    entries.clear();
+    for_each_ready_node(0, [&](NodeId id, Executor&) {
+      if (kind == ResourceKind::kGpu && cluster().node(id).gpus().idle() == 0) return true;
+      entries.push_back({score(id, kind), id});
+      return true;
+    });
+    std::make_heap(entries.begin(), entries.end(), std::greater<>());
+  }
+  // Only a node a launch landed on changes inside a round, and rekey()
+  // pushed its current key, so an entry whose node is no longer admissible
+  // or whose key is not the node's current one is stale.
+  while (!entries.empty()) {
+    auto [key, id] = entries.front();
+    if (admissible(id, kind) && score(id, kind) == key) return id;
+    std::pop_heap(entries.begin(), entries.end(), std::greater<>());
+    entries.pop_back();
+  }
+  return kInvalidNode;
+}
+
+void CapabilityScheduler::rekey(NodeId node) {
+  for (std::size_t k = 0; k < kNumResourceKinds; ++k) {
+    ReadyHeap& heap = ready_[k];
+    auto kind = static_cast<ResourceKind>(k);
+    if (heap.round != dispatch_rounds() || !admissible(node, kind)) continue;
+    heap.entries.push_back({score(node, kind), node});
+    std::push_heap(heap.entries.begin(), heap.entries.end(), std::greater<>());
+  }
 }
 
 const std::vector<NodeId>& CapabilityScheduler::ranked_free_nodes(ResourceKind kind) {
@@ -104,28 +127,22 @@ void CapabilityScheduler::try_dispatch() {
       TaskState* next = next_launchable(stage);
       if (next == nullptr) continue;
       ResourceKind kind = stage_bottleneck(stage.set.stage_name);
-      NodeId node = kInvalidNode;
-      if (audit_enabled()) {
-        // The audit exposes the rank index and full candidate list, so
-        // only the audited path ranks every node.
-        std::vector<NodeId> ranked = ranked_nodes(kind);
-        for (std::size_t rank = 0; rank < ranked.size(); ++rank) {
-          if (!admissible(ranked[rank], kind)) continue;
-          node = ranked[rank];
-          Explain e;
-          e.reason = "capability_rank";
-          e.detail = "tag=" + std::string(to_string(kind)) + " rank=" + std::to_string(rank);
-          e.candidates = static_cast<int>(ranked.size());
-          e.candidate_nodes = std::move(ranked);
-          explain_next_launch(std::move(e));
-          break;
-        }
-      } else {
-        node = best_free_node(kind);
-      }
+      NodeId node = best_free_node(kind);
       if (node == kInvalidNode) continue;
+      if (audit_enabled()) {
+        // The audit exposes the rank index and the full candidate list.
+        std::vector<NodeId> ranked = ranked_nodes(kind);
+        auto rank = std::find(ranked.begin(), ranked.end(), node) - ranked.begin();
+        Explain e;
+        e.reason = "capability_rank";
+        e.detail = "tag=" + std::string(to_string(kind)) + " rank=" + std::to_string(rank);
+        e.candidates = static_cast<int>(ranked.size());
+        e.candidate_nodes = std::move(ranked);
+        explain_next_launch(std::move(e));
+      }
       if (launch_task(stage, *next, node, next->spec.gpu_accelerable,
                       /*speculative=*/false, kind)) {
+        rekey(next->live.back().node);
         progressed = true;
       }
     }

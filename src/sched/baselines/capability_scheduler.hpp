@@ -9,10 +9,22 @@
 // stage granularity, with no per-task history, no memory guard, no
 // over-commit, and no GPU/CPU racing. The gap between this baseline and
 // RUPAM isolates the value of RUPAM's per-task treatment.
+//
+// Placement cost: a node's score reads the one capability its kind needs
+// (Node::capability, not a full metrics snapshot). Each round keeps, per
+// kind, a min-heap of the ready nodes keyed by (score, id), built on the
+// kind's first placement. Inside a round a launch changes only the node
+// its attempt lands on (a replay interceptor may redirect it), so only
+// that node is re-keyed; stale entries are dropped when they surface.
+// The audited path places identically and only adds the full ranking to
+// the audit record.
 #pragma once
 
+#include <array>
 #include <map>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "sched/rupam/task_manager.hpp"
 #include "sched/scheduler.hpp"
@@ -48,6 +60,14 @@ class CapabilityScheduler : public SchedulerBase {
   void task_succeeded(StageState& stage, TaskState& task, const TaskMetrics& metrics) override;
 
  private:
+  using Keyed = std::pair<double, NodeId>;  // (score, id), lower is better
+  /// One kind's ready nodes for the current round, a min-heap on (score,
+  /// id) that may hold stale entries (see best_free_node).
+  struct ReadyHeap {
+    std::size_t round = 0;  // dispatch_rounds() when built (0: never)
+    std::vector<Keyed> entries;
+  };
+
   /// Ranking key of `node` for `kind`, lower is better: capability first,
   /// then the executor's load. Ties break on the node id.
   double score(NodeId node, ResourceKind kind) const;
@@ -56,11 +76,14 @@ class CapabilityScheduler : public SchedulerBase {
   /// Every schedulable node ordered best-first for `kind` (the audited
   /// path: the audit records the rank and the full candidate list).
   std::vector<NodeId> ranked_nodes(ResourceKind kind) const;
-  /// The dispatch fast path: the admissible node with the minimum
-  /// (score, id) over the maybe-free set, found in one pass — the same
-  /// winner the full ranking's first admissible node gives. kInvalidNode
-  /// if no node qualifies.
+  /// The admissible node with the minimum (score, id): the first
+  /// admissible node of the full ranking. Pops the kind's heap until its
+  /// top is admissible and keyed with its current score. kInvalidNode if
+  /// no node qualifies.
   NodeId best_free_node(ResourceKind kind);
+  /// A launch landed on `node`: push its new key into every heap built
+  /// this round (its old entries go stale).
+  void rekey(NodeId node);
   /// The ranking restricted to nodes with a free slot, for speculative
   /// copies, which fall through to the next node when a launch fails.
   /// Returns a reference into reused scratch, valid until the next call.
@@ -69,7 +92,8 @@ class CapabilityScheduler : public SchedulerBase {
   Config config_;
   std::map<std::string, StageProfileEstimate> profiles_;
   // Dispatch-path scratch: capacity persists across rounds.
-  std::vector<std::pair<double, NodeId>> scored_scratch_;
+  std::array<ReadyHeap, kNumResourceKinds> ready_;
+  std::vector<Keyed> scored_scratch_;
   std::vector<NodeId> ranked_scratch_;
 };
 

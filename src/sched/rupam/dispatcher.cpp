@@ -42,6 +42,34 @@ std::optional<std::size_t> algorithm2_select(const std::vector<DispatchTaskView>
   return std::nullopt;
 }
 
+void QueueRowIndex::clear(std::size_t nodes, const DispatcherPolicy& policy) {
+  policy_ = policy;
+  rows_.clear();
+  for (Pool& pool : pools_) {
+    pool.rows.clear();
+    pool.head = 0;
+  }
+  for (NodeId node : linked_nodes_) links_[static_cast<std::size_t>(node)].clear();
+  linked_nodes_.clear();
+  if (links_.size() < nodes) links_.resize(nodes);
+}
+
+std::uint32_t QueueRowIndex::add(const Row& row) {
+  auto index = static_cast<std::uint32_t>(rows_.size());
+  rows_.push_back(row);
+  if (pools_.size() <= row.pool) pools_.resize(row.pool + 1);
+  pools_[row.pool].rows.push_back(index);
+  if (policy_.opt_executor_lock && row.lock != kInvalidNode) link(row.lock, index);
+  return index;
+}
+
+void QueueRowIndex::link(NodeId node, std::uint32_t row) {
+  if (node < 0 || static_cast<std::size_t>(node) >= links_.size()) return;
+  std::vector<std::uint32_t>& rows = links_[static_cast<std::size_t>(node)];
+  if (rows.empty()) linked_nodes_.push_back(node);
+  rows.push_back(row);
+}
+
 ResourceKind ResourceRoundRobin::next() {
   auto kind = static_cast<ResourceKind>(cursor_);
   cursor_ = (cursor_ + 1) % kNumResourceKinds;

@@ -144,36 +144,53 @@ bool RupamScheduler::any_idle_gpu() const {
   return false;
 }
 
-const std::vector<RupamScheduler::Row>& RupamScheduler::collect_rows(ResourceKind kind) {
-  std::vector<Row>& rows = rows_scratch_;
-  rows.clear();
-  auto resolve = [this](const TaskManager::PendingRef& ref, StageState** stage_out,
-                        TaskState** task_out) {
-    auto it = stages_.find(ref.stage);
-    if (it == stages_.end()) return false;
-    StageState& stage = it->second;
-    if (ref.task_index >= stage.tasks.size()) return false;
-    TaskState& task = stage.tasks[ref.task_index];
-    if (task.spec.id != ref.task || task.finished) return false;
-    *stage_out = &stage;
-    *task_out = &task;
-    return true;
-  };
+bool RupamScheduler::queue_nonempty(ResourceKind kind) const {
+  if (!tm_.active(kind).empty()) return true;
+  if (!config_.gpu_cpu_race) return false;
+  if (kind == ResourceKind::kGpu) return !tm_.parked(kind).empty();
+  return kind == ResourceKind::kCpu && !tm_.active(ResourceKind::kGpu).empty() &&
+         !any_idle_gpu();
+}
+
+RupamScheduler::RowSnapshot& RupamScheduler::rows_for(ResourceKind kind) {
+  RowSnapshot& snap = snapshots_[static_cast<std::size_t>(kind)];
+  // The CPU side of the dual-run race (§III-C3, BLAS example): with no
+  // device idle anywhere, the CPU queue also offers pending GPU tasks.
+  bool gpu_refs = kind == ResourceKind::kCpu && config_.gpu_cpu_race && !any_idle_gpu();
+  if (snap.round == dispatch_rounds() && snap.tm_version == tm_.version() &&
+      snap.gpu_refs == gpu_refs) {
+    return snap;
+  }
+  snap.round = dispatch_rounds();
+  snap.tm_version = tm_.version();
+  snap.gpu_refs = gpu_refs;
+  snap.rows.clear();
+  snap.index.clear(cluster().size(), DispatcherPolicy{config_.opt_executor_lock,
+                                                      config_.memory_guard,
+                                                      config_.memory_guard_headroom});
+  bool fair = pools_.policy == PoolPolicy::kFair;
   auto add = [&](const TaskManager::PendingRef& ref) {
-    StageState* stage = nullptr;
-    TaskState* task = nullptr;
-    if (!resolve(ref, &stage, &task)) return;
+    auto it = stages_.find(ref.stage);
+    if (it == stages_.end()) return;
+    StageState& stage = it->second;
+    if (ref.task_index >= stage.tasks.size()) return;
+    TaskState& task = stage.tasks[ref.task_index];
+    if (task.spec.id != ref.task || task.finished) return;
     note_task_checks(1);
     // The ref carries the interned stage name, so the DB lookup hashes one
     // 64-bit key instead of the stage-name string.
-    if (launchable(*task)) {
-      rows.push_back(Row{stage, task, false, db_.lookup(ref.name, task->spec.partition)});
-      return;
-    }
-    if (kind == ResourceKind::kGpu && config_.gpu_cpu_race && !task->live.empty() &&
-        !task->has_gpu_attempt()) {
-      // Task is racing on a CPU; a device opened up — offer the GPU copy.
-      rows.push_back(Row{stage, task, true, db_.lookup(ref.name, task->spec.partition)});
+    const TaskCharRecord* rec = db_.lookup(ref.name, task.spec.partition);
+    std::uint32_t r = snap.index.add(QueueRowIndex::Row{
+        fair ? static_cast<std::uint32_t>(stage.pool.index()) : 0u, task.spec.total_memory(),
+        rec != nullptr ? rec->opt_executor : kInvalidNode, rec != nullptr && rec->gpu});
+    snap.rows.push_back(Row{&stage, &task, rec});
+    // The nodes where locality_for beats ANY: input stored there, or its
+    // cached block held by that node's executor.
+    for (NodeId node : task.spec.preferred_nodes) snap.index.link(node, r);
+    if (!task.spec.input_cache_key.empty()) {
+      if (const std::set<NodeId>* nodes = nodes_caching(task.spec.input_cache_key)) {
+        for (NodeId node : *nodes) snap.index.link(node, r);
+      }
     }
   };
   const TaskManager::Queue& active = tm_.active(kind);
@@ -193,33 +210,39 @@ const std::vector<RupamScheduler::Row>& RupamScheduler::collect_rows(ResourceKin
   } else {
     for (const auto& [seq, ref] : active) add(ref);
   }
-  // CPU round may also take pending GPU tasks when no device is idle
-  // anywhere — the CPU side of the dual-run race (§III-C3, BLAS example).
-  if (kind == ResourceKind::kCpu && config_.gpu_cpu_race && !any_idle_gpu()) {
-    for (const auto& [seq, ref] : tm_.active(ResourceKind::kGpu)) {
-      StageState* stage = nullptr;
-      TaskState* task = nullptr;
-      if (!resolve(ref, &stage, &task)) continue;
-      note_task_checks(1);
-      if (!launchable(*task)) continue;
-      rows.push_back(Row{stage, task, false, db_.lookup(ref.name, task->spec.partition)});
-    }
+  if (gpu_refs) {
+    for (const auto& [seq, ref] : tm_.active(ResourceKind::kGpu)) add(ref);
   }
-  return rows;
+  return snap;
 }
 
-RupamScheduler::Pick RupamScheduler::pick_from_rows(const std::vector<Row>& rows, NodeId node) {
+bool RupamScheduler::row_live(const RowSnapshot& snap, ResourceKind kind,
+                              std::uint32_t r) const {
+  const TaskState& task = *snap.rows[r].task;
+  if (task.finished) return false;
+  if (launchable(task)) return true;
+  // Task is racing on a CPU; a device may have opened up — the GPU copy.
+  return kind == ResourceKind::kGpu && config_.gpu_cpu_race && !task.live.empty() &&
+         !task.has_gpu_attempt();
+}
+
+RupamScheduler::Pick RupamScheduler::pick_from_rows(RowSnapshot& snap, ResourceKind kind,
+                                                    NodeId node) {
   Bytes free_mem = cluster().node(node).free_memory();
   bool node_has_idle_gpu = cluster().node(node).gpus().idle() > 0;
+  std::vector<std::uint32_t>& candidates = candidates_scratch_;
+  note_task_checks(snap.index.candidates(
+      node, free_mem, node_has_idle_gpu,
+      [&](std::uint32_t r) { return row_live(snap, kind, r); }, candidates));
   std::vector<DispatchTaskView>& views = views_scratch_;
   views.clear();
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const TaskSpec& spec = rows[i].task->spec;
+  for (std::uint32_t r : candidates) {
+    const TaskSpec& spec = snap.rows[r].task->spec;
     DispatchTaskView v;
-    v.index = i;
+    v.index = r;
     v.peak_memory = spec.total_memory();
     v.locality = locality_for(spec, node);
-    if (const TaskCharRecord* rec = rows[i].rec) {
+    if (const TaskCharRecord* rec = snap.rows[r].rec) {
       // The best-node lock is meaningless for a GPU task when the node's
       // devices are all busy — its best runtime came from the GPU.
       if (!rec->gpu || node_has_idle_gpu) {
@@ -236,11 +259,11 @@ RupamScheduler::Pick RupamScheduler::pick_from_rows(const std::vector<Row>& rows
   if (pools_.policy == PoolPolicy::kFair) {
     for (std::size_t p : by_pool_used_) by_pool_[p].clear();
     by_pool_used_.clear();
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      std::size_t p = pool_of(*rows[i].stage).index();
+    for (const DispatchTaskView& v : views) {
+      std::size_t p = pool_of(*snap.rows[v.index].stage).index();
       if (by_pool_.size() <= p) by_pool_.resize(p + 1);  // first sight of a pool
       if (by_pool_[p].empty()) by_pool_used_.push_back(p);
-      by_pool_[p].push_back(views[i]);
+      by_pool_[p].push_back(v);
     }
   }
   if (by_pool_used_.size() > 1) {
@@ -256,8 +279,8 @@ RupamScheduler::Pick RupamScheduler::pick_from_rows(const std::vector<Row>& rows
     chosen = algorithm2_select(views, node, free_mem, policy);
   }
   if (!chosen) return {};
-  const Row& row = rows[*chosen];
-  return Pick{row.stage, row.task, row.race};
+  const Row& row = snap.rows[*chosen];
+  return Pick{row.stage, row.task, /*gpu_race_copy=*/!launchable(*row.task)};
 }
 
 const std::vector<RupamScheduler::SpecCandidate>& RupamScheduler::collect_speculative(
@@ -344,31 +367,43 @@ void RupamScheduler::try_dispatch() {
   // The snapshot is frozen for the rest of the round, so each kind's
   // priority queue is sorted at most once (the paper's one queue per
   // resource type per round); launches only change admission, which the
-  // walk checks node by node.
+  // walk checks node by node. Admission only tightens within a round (a
+  // launch adds load to the node it lands on), so a node the walk finds
+  // closed at the head of the queue stays closed and is skipped for good.
   for (std::vector<NodeId>& order : round_order_) order.clear();
+  order_head_.fill(0);
   int misses = 0;
   while (misses < kNumResourceKinds) {
     ResourceKind kind = round_robin_.next();
-    // One row collection per kind-visit: no task state changes while the
-    // node walk runs (a launch breaks it), so per-node re-collection would
-    // repeat identical work for every ranked node.
-    const std::vector<Row>& rows = collect_rows(kind);
     const std::vector<SpecCandidate>* speculative = nullptr;
     auto speculatable = [&]() -> const std::vector<SpecCandidate>& {
       if (speculative == nullptr) speculative = &collect_speculative(kind);
       return *speculative;
     };
     bool launched = false;
-    if (!rows.empty() || !speculatable().empty()) {
+    if (queue_nonempty(kind) || !speculatable().empty()) {
       const std::vector<NodeId>& order = round_order(kind);
       // Walk the priority queue until a node accepts a task; launch at
       // most one task per kind-visit so no resource type is starved.
+      RowSnapshot* rows = nullptr;  // resolved at the first offerable node
+      bool any_rows = false;
+      std::size_t& head = order_head_[static_cast<std::size_t>(kind)];
       std::size_t offered = 0;
-      for (NodeId node : order) {
-        if (!node_offerable(node, kind)) continue;
+      for (std::size_t i = head; i < order.size(); ++i) {
+        NodeId node = order[i];
+        if (!node_offerable(node, kind)) {
+          if (i == head) ++head;
+          continue;
+        }
         note_node_visit();
         std::size_t rank = offered++;  // position among the admitted nodes
-        Pick pick = rows.empty() ? Pick{} : pick_from_rows(rows, node);
+        if (rows == nullptr) {
+          rows = &rows_for(kind);
+          any_rows = rows->index.any_live(
+              [&](std::uint32_t r) { return row_live(*rows, kind, r); });
+          if (!any_rows && speculatable().empty()) break;
+        }
+        Pick pick = any_rows ? pick_from_rows(*rows, kind, node) : Pick{};
         bool speculative_copy = false;
         if (pick.task == nullptr) {
           pick = pick_speculative(speculatable(), node);

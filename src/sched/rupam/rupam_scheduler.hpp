@@ -12,16 +12,28 @@
 //
 // Dispatch is indexed: per-resource admission reads the base scheduler's
 // live-attempt counters (O(1) per node instead of a scan over every
-// attempt), and the candidate rows for a kind-visit are collected once
-// from the TaskManager's active queue — within a kind-visit no task state
-// changes until a launch breaks the node walk, so the per-node rebuild of
-// the old code did identical work N times. Each kind's node ranking is
-// sorted once per dispatch round (the RM snapshot is frozen for the round)
-// and admission is checked during the walk, so a launch costs a walk, not
-// a re-sort of every node.
+// attempt). Each kind's node ranking is sorted once per dispatch round
+// (the RM snapshot is frozen for the round) and admission is checked
+// during the walk, so a launch costs a walk, not a re-sort of every node;
+// the walk resumes past the closed nodes at the head of the ranking.
+//
+// A kind's rows are resolved from the TaskManager queue once per round,
+// and only once that kind's walk has found an offerable node, so a round
+// that launches nothing builds none. Algorithm 2 then sees only the rows
+// QueueRowIndex says can win at the offered node (locked to it, local to
+// it, and each pool's first guard-passing unlocked and locked-elsewhere
+// rows), which picks exactly the row the whole queue would. This rests on
+// one invariant: inside a round a launch changes only the launched task,
+// the node its attempt lands on (a replay interceptor may redirect it)
+// and the cluster-wide idle-GPU flag. So a row is re-checked at use with
+// the collection predicates (a GPU-queue task launched on a CPU comes back
+// as a race row at its original queue position), and a snapshot is rebuilt
+// when the idle-GPU flag flips or the TaskManager's queues change any
+// other way (TaskManager::version).
 #pragma once
 
 #include <array>
+#include <cstdint>
 #include <map>
 #include <set>
 #include <vector>
@@ -94,13 +106,21 @@ class RupamScheduler : public SchedulerBase {
     TaskState* task = nullptr;
     bool gpu_race_copy = false;
   };
-  /// One candidate of a kind-visit: a waiting task (or a running CPU copy
-  /// the GPU queue may race) with its DB record resolved once.
+  /// A queued task ref resolved once per round, with its DB record.
+  /// Whether it is a row right now — launchable, or (GPU queue, racing) a
+  /// CPU run a freed device may poach — is checked at use by row_live().
   struct Row {
     StageState* stage = nullptr;
     TaskState* task = nullptr;
-    bool race = false;
     const TaskCharRecord* rec = nullptr;
+  };
+  /// One resource queue's rows for the current round, in queue order.
+  struct RowSnapshot {
+    std::size_t round = 0;         // dispatch_rounds() when built (0: never)
+    std::uint64_t tm_version = 0;  // TaskManager::version() when built
+    bool gpu_refs = false;         // CPU queue: GPU refs appended (no idle device)
+    std::vector<Row> rows;
+    QueueRowIndex index;
   };
   struct SpecCandidate {
     StageState* stage = nullptr;
@@ -116,14 +136,17 @@ class RupamScheduler : public SchedulerBase {
   /// first, sorted on first use in the round. Admission is checked while
   /// walking it.
   const std::vector<NodeId>& round_order(ResourceKind kind);
-  /// All rows the `kind` queue offers this kind-visit, in queue order:
-  /// active refs that are launchable, plus (GPU queue under racing) parked
-  /// refs whose running task a freed device may poach, plus (CPU queue
-  /// when no device is idle anywhere) the GPU queue's launchable refs.
-  /// Returns a reference into reused scratch — valid until the next call.
-  const std::vector<Row>& collect_rows(ResourceKind kind);
-  /// Algorithm 2 over the collected rows for one node.
-  Pick pick_from_rows(const std::vector<Row>& rows, NodeId node);
+  /// Could the `kind` queue hold a row at all? Cheap, from queue sizes.
+  bool queue_nonempty(ResourceKind kind) const;
+  /// `kind`'s snapshot for this round, built (or rebuilt) on demand: the
+  /// active refs, plus (GPU queue under racing) the parked refs merged in
+  /// enqueue order, plus (CPU queue when no device is idle anywhere) the
+  /// GPU queue's active refs.
+  RowSnapshot& rows_for(ResourceKind kind);
+  /// Is row `r` of `kind`'s snapshot offerable right now?
+  bool row_live(const RowSnapshot& snap, ResourceKind kind, std::uint32_t r) const;
+  /// Algorithm 2 over the rows that can win at `node`.
+  Pick pick_from_rows(RowSnapshot& snap, ResourceKind kind, NodeId node);
   /// Stragglers whose bottleneck matches `kind` (straggler path of
   /// Algorithm 2), computed once per kind-visit. Reference into scratch.
   const std::vector<SpecCandidate>& collect_speculative(ResourceKind kind);
@@ -146,7 +169,8 @@ class RupamScheduler : public SchedulerBase {
 
   // Dispatch-path scratch, reused across rounds: capacity settles at the
   // workload's high-water mark, after which kind-visits never allocate.
-  std::vector<Row> rows_scratch_;
+  std::array<RowSnapshot, kNumResourceKinds> snapshots_;
+  std::vector<std::uint32_t> candidates_scratch_;
   std::vector<SpecCandidate> spec_scratch_;
   std::vector<DispatchTaskView> views_scratch_;
   /// Dense PoolId.index() → per-pool views (FAIR bucketing). Buckets keep
@@ -158,6 +182,9 @@ class RupamScheduler : public SchedulerBase {
   /// Per-kind round_order() results, cleared at each round start (empty =
   /// not sorted yet this round).
   std::array<std::vector<NodeId>, kNumResourceKinds> round_order_;
+  /// Per kind, how many nodes at the head of round_order() this round's
+  /// walks found closed (they stay closed until the round ends).
+  std::array<std::size_t, kNumResourceKinds> order_head_{};
 };
 
 }  // namespace rupam

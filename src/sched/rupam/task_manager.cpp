@@ -58,6 +58,7 @@ std::vector<ResourceKind> TaskManager::classify(const TaskSpec& spec) const {
 }
 
 void TaskManager::enqueue(const TaskSpec& spec, StageId stage, std::size_t task_index) {
+  ++version_;
   std::vector<Slot>& slots = slots_[{stage, task_index}];
   StageNameId name = db_.intern_stage(spec.stage_name);
   for (ResourceKind kind : classify(spec)) {
@@ -81,6 +82,7 @@ void TaskManager::note_launched(StageId stage, std::size_t task_index) {
 void TaskManager::note_pending_again(StageId stage, std::size_t task_index) {
   auto it = slots_.find({stage, task_index});
   if (it == slots_.end()) return;
+  ++version_;
   for (const Slot& slot : it->second) {
     Queue& from = parked_[static_cast<std::size_t>(slot.kind)];
     auto node = from.extract(slot.seq);
@@ -92,6 +94,7 @@ void TaskManager::note_pending_again(StageId stage, std::size_t task_index) {
 void TaskManager::note_finished(StageId stage, std::size_t task_index) {
   auto it = slots_.find({stage, task_index});
   if (it == slots_.end()) return;
+  ++version_;
   for (const Slot& slot : it->second) {
     active_[static_cast<std::size_t>(slot.kind)].erase(slot.seq);
     parked_[static_cast<std::size_t>(slot.kind)].erase(slot.seq);
@@ -112,6 +115,7 @@ void TaskManager::clear_queues() {
   for (auto& q : parked_) q.clear();
   slots_.clear();
   next_seq_ = 0;
+  ++version_;
 }
 
 void TaskManager::record_completion(const TaskSpec& spec, const TaskMetrics& metrics) {

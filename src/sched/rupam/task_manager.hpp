@@ -78,6 +78,10 @@ class TaskManager {
   const Queue& active(ResourceKind kind) const;
   const Queue& parked(ResourceKind kind) const;
   void clear_queues();
+  /// Bumped by every queue change except note_launched. Parking keeps a
+  /// ref's sequence number, so a dispatch round's row snapshot stays valid
+  /// across its own launches and is rebuilt when this moves.
+  std::uint64_t version() const { return version_; }
 
   /// Fold a completed attempt into DB_task_char; marks the stage GPU when
   /// a device was used (the paper tags all tasks of that stage).
@@ -99,6 +103,7 @@ class TaskManager {
   /// (stage, task_index) → every ref the task holds across queues.
   std::map<std::pair<StageId, std::size_t>, std::vector<Slot>> slots_;
   std::uint64_t next_seq_ = 0;
+  std::uint64_t version_ = 0;
 };
 
 }  // namespace rupam

@@ -101,6 +101,12 @@ void SchedulerBase::handle_membership(NodeId node, NodeLifecycle state) {
   }
 }
 
+void SchedulerBase::configure_speculation(SpeculationConfig cfg) {
+  speculation_ = cfg;
+  // The cached thresholds came from the old rule.
+  for (auto& [id, stage] : stages_) stage.threshold_finished = SIZE_MAX;
+}
+
 void SchedulerBase::configure_fault_tolerance(const FaultToleranceConfig& cfg) {
   fault_tolerance_ = cfg;
   if (cfg.enabled) {
@@ -871,8 +877,14 @@ const std::vector<std::pair<StageId, std::size_t>>& SchedulerBase::find_speculat
   SpeculationRule rule{speculation_.quantile, speculation_.multiplier, 0.1};
   overdue_scratch_.clear();
   for (auto& [stage_id, stage] : stages_) {
-    SimTime threshold =
-        straggler_threshold(stage.finished_runtimes, stage.tasks.size(), rule, runtime_scratch_);
+    if (stage.threshold_finished != stage.finished_runtimes.size() ||
+        stage.threshold_tasks != stage.tasks.size()) {
+      stage.straggler_threshold = straggler_threshold(stage.finished_runtimes,
+                                                      stage.tasks.size(), rule, runtime_scratch_);
+      stage.threshold_finished = stage.finished_runtimes.size();
+      stage.threshold_tasks = stage.tasks.size();
+    }
+    SimTime threshold = stage.straggler_threshold;
     if (threshold < 0.0) continue;
     for (std::size_t i = 0; i < stage.tasks.size(); ++i) {
       TaskState& task = stage.tasks[i];

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <array>
+#include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
@@ -116,7 +117,7 @@ class SchedulerBase {
   void set_partition_success_handler(PartitionSuccessFn fn) {
     on_partition_success_ = std::move(fn);
   }
-  void configure_speculation(SpeculationConfig cfg) { speculation_ = cfg; }
+  void configure_speculation(SpeculationConfig cfg);
   void configure_fault_tolerance(const FaultToleranceConfig& cfg);
   void configure_preemption(const PreemptionConfig& cfg) { preemption_ = cfg; }
   const PreemptionConfig& preemption() const { return preemption_; }
@@ -201,8 +202,13 @@ class SchedulerBase {
 
   /// Dispatch-cost accounting for the indexed hot paths: work actually
   /// done inside try_dispatch rounds. `node_visits` counts nodes offered
-  /// to placement logic once each (a ready node of the ring walk, or a
-  /// RUPAM node passed to Algorithm 2); `task_checks` counts tasks examined.
+  /// to placement logic once each: a ready node of a ring walk (FIFO,
+  /// Spark, HEFT, StageAware's speculative ranking), a ready node scored
+  /// into StageAware's per-round heap for a kind (once per round, however
+  /// many launches the heap then serves), or an admitted node RUPAM passes
+  /// to Algorithm 2. `task_checks` counts tasks examined; for RUPAM that
+  /// is the queued refs resolved into a round's row snapshot plus the rows
+  /// its candidate filter looks at per offered node.
   struct DispatchWorkCounters {
     std::size_t rounds = 0;
     std::size_t node_visits = 0;
@@ -241,7 +247,13 @@ class SchedulerBase {
     SimTime submit_time = 0.0;
     std::vector<TaskState> tasks;
     std::size_t remaining = 0;
+    /// Only grows (one entry per successful task), so the straggler
+    /// threshold below is recomputed only when its size or the task count
+    /// moved since the cached value was taken.
     std::vector<double> finished_runtimes;
+    SimTime straggler_threshold = -1.0;
+    std::size_t threshold_finished = SIZE_MAX;
+    std::size_t threshold_tasks = SIZE_MAX;
     /// Indices with pending && !finished, ascending. Tasks in retry
     /// backoff stay in the set (filtered at query time by launchable()).
     std::set<std::size_t> pending_index;

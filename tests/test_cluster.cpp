@@ -118,6 +118,26 @@ TEST(NodeMetrics, CapabilityOrdering) {
   EXPECT_GT(mt.capability(ResourceKind::kDisk), mh.capability(ResourceKind::kDisk));
 }
 
+// Node::capability reads one number instead of building the snapshot; it
+// must be that snapshot's number, bit for bit, idle or busy and throttled.
+TEST(NodeMetrics, SingleCapabilityMatchesSnapshot) {
+  Simulator sim;
+  Cluster cluster(sim);
+  for (const NodeSpec& spec : {thor_spec(), hulk_spec(), stack_spec()}) {
+    Node& node = cluster.node(cluster.add_node(spec));
+    for (int state = 0; state < 2; ++state) {
+      NodeMetrics m = node.metrics();
+      for (std::size_t k = 0; k < kNumResourceKinds; ++k) {
+        auto kind = static_cast<ResourceKind>(k);
+        EXPECT_EQ(node.capability(kind), m.capability(kind)) << spec.name << " " << k;
+      }
+      node.cpu().set_capacity_scale(0.4);
+      node.gpus().try_acquire();
+      node.add_memory_reporter([] { return 3.0 * kGiB; });
+    }
+  }
+}
+
 TEST(Heartbeat, DeliversPeriodicallyFromAllNodes) {
   Simulator sim;
   Cluster cluster(sim);
