@@ -25,33 +25,9 @@ Simulation::Simulation(SimulationConfig config) : config_(std::move(config)) {
     for (const auto& spec : config_.nodes) cluster_->add_node(spec);
   }
 
-  // Executor sizing policy — the lever behind Fig 8(b)'s memory numbers:
-  // default Spark must fit the weakest node everywhere; RUPAM sizes each
-  // executor to its node.
-  Bytes static_heap =
-      std::max(1.0 * kGiB, cluster_->min_node_memory() - config_.executor_memory_headroom);
+  if (config_.enable_spans) spans_ = std::make_unique<SpanTrace>();
   Rng rng(config_.seed, 0x2545f4914f6cdd1dULL);
-  for (NodeId id : cluster_->node_ids()) {
-    Node& node = cluster_->node(id);
-    ExecutorConfig ec;
-    ec.heap = config_.scheduler == SchedulerKind::kRupam
-                  ? std::max(1.0 * kGiB, node.spec().memory - config_.executor_memory_headroom)
-                  : static_heap;
-    ec.storage_fraction = config_.storage_fraction;
-    ec.task_slots = node.spec().cores;
-    ec.gc = config_.gc;
-    ec.oom_grace = config_.oom_grace;
-    executors_.push_back(std::make_unique<Executor>(sim_, node, id, ec, rng.split()));
-  }
-
-  for (auto& e : executors_) {
-    e->set_peer_cache_probe([this, self = e.get()](const std::string& key) {
-      for (const auto& other : executors_) {
-        if (other.get() != self && other->cache().contains(key)) return true;
-      }
-      return false;
-    });
-  }
+  for (NodeId id : cluster_->node_ids()) add_executor(id, rng.split());
 
   SchedulerEnv env;
   env.sim = &sim_;
@@ -89,20 +65,12 @@ Simulation::Simulation(SimulationConfig config) : config_(std::move(config)) {
     trace_ = std::make_unique<EventTrace>();
     observers.trace = trace_.get();
   }
-  if (config_.enable_metrics) {
-    metrics_ = std::make_unique<MetricsRegistry>();
-    observers.metrics = metrics_.get();
-    dag_->set_metrics(metrics_.get());
-  }
+  if (config_.enable_metrics) metrics_ = std::make_unique<MetricsRegistry>();
   if (config_.enable_audit) {
     audit_ = std::make_unique<DecisionAudit>();
     observers.audit = audit_.get();
   }
   scheduler_->attach(observers);
-  if (config_.enable_spans) {
-    spans_ = std::make_unique<SpanTrace>();
-    for (auto& e : executors_) e->set_span_trace(spans_.get());
-  }
 
   FaultPlan plan = config_.faults;
   if (config_.chaos_seed != 0) {
@@ -124,7 +92,6 @@ Simulation::Simulation(SimulationConfig config) : config_(std::move(config)) {
     fenv.dag = dag_.get();
     fenv.trace = trace_.get();
     injector_ = std::make_unique<FaultInjector>(std::move(fenv), std::move(plan));
-    injector_->set_metrics(metrics_.get());
     injector_->arm();
   }
 
@@ -168,33 +135,37 @@ Simulation::~Simulation() {
   cluster_->unsubscribe_membership(membership_token_);
 }
 
-NodeId Simulation::provision_node(NodeSpec spec, SimTime boot_delay) {
-  NodeId id = cluster_->provision_node(std::move(spec), boot_delay);
+Executor& Simulation::add_executor(NodeId id, Rng rng) {
   Node& node = cluster_->node(id);
-  // Same sizing policy as construction: default Spark uses the static
-  // heap frozen at startup; RUPAM sizes to the node.
-  Bytes static_heap =
-      std::max(1.0 * kGiB, cluster_->min_node_memory() - config_.executor_memory_headroom);
+  // Executor sizing policy — the lever behind Fig 8(b)'s memory numbers:
+  // default Spark must fit the weakest node everywhere, so its heap comes
+  // from the smallest member's memory when this executor is created; RUPAM
+  // sizes each executor to its node.
+  Bytes memory = config_.scheduler == SchedulerKind::kRupam ? node.spec().memory
+                                                             : cluster_->min_node_memory();
   ExecutorConfig ec;
-  ec.heap = config_.scheduler == SchedulerKind::kRupam
-                ? std::max(1.0 * kGiB, node.spec().memory - config_.executor_memory_headroom)
-                : static_heap;
+  ec.heap = std::max(1.0 * kGiB, memory - config_.executor_memory_headroom);
   ec.storage_fraction = config_.storage_fraction;
   ec.task_slots = node.spec().cores;
   ec.gc = config_.gc;
   ec.oom_grace = config_.oom_grace;
-  executors_.push_back(std::make_unique<Executor>(sim_, node, id, ec, elastic_rng_.split()));
+  executors_.push_back(std::make_unique<Executor>(sim_, node, id, ec, std::move(rng)));
   Executor* exec = executors_.back().get();
-  exec->set_peer_cache_probe([this, self = exec](const std::string& key) {
+  exec->set_peer_cache_probe([this, exec](const std::string& key) {
     for (const auto& other : executors_) {
-      if (other.get() != self && other->cache().contains(key)) return true;
+      if (other.get() != exec && other->cache().contains(key)) return true;
     }
     return false;
   });
   if (spans_) exec->set_span_trace(spans_.get());
+  return *exec;
+}
+
+NodeId Simulation::provision_node(NodeSpec spec, SimTime boot_delay) {
+  NodeId id = cluster_->provision_node(std::move(spec), boot_delay);
   // Registered before the boot event fires, so when the node turns live
   // the scheduler already has a slot-accounting row for it.
-  scheduler_->register_executor(exec);
+  scheduler_->register_executor(&add_executor(id, elastic_rng_.split()));
   return id;
 }
 
@@ -311,7 +282,7 @@ SimTime Simulation::finish() {
   if (autoscaler_) autoscaler_->stop();
   heartbeats_->stop();
   if (sampler_) sampler_->stop();
-  snapshot_gauges();
+  snapshot_metrics();
   if (jct_) {
     dag_->set_job_observer(nullptr);
     scheduler_->set_launch_observer(nullptr);
@@ -385,8 +356,67 @@ RunArtifacts Simulation::run_artifacts() const {
   return a;
 }
 
-void Simulation::snapshot_gauges() {
+void Simulation::snapshot_metrics() {
   if (!metrics_) return;
+  // The metric catalog (DESIGN.md §8). Every series is a projection of a
+  // counter its component keeps anyway, rebuilt in full at each finish():
+  // nothing writes the registry while a run is in flight.
+  MetricsRegistry& m = *metrics_;
+  m = MetricsRegistry();
+  auto count = [&m](const std::string& name, const MetricLabels& labels, const char* help,
+                    std::size_t value) {
+    m.counter(name, labels, help).inc(static_cast<double>(value));
+  };
+  const SchedulerBase& sched = *scheduler_;
+  for (int l = 0; l < kNumLocalityLevels; ++l) {
+    auto locality = static_cast<Locality>(l);
+    for (bool speculative : {false, true}) {
+      count("rupam_sim_tasks_launched_total",
+            {{"locality", std::string(to_string(locality))},
+             {"speculative", speculative ? "true" : "false"}},
+            "Task attempts launched by the scheduler", sched.launches(locality, speculative));
+    }
+  }
+  count("rupam_sim_task_failures_total", {}, "Failed task attempts (OOM, executor loss)",
+        sched.failures().size());
+  count("rupam_sim_dispatch_rounds_total", {}, "try_dispatch rounds executed",
+        sched.dispatch_rounds());
+  count("rupam_sim_task_relocations_total", {}, "Straggler relocations (kill + relaunch)",
+        sched.relocations());
+  count("rupam_sim_blacklist_events_total", {{"action", "add"}},
+        "Node blacklist additions and expiries", sched.blacklist_events());
+  count("rupam_sim_blacklist_events_total", {{"action", "remove"}},
+        "Node blacklist additions and expiries", sched.unblacklist_events());
+  // Walked in completion order, so the float sums match a live tally.
+  Counter& gc = m.counter("rupam_sim_gc_seconds_total", {},
+                          "Simulated GC time across successful attempts");
+  Histogram& delay = m.histogram("rupam_sim_scheduler_delay_seconds",
+                                 {0.01, 0.1, 0.5, 1.0, 5.0, 15.0, 60.0, 300.0}, {},
+                                 "Submit-to-launch delay of successful attempts");
+  Histogram& runtime = m.histogram("rupam_sim_task_runtime_seconds",
+                                   {1.0, 5.0, 15.0, 30.0, 60.0, 120.0, 300.0, 600.0}, {},
+                                   "Runtime of successful attempts");
+  for (const TaskMetrics& t : sched.completed()) {
+    delay.observe(t.scheduler_delay);
+    runtime.observe(t.run_time());
+    gc.inc(t.gc_time);
+  }
+  count("rupam_sim_jobs_completed_total", {}, "Jobs completed", dag_->jobs_completed());
+  count("rupam_sim_apps_completed_total", {}, "Applications completed",
+        dag_->apps_completed());
+  count("rupam_sim_stages_submitted_total", {}, "Stages submitted", dag_->stages_submitted());
+  count("rupam_sim_stages_completed_total", {}, "Stages completed", dag_->stages_completed());
+  count("rupam_sim_partitions_resubmitted_total", {},
+        "Partitions recomputed after losing their map output", dag_->recomputed_partitions());
+  if (injector_) {
+    for (std::size_t k = 0; k < kNumFaultKinds; ++k) {
+      auto kind = static_cast<FaultKind>(k);
+      // A kind's series appears with its first applied fault.
+      if (injector_->injected(kind) == 0) continue;
+      count("rupam_sim_faults_injected_total", {{"kind", std::string(to_string(kind))}},
+            "Fault events applied", injector_->injected(kind));
+    }
+  }
   // busy_seconds() integrates from simulator start, so the busy fraction is
   // taken over total simulated time — valid across repeated run() calls.
   SimTime elapsed = sim_.now();
@@ -395,9 +425,8 @@ void Simulation::snapshot_gauges() {
     std::string label = std::to_string(id);
     auto busy = [&](const char* resource, FairShareResource& r) {
       double f = elapsed > 0.0 ? std::min(1.0, r.busy_seconds() / elapsed) : 0.0;
-      metrics_
-          ->gauge("rupam_sim_node_busy_fraction", {{"node", label}, {"resource", resource}},
-                  "Fraction of simulated time the resource had at least one active claim")
+      m.gauge("rupam_sim_node_busy_fraction", {{"node", label}, {"resource", resource}},
+              "Fraction of simulated time the resource had at least one active claim")
           .set(f);
     };
     busy("cpu", node.cpu());
@@ -405,9 +434,9 @@ void Simulation::snapshot_gauges() {
     busy("disk_read", node.disk_read());
     busy("disk_write", node.disk_write());
   }
-  metrics_->gauge("rupam_sim_oom_kills", {}, "Task attempts killed by the memory guard")
+  m.gauge("rupam_sim_oom_kills", {}, "Task attempts killed by the memory guard")
       .set(static_cast<double>(total_oom_kills()));
-  metrics_->gauge("rupam_sim_executor_losses", {}, "Executors lost to GC death spirals")
+  m.gauge("rupam_sim_executor_losses", {}, "Executors lost to GC death spirals")
       .set(static_cast<double>(total_executor_losses()));
 }
 

@@ -75,8 +75,9 @@ struct SimulationConfig {
 
   /// Observability layer (src/obs/). All three default off; when off the
   /// simulation takes no extra allocations and produces byte-identical
-  /// traces. `enable_metrics` wires a MetricsRegistry through the DAG
-  /// scheduler, task scheduler, fault injector and cluster; `enable_audit`
+  /// traces. `enable_metrics` keeps a MetricsRegistry that every finish()
+  /// refills from the scheduler's, DAG scheduler's, fault injector's and
+  /// nodes' own counters (nothing writes it mid-run); `enable_audit`
   /// records one DispatchDecision per launch; `enable_spans` records
   /// per-attempt task-phase spans exportable as a Perfetto trace.
   bool enable_metrics = false;
@@ -172,8 +173,9 @@ class Simulation {
   /// public so tests can exercise mid-run joins directly.
   NodeId provision_node(NodeSpec spec, SimTime boot_delay);
 
-  /// Non-null when enable_metrics was set. End-of-run gauges (busy
-  /// fractions, OOM totals) are refreshed by each run() before it returns.
+  /// Non-null when enable_metrics was set. Every finish() (so every run())
+  /// rebuilds it from the components' counters; empty before the first
+  /// run ends.
   MetricsRegistry* metrics() { return metrics_.get(); }
   /// Non-null when enable_audit was set: one record per task launch.
   DecisionAudit* audit() { return audit_.get(); }
@@ -235,6 +237,9 @@ class Simulation {
   std::size_t membership_token_ = 0;
 
   void register_stage_parents(const Application& app);
+  /// Build `id`'s executor, sized by the configured policy, and wire it to
+  /// its peers' caches and the span sink. `rng` is its jitter stream.
+  Executor& add_executor(NodeId id, Rng rng);
   /// The prologue every run shares: reset run state, install the JCT
   /// observers when `collect_jobs`, start heartbeats, sampler and
   /// autoscaler. Submitting the applications is the caller's part.
@@ -245,7 +250,8 @@ class Simulation {
   void step_once();
   void handle_membership(NodeId node, NodeLifecycle state);
   void trace_membership(NodeId node, TraceEventType type);
-  void snapshot_gauges();
+  /// Refill the metrics registry (when enabled) from the components.
+  void snapshot_metrics();
 };
 
 }  // namespace rupam

@@ -24,12 +24,16 @@ bool NodeLivenessTracker::heartbeat(NodeId node, SimTime now) {
   return revived;
 }
 
-std::vector<NodeId> NodeLivenessTracker::sweep(SimTime now) {
-  std::vector<NodeId> newly_dead;
+bool NodeLivenessTracker::silent_past_threshold(const State& s, SimTime now) const {
   SimTime timeout =
       config_.heartbeat_period * static_cast<double>(config_.missed_heartbeats_dead);
+  return now - s.last_heartbeat > timeout;
+}
+
+std::vector<NodeId> NodeLivenessTracker::sweep(SimTime now) {
+  std::vector<NodeId> newly_dead;
   for (auto& [id, s] : nodes_) {
-    if (!s.dead && now - s.last_heartbeat > timeout) {
+    if (!s.dead && silent_past_threshold(s, now)) {
       s.dead = true;
       newly_dead.push_back(id);
     }
@@ -40,6 +44,11 @@ std::vector<NodeId> NodeLivenessTracker::sweep(SimTime now) {
 bool NodeLivenessTracker::dead(NodeId node) const {
   auto it = nodes_.find(node);
   return it != nodes_.end() && it->second.dead;
+}
+
+bool NodeLivenessTracker::overdue(NodeId node, SimTime now) const {
+  auto it = nodes_.find(node);
+  return it != nodes_.end() && silent_past_threshold(it->second, now);
 }
 
 }  // namespace rupam

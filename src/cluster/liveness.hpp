@@ -35,6 +35,10 @@ class NodeLivenessTracker {
   std::vector<NodeId> sweep(SimTime now);
 
   bool dead(NodeId node) const;
+  /// Is `node` silent past the threshold at `now`? The comparison sweep()
+  /// makes, without waiting for one: equal to dead(node) right after
+  /// sweep(now). False for an untracked node.
+  bool overdue(NodeId node, SimTime now) const;
   std::size_t tracked() const { return nodes_.size(); }
   void clear() { nodes_.clear(); }
   /// Stop tracking a node entirely (decommissioned: it is neither dead nor
@@ -46,6 +50,8 @@ class NodeLivenessTracker {
     SimTime last_heartbeat = 0.0;
     bool dead = false;
   };
+
+  bool silent_past_threshold(const State& s, SimTime now) const;
 
   LivenessConfig config_;
   std::map<NodeId, State> nodes_;  // ordered: deterministic sweep output

@@ -1,5 +1,6 @@
 #include "dag/dag_scheduler.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "common/log.hpp"
@@ -9,24 +10,6 @@ namespace rupam {
 DagScheduler::DagScheduler(Simulator& sim, SubmitFn submit)
     : sim_(sim), submit_(std::move(submit)) {
   if (!submit_) throw std::invalid_argument("DagScheduler: null submit function");
-}
-
-void DagScheduler::set_metrics(MetricsRegistry* metrics) {
-  if (metrics == nullptr) {
-    jobs_counter_ = apps_counter_ = nullptr;
-    stages_submitted_counter_ = stages_completed_counter_ = resubmitted_counter_ = nullptr;
-    return;
-  }
-  jobs_counter_ = &metrics->counter("rupam_sim_jobs_completed_total", {}, "Jobs completed");
-  apps_counter_ =
-      &metrics->counter("rupam_sim_apps_completed_total", {}, "Applications completed");
-  stages_submitted_counter_ =
-      &metrics->counter("rupam_sim_stages_submitted_total", {}, "Stages submitted");
-  stages_completed_counter_ =
-      &metrics->counter("rupam_sim_stages_completed_total", {}, "Stages completed");
-  resubmitted_counter_ =
-      &metrics->counter("rupam_sim_partitions_resubmitted_total", {},
-                        "Partitions recomputed after losing their map output");
 }
 
 void DagScheduler::run(const Application& app, DoneFn on_done) {
@@ -73,7 +56,6 @@ void DagScheduler::start_next_job(AppRun& run) {
       }
     }
     ++apps_completed_;
-    if (apps_counter_ != nullptr) apps_counter_->inc();
     if (done) done();
     return;
   }
@@ -110,7 +92,7 @@ void DagScheduler::submit_ready_stages(AppRun& run) {
     }
     if (ready) {
       p.submitted = true;
-      if (stages_submitted_counter_ != nullptr) stages_submitted_counter_->inc();
+      ++stages_submitted_;
       RUPAM_INFO(sim_.now(), "submitting stage ", id, " (", p.stage->name, ", ",
                  p.stage->num_tasks(), " tasks)");
       submit_(p.stage->tasks);
@@ -127,7 +109,6 @@ void DagScheduler::finish_job(AppRun& run) {
     stage_index_.erase(stage.id);
   }
   ++jobs_completed_;
-  if (jobs_counter_ != nullptr) jobs_counter_->inc();
   if (job_observer_) {
     JobStats stats;
     stats.job = job.id;
@@ -154,7 +135,7 @@ void DagScheduler::on_partition_success(StageId stage, int partition, NodeId nod
   p.remaining_partitions.erase(partition);
   if (!p.complete && p.remaining_partitions.empty()) {
     p.complete = true;
-    if (stages_completed_counter_ != nullptr) stages_completed_counter_->inc();
+    ++stages_completed_;
     RUPAM_INFO(sim_.now(), "stage ", stage, " (", p.stage->name, ") complete");
     submit_ready_stages(run);  // may finish the job/application; last use of `run`
   }
@@ -203,9 +184,6 @@ std::size_t DagScheduler::on_node_lost(NodeId node) {
     p.complete = false;
     resubmitted += partial.tasks.size();
     recomputed_partitions_ += partial.tasks.size();
-    if (resubmitted_counter_ != nullptr) {
-      resubmitted_counter_->inc(static_cast<double>(partial.tasks.size()));
-    }
     RUPAM_WARN(sim_.now(), "node ", node, " lost ", partial.tasks.size(),
                " map output(s) of stage ", stage_id, " (", p.stage->name,
                ") — resubmitting");

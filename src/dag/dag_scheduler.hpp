@@ -25,7 +25,6 @@
 
 #include "dag/job.hpp"
 #include "dag/map_output_tracker.hpp"
-#include "obs/metrics_registry.hpp"
 #include "simcore/simulator.hpp"
 
 namespace rupam {
@@ -55,10 +54,6 @@ class DagScheduler {
 
   /// Fires once per completed job with its lifecycle record.
   void set_job_observer(JobObserverFn fn) { job_observer_ = std::move(fn); }
-
-  /// Optional metrics registry (not owned): job/stage lifecycle counters
-  /// and shuffle-recovery resubmissions.
-  void set_metrics(MetricsRegistry* metrics);
 
   /// Single-application entry point: start executing `app`; `on_done`
   /// fires when its last job completes. Throws if anything is already
@@ -90,6 +85,12 @@ class DagScheduler {
   std::size_t jobs_completed() const { return jobs_completed_; }
   /// Applications completed since construction.
   std::size_t apps_completed() const { return apps_completed_; }
+  /// Stages handed to the task scheduler since construction (a lost-output
+  /// resubmission is not a new submission).
+  std::size_t stages_submitted() const { return stages_submitted_; }
+  /// Stage completions since construction (a stage that recomputes lost
+  /// map outputs completes again).
+  std::size_t stages_completed() const { return stages_completed_; }
 
   const MapOutputTracker& map_outputs() const { return outputs_; }
   /// Total partitions resubmitted due to lost map outputs.
@@ -132,12 +133,8 @@ class DagScheduler {
   std::size_t jobs_completed_ = 0;
   std::size_t apps_completed_ = 0;
   std::size_t recomputed_partitions_ = 0;
-  // Bound in set_metrics; null while metrics are off.
-  Counter* jobs_counter_ = nullptr;
-  Counter* apps_counter_ = nullptr;
-  Counter* stages_submitted_counter_ = nullptr;
-  Counter* stages_completed_counter_ = nullptr;
-  Counter* resubmitted_counter_ = nullptr;
+  std::size_t stages_submitted_ = 0;
+  std::size_t stages_completed_ = 0;
   std::map<std::pair<StageId, int>, int> recompute_counts_;
 };
 

@@ -38,12 +38,7 @@ void FaultInjector::trace_event(const FaultEvent& e, const std::string& detail) 
 
 void FaultInjector::apply(const FaultEvent& e) {
   ++injected_;
-  if (metrics_ != nullptr) {
-    metrics_
-        ->counter("rupam_sim_faults_injected_total",
-                  {{"kind", std::string(to_string(e.kind))}}, "Fault events applied")
-        .inc();
-  }
+  ++injected_by_kind_[static_cast<std::size_t>(e.kind)];
   trace_event(e, e.describe());
   RUPAM_WARN(env_.sim->now(), "fault: ", e.describe());
   switch (e.kind) {

@@ -15,6 +15,7 @@
 // the transition rather than a silent offline flip.
 #pragma once
 
+#include <array>
 #include <vector>
 
 #include "cluster/cluster.hpp"
@@ -23,7 +24,6 @@
 #include "exec/executor.hpp"
 #include "faults/fault_plan.hpp"
 #include "metrics/event_trace.hpp"
-#include "obs/metrics_registry.hpp"
 #include "simcore/simulator.hpp"
 
 namespace rupam {
@@ -52,11 +52,12 @@ class FaultInjector {
   /// Schedule every plan event on the simulator. Call once, before run().
   void arm();
 
-  /// Optional metrics registry (not owned): faults_injected_total{kind}.
-  void set_metrics(MetricsRegistry* metrics) { metrics_ = metrics; }
-
   const FaultPlan& plan() const { return plan_; }
   std::size_t injected() const { return injected_; }
+  /// Plan events of `kind` applied so far (implicit recoveries excluded).
+  std::size_t injected(FaultKind kind) const {
+    return injected_by_kind_[static_cast<std::size_t>(kind)];
+  }
   std::size_t crashes() const { return crashes_; }
   std::size_t recoveries() const { return recoveries_; }
   /// Spot reclaims that completed (node permanently decommissioned).
@@ -74,9 +75,9 @@ class FaultInjector {
 
   FaultInjectorEnv env_;
   FaultPlan plan_;
-  MetricsRegistry* metrics_ = nullptr;
   bool armed_ = false;
   std::size_t injected_ = 0;
+  std::array<std::size_t, kNumFaultKinds> injected_by_kind_{};
   std::size_t crashes_ = 0;
   std::size_t recoveries_ = 0;
   std::size_t spot_revocations_ = 0;

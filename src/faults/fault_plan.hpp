@@ -25,6 +25,7 @@ enum class FaultKind : std::uint8_t {
   kDiskDegrade,    // permanent disk capacity scale (failing spindle)
   kSpotRevoke,     // spot-market reclaim: drain now, decommission after notice
 };
+inline constexpr std::size_t kNumFaultKinds = static_cast<std::size_t>(FaultKind::kSpotRevoke) + 1;
 
 std::string_view to_string(FaultKind kind);
 

@@ -1,14 +1,11 @@
 // MetricsRegistry — labeled counters, gauges and histograms with
 // Prometheus-text and JSON exposition (DESIGN.md §8 lists the full metric
-// catalog). The simulator's equivalent of a /metrics endpoint: every
-// subsystem (DAG scheduler, task scheduler, cluster, executors, fault
-// injector) increments its series here when a registry is attached, and
-// `rupam_sim --metrics-out` dumps the exposition after the run.
-//
-// Series handles are stable pointers: instrumented hot paths resolve
-// their (name, labels) series once and bump a double thereafter, so the
-// per-event cost is an indirection and an add — and exactly zero when no
-// registry is attached (all instrumentation is pointer-gated).
+// catalog). The simulator's equivalent of a /metrics endpoint, filled as
+// a projection: at every finish() Simulation::snapshot_metrics rebuilds it
+// from the counters the task scheduler, DAG scheduler, fault injector,
+// executors and nodes keep anyway, and `rupam_sim --metrics-out` dumps
+// the exposition. No component holds a series, so nothing on the
+// simulated hot path touches the registry.
 #pragma once
 
 #include <cstdint>

@@ -1,8 +1,9 @@
 // Overhead profiler — host wall-clock (steady_clock) timing of the
 // scheduler's own decision path, separate from simulated time. Reproduces
 // the paper's "negligible scheduling overhead" claim: bench/sched_overhead
-// runs every scheduler under the same workload and reports mean
-// nanoseconds per dispatch round / per launch from these stats.
+// runs every scheduler under the same workload and reports nanoseconds per
+// dispatch round, RUPAM's heap maintenance per dispatch round, and the
+// heartbeat and enqueue means from these stats.
 //
 // Scopes are null-safe RAII: with no profiler attached the hot path pays
 // a single pointer test and no clock reads.
@@ -17,7 +18,7 @@ namespace rupam {
 
 enum class ProfileSection : std::uint8_t {
   kDispatch = 0,      // one try_dispatch round (the decision path)
-  kHeapMaintenance,   // RUPAM ResourceMonitor heap rebuilds / reorders
+  kHeapMaintenance,   // RUPAM's per-round RM refresh and per-kind queue sorts
   kHeartbeat,         // scheduler-side heartbeat processing
   kEnqueue,           // taskset submission / characterization
 };

@@ -6,33 +6,9 @@ namespace rupam {
 
 void ResourceMonitor::record(const NodeMetrics& metrics) { latest_[metrics.node] = metrics; }
 
-void ResourceMonitor::record(const NodeMetrics& metrics, SimTime now) {
-  latest_[metrics.node] = metrics;
-  if (liveness_enabled_) liveness_.heartbeat(metrics.node, now);
-}
-
-void ResourceMonitor::configure_liveness(const LivenessConfig& cfg) {
-  liveness_.configure(cfg);
-  liveness_enabled_ = true;
-}
-
-std::vector<NodeId> ResourceMonitor::sweep_dead(SimTime now) {
-  if (!liveness_enabled_) return {};
-  return liveness_.sweep(now);
-}
-
 const NodeMetrics* ResourceMonitor::latest(NodeId node) const {
   auto it = latest_.find(node);
   return it == latest_.end() ? nullptr : &it->second;
-}
-
-std::vector<NodeId> ResourceMonitor::ranked(
-    ResourceKind kind, const std::function<bool(const NodeMetrics&)>& admit) const {
-  std::vector<RankKey> keys;
-  std::vector<NodeId> out;
-  order_into(kind, keys, out);
-  std::erase_if(out, [&](NodeId id) { return dead(id) || (admit && !admit(*latest(id))); });
-  return out;
 }
 
 void ResourceMonitor::order_into(ResourceKind kind, std::vector<RankKey>& keys,

@@ -17,19 +17,8 @@ RupamScheduler::RupamScheduler(SchedulerEnv env, RupamConfig config)
 }
 
 void RupamScheduler::on_heartbeat(const NodeMetrics& metrics) {
-  {
-    OverheadProfiler::Scope profile(profiler(), ProfileSection::kHeapMaintenance);
-    rm_.record(metrics, sim().now());
-  }
   check_memory_straggler(metrics);
   SchedulerBase::on_heartbeat(metrics);
-}
-
-void RupamScheduler::fault_tolerance_changed() {
-  if (fault_tolerance_.enabled) {
-    rm_.configure_liveness(
-        {fault_tolerance_.heartbeat_period, fault_tolerance_.missed_heartbeats_dead});
-  }
 }
 
 void RupamScheduler::node_membership_changed(NodeId node, NodeLifecycle state) {
@@ -84,9 +73,9 @@ void RupamScheduler::task_relaunchable(StageState& stage, TaskState& task) {
 }
 
 void RupamScheduler::seed_monitor() {
-  // The heartbeat stream is the architectural source of RM data; a
-  // dispatch round additionally refreshes the snapshot so admission checks
-  // (memory guard, over-commit limits) never race a 1-second-stale view.
+  // Every RM row is refreshed from the live node at the start of a round,
+  // so admission checks (memory guard, over-commit limits) never race a
+  // 1-second-stale heartbeat view; nothing reads a row between rounds.
   // Ids are dense 0..size()-1, so an index walk replaces node_ids()'s
   // freshly-built vector on this per-round path.
   std::size_t n = cluster().size();
@@ -340,9 +329,11 @@ bool RupamScheduler::dispatch_possible() const {
 }
 
 bool RupamScheduler::node_offerable(NodeId node, ResourceKind kind) const {
-  // A row can vanish mid-round (a decommission forgets it): skip it.
+  // A row can vanish mid-round (a decommission forgets it): skip it. A node
+  // past its heartbeat deadline takes no work even before the next
+  // liveness sweep declares it dead.
   const NodeMetrics* metrics = rm_.latest(node);
-  return metrics != nullptr && !rm_.dead(node) && node_available(*metrics, kind);
+  return metrics != nullptr && !heartbeat_overdue(node) && node_available(*metrics, kind);
 }
 
 const std::vector<NodeId>& RupamScheduler::round_order(ResourceKind kind) {
@@ -362,7 +353,6 @@ void RupamScheduler::try_dispatch() {
   {
     OverheadProfiler::Scope profile(profiler(), ProfileSection::kHeapMaintenance);
     seed_monitor();
-    rm_.sweep_dead(sim().now());
   }
   // The snapshot is frozen for the rest of the round, so each kind's
   // priority queue is sorted at most once (the paper's one queue per

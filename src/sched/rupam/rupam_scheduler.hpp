@@ -1,7 +1,7 @@
 // RUPAM: the heterogeneity-aware task scheduler (paper §III).
 //
 // Wires the three components together:
-//   ResourceMonitor — per-node metrics from extended heartbeats;
+//   ResourceMonitor — per-node metrics rows, refreshed each dispatch round;
 //   TaskManager     — Algorithm 1 characterization + per-resource queues
 //                     backed by DB_task_char;
 //   Dispatcher      — Algorithm 2 node/task matching with round-robin
@@ -9,6 +9,9 @@
 // Plus the §III-C mechanisms: utilization-based over-commit (a node is
 // available as long as the offered resource has headroom, not when a core
 // slot frees), memory-straggler relocation, and the CPU↔GPU dual-run race.
+// Node liveness is the base scheduler's one tracker: the walk skips a node
+// past its heartbeat deadline (SchedulerBase::heartbeat_overdue) even
+// before the periodic sweep declares it dead.
 //
 // Dispatch is indexed: per-resource admission reads the base scheduler's
 // live-attempt counters (O(1) per node instead of a scan over every
@@ -87,12 +90,10 @@ class RupamScheduler : public SchedulerBase {
   /// (the paper clears it after each of the five Fig-5 runs).
   TaskCharDb& db() { return db_; }
   const RupamConfig& config() const { return config_; }
-  ResourceMonitor& resource_monitor() { return rm_; }
   std::size_t gpu_races() const { return gpu_races_; }
 
  protected:
   void try_dispatch() override;
-  void fault_tolerance_changed() override;
   void node_membership_changed(NodeId node, NodeLifecycle state) override;
   void stage_submitted(StageState& stage) override;
   void task_pending_changed(StageState& stage, std::size_t index, bool pending) override;
@@ -129,8 +130,8 @@ class RupamScheduler : public SchedulerBase {
 
   /// Can `node` take one more task whose bottleneck is `kind`?
   bool node_available(const NodeMetrics& metrics, ResourceKind kind) const;
-  /// node_available over `node`'s RM row; false for a dead node or one
-  /// whose row is gone.
+  /// node_available over `node`'s RM row; false for a node past its
+  /// heartbeat deadline or one whose row is gone.
   bool node_offerable(NodeId node, ResourceKind kind) const;
   /// `kind`'s priority queue for this dispatch round: every RM row, best
   /// first, sorted on first use in the round. Admission is checked while

@@ -112,7 +112,6 @@ void SchedulerBase::configure_fault_tolerance(const FaultToleranceConfig& cfg) {
   if (cfg.enabled) {
     liveness_.configure({cfg.heartbeat_period, cfg.missed_heartbeats_dead});
   }
-  fault_tolerance_changed();
 }
 
 bool SchedulerBase::node_usable(NodeId node) const {
@@ -124,6 +123,10 @@ bool SchedulerBase::node_usable(NodeId node) const {
   if (liveness_.dead(node)) return false;
   auto it = blacklisted_until_.find(node);
   return it == blacklisted_until_.end() || sim().now() >= it->second;
+}
+
+bool SchedulerBase::heartbeat_overdue(NodeId node) const {
+  return fault_tolerance_.enabled && liveness_.overdue(node, sim().now());
 }
 
 bool SchedulerBase::node_blacklisted(NodeId node) const {
@@ -249,47 +252,6 @@ void SchedulerBase::attach(const Observers& observers) {
       audit_->note_pool(PoolId(i), pool_symbols_.name(PoolId(i)));
     }
   }
-  bind_metrics(observers.metrics);
-}
-
-void SchedulerBase::bind_metrics(MetricsRegistry* metrics) {
-  if (metrics == nullptr) {
-    launch_counters_ = {};
-    failure_counter_ = dispatch_counter_ = relocation_counter_ = nullptr;
-    blacklist_add_counter_ = blacklist_remove_counter_ = nullptr;
-    gc_seconds_counter_ = nullptr;
-    delay_histogram_ = runtime_histogram_ = nullptr;
-    return;
-  }
-  for (int l = 0; l < kNumLocalityLevels; ++l) {
-    for (int spec = 0; spec < 2; ++spec) {
-      launch_counters_[static_cast<std::size_t>(l * 2 + spec)] = &metrics->counter(
-          "rupam_sim_tasks_launched_total",
-          {{"locality", std::string(to_string(static_cast<Locality>(l)))},
-           {"speculative", spec != 0 ? "true" : "false"}},
-          "Task attempts launched by the scheduler");
-    }
-  }
-  failure_counter_ = &metrics->counter("rupam_sim_task_failures_total", {},
-                                       "Failed task attempts (OOM, executor loss)");
-  dispatch_counter_ = &metrics->counter("rupam_sim_dispatch_rounds_total", {},
-                                        "try_dispatch rounds executed");
-  relocation_counter_ = &metrics->counter("rupam_sim_task_relocations_total", {},
-                                          "Straggler relocations (kill + relaunch)");
-  blacklist_add_counter_ =
-      &metrics->counter("rupam_sim_blacklist_events_total", {{"action", "add"}},
-                        "Node blacklist additions and expiries");
-  blacklist_remove_counter_ =
-      &metrics->counter("rupam_sim_blacklist_events_total", {{"action", "remove"}},
-                        "Node blacklist additions and expiries");
-  gc_seconds_counter_ = &metrics->counter("rupam_sim_gc_seconds_total", {},
-                                          "Simulated GC time across successful attempts");
-  delay_histogram_ = &metrics->histogram("rupam_sim_scheduler_delay_seconds",
-                                         {0.01, 0.1, 0.5, 1.0, 5.0, 15.0, 60.0, 300.0}, {},
-                                         "Submit-to-launch delay of successful attempts");
-  runtime_histogram_ = &metrics->histogram("rupam_sim_task_runtime_seconds",
-                                           {1.0, 5.0, 15.0, 30.0, 60.0, 120.0, 300.0, 600.0},
-                                           {}, "Runtime of successful attempts");
 }
 
 void SchedulerBase::explain_next_launch(Explain explain) {
@@ -355,7 +317,6 @@ void SchedulerBase::fault_tolerance_tick() {
       trace(TraceEventType::kNodeUnblacklisted, -1, -1, 0, it->first, "blacklist expired");
       RUPAM_INFO(now, name(), ": node ", it->first, " un-blacklisted");
       ++unblacklist_count_;
-      if (blacklist_remove_counter_ != nullptr) blacklist_remove_counter_->inc();
       recent_failures_.erase(it->first);
       note_node_maybe_free(it->first);
       it = blacklisted_until_.erase(it);
@@ -393,7 +354,6 @@ void SchedulerBase::note_node_failure(NodeId node) {
   if (!other_usable) return;
   blacklisted_until_[node] = now + fault_tolerance_.blacklist_duration;
   ++blacklist_count_;
-  if (blacklist_add_counter_ != nullptr) blacklist_add_counter_->inc();
   trace(TraceEventType::kNodeBlacklisted, -1, -1, 0, node,
         std::to_string(times.size()) + " failures in window");
   RUPAM_WARN(now, name(), ": node ", node, " blacklisted until ",
@@ -467,9 +427,7 @@ void SchedulerBase::request_dispatch() {
   dispatch_requested_ = true;
   sim().schedule_after(0.0, [this] {
     dispatch_requested_ = false;
-    ++dispatch_rounds_;
     ++dispatch_work_.rounds;
-    if (dispatch_counter_ != nullptr) dispatch_counter_->inc();
     if (profiler_ != nullptr && profiler_->counting_allocs()) {
       // Allocation accounting (bench-only: a replaced operator new feeds
       // the counter). Rounds that launch nothing are the steady state the
@@ -534,11 +492,7 @@ bool SchedulerBase::launch_task(StageState& stage, TaskState& task, NodeId node,
   task.live.push_back(Attempt{attempt_id, node, opts.use_gpu, kind, handle});
   note_attempt_started(node, kind, stage);
   ++launches_;
-  {
-    std::size_t idx = static_cast<std::size_t>(static_cast<int>(opts.locality)) * 2 +
-                      (speculative ? 1 : 0);
-    if (launch_counters_[idx] != nullptr) launch_counters_[idx]->inc();
-  }
+  ++launches_by_locality_[launch_slot(opts.locality, speculative)];
   if (audit_ != nullptr) {
     DispatchDecision d;
     d.time = sim().now();
@@ -596,7 +550,6 @@ bool SchedulerBase::relocate_task(StageState& stage, TaskState& task,
   task.live.clear();
   set_task_pending(stage, static_cast<std::size_t>(&task - stage.tasks.data()), true);
   ++relocations_;
-  if (relocation_counter_ != nullptr) relocation_counter_->inc();
   task_relaunchable(stage, task);
   request_dispatch();
   return true;
@@ -654,9 +607,6 @@ void SchedulerBase::handle_success(StageId stage_id, std::size_t task_index, Att
     trace(TraceEventType::kTaskFinished, stage_id, metrics.task, attempt, metrics.node,
           std::string(to_string(metrics.locality)), metrics.run_time());
   }
-  if (delay_histogram_ != nullptr) delay_histogram_->observe(metrics.scheduler_delay);
-  if (runtime_histogram_ != nullptr) runtime_histogram_->observe(metrics.run_time());
-  if (gc_seconds_counter_ != nullptr) gc_seconds_counter_->inc(metrics.gc_time);
   completed_.push_back(metrics);
   stage.finished_runtimes.push_back(metrics.run_time());
   --stage.remaining;
@@ -700,7 +650,6 @@ void SchedulerBase::handle_failure(StageId stage_id, std::size_t task_index, Att
   failure.failure_reason = reason;
   failure.finish_time = sim().now();
   failed_.push_back(failure);
-  if (failure_counter_ != nullptr) failure_counter_->inc();
   trace(TraceEventType::kTaskFailed, stage_id, task.spec.id, attempt, kInvalidNode, reason);
 
   ++task.failures;
@@ -738,31 +687,6 @@ int SchedulerBase::free_slots_total() const {
     if (e != nullptr && e->alive()) total += e->free_slots();
   }
   return total;
-}
-
-std::map<std::string, double> SchedulerBase::fair_share_targets() const {
-  // Cold reporting API (autoscaler, tests): materializes the dense
-  // per-pool state back into a name-keyed map. Active pools: anything
-  // currently running attempts or holding demand.
-  std::map<std::string, double> targets;
-  for (std::uint32_t i = 0; i < pool_symbols_.size(); ++i) {
-    if (pool_running_[i] > 0) targets.emplace(pool_symbols_.name(PoolId(i)), 0.0);
-  }
-  for (const auto& [id, stage] : stages_) {
-    if (!stage.pending_index.empty()) targets.emplace(pool_name(stage.pool), 0.0);
-  }
-  double total_weight = 0.0;
-  for (const auto& [pool, t] : targets) total_weight += pools_.spec(pool).weight;
-  if (targets.empty() || total_weight <= 0.0) return targets;
-  int running_total = 0;
-  for (int n : pool_running_) {
-    if (n > 0) running_total += n;
-  }
-  double capacity = static_cast<double>(running_total + free_slots_total());
-  for (auto& [pool, t] : targets) {
-    t = capacity * pools_.spec(pool).weight / total_weight;
-  }
-  return targets;
 }
 
 void SchedulerBase::preemption_tick() {

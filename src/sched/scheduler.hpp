@@ -25,7 +25,6 @@
 #include "exec/executor.hpp"
 #include "metrics/event_trace.hpp"
 #include "obs/audit.hpp"
-#include "obs/metrics_registry.hpp"
 #include "obs/overhead.hpp"
 #include "sched/pool.hpp"
 #include "simcore/simulator.hpp"
@@ -56,9 +55,6 @@ struct SpeculationConfig {
 struct Observers {
   /// Structured scheduling-event trace.
   EventTrace* trace = nullptr;
-  /// Metrics registry: binds the scheduler's series (launch/failure
-  /// counters, blacklist churn, delay/runtime histograms).
-  MetricsRegistry* metrics = nullptr;
   /// Dispatch-decision audit: one DispatchDecision per launch_task.
   DecisionAudit* audit = nullptr;
   /// Host wall-clock profiler: times every try_dispatch round and
@@ -154,8 +150,13 @@ class SchedulerBase {
 
   /// Task attempts launched (primary + speculative), all time.
   std::size_t launches() const { return launches_; }
+  /// The attempts of launches() that ran at `locality`, speculative
+  /// copies or not.
+  std::size_t launches(Locality locality, bool speculative) const {
+    return launches_by_locality_[launch_slot(locality, speculative)];
+  }
   /// try_dispatch rounds executed.
-  std::size_t dispatch_rounds() const { return dispatch_rounds_; }
+  std::size_t dispatch_rounds() const { return dispatch_work_.rounds; }
 
   /// Revive finished tasks whose map outputs were lost to a node crash; if
   /// the stage already drained, the partial stage is submitted afresh.
@@ -165,6 +166,9 @@ class SchedulerBase {
   /// Neither dead (missed heartbeats) nor blacklisted. Always true while
   /// fault tolerance is disabled.
   bool node_usable(NodeId node) const;
+  /// Fault tolerance is on and `node` is silent past the missed-heartbeat
+  /// threshold now: what the next liveness sweep will declare dead.
+  bool heartbeat_overdue(NodeId node) const;
   bool node_blacklisted(NodeId node) const;
   std::size_t blacklist_events() const { return blacklist_count_; }
   std::size_t unblacklist_events() const { return unblacklist_count_; }
@@ -190,11 +194,6 @@ class SchedulerBase {
   /// called in NodeId order (the executor list stays dense, indexed by
   /// NodeId) and before the node's kLive transition fires.
   void register_executor(Executor* exec);
-
-  /// Weighted fair-share slot targets per pool over the pools that are
-  /// currently active (running or with demand). Keyed by pool name;
-  /// capacity is running attempts + free slots on live nodes.
-  std::map<std::string, double> fair_share_targets() const;
 
   /// Tasks of `pool` currently occupying slots (live attempts, including
   /// speculative copies) — the fair-share "running cores" input.
@@ -307,9 +306,6 @@ class SchedulerBase {
   virtual void cache_block_changed(NodeId node, const std::string& key, bool present) {
     (void)node, (void)key, (void)present;
   }
-  /// Called after configure_fault_tolerance (RUPAM forwards the liveness
-  /// settings to its ResourceMonitor).
-  virtual void fault_tolerance_changed() {}
   /// Fired on every cluster lifecycle transition, after the base class has
   /// already reconciled its own indexes (maybe-free set, blacklist,
   /// liveness). Subclasses drop or add their per-node structures here
@@ -471,32 +467,23 @@ class SchedulerBase {
   void trace(TraceEventType type, StageId stage, TaskId task, AttemptId attempt, NodeId node,
              std::string detail, SimTime duration = 0.0);
 
-  void bind_metrics(MetricsRegistry* metrics);
-
   PartitionSuccessFn on_partition_success_;
   std::function<void(JobId, SimTime)> on_task_launch_;
   /// Replay override consulted in launch_task (null in normal runs).
   DispatchInterceptor interceptor_;
   /// Attached sinks; trace_/audit_/profiler_ mirror observers_ for the
-  /// hot paths (metrics are consumed via the bound series pointers).
+  /// hot paths.
   Observers observers_;
   EventTrace* trace_ = nullptr;
   DecisionAudit* audit_ = nullptr;
   OverheadProfiler* profiler_ = nullptr;
   Explain pending_explain_;
   bool has_explain_ = false;
+  static std::size_t launch_slot(Locality locality, bool speculative) {
+    return static_cast<std::size_t>(locality) * 2 + (speculative ? 1 : 0);
+  }
   std::size_t launches_ = 0;
-  std::size_t dispatch_rounds_ = 0;
-  // Series bound once in bind_metrics (via attach); null while metrics are off.
-  std::array<Counter*, kNumLocalityLevels * 2> launch_counters_{};
-  Counter* failure_counter_ = nullptr;
-  Counter* dispatch_counter_ = nullptr;
-  Counter* relocation_counter_ = nullptr;
-  Counter* blacklist_add_counter_ = nullptr;
-  Counter* blacklist_remove_counter_ = nullptr;
-  Counter* gc_seconds_counter_ = nullptr;
-  Histogram* delay_histogram_ = nullptr;
-  Histogram* runtime_histogram_ = nullptr;
+  std::array<std::size_t, kNumLocalityLevels * 2> launches_by_locality_{};
   std::vector<TaskMetrics> completed_;
   std::vector<TaskMetrics> failed_;
   std::set<TaskId> speculated_;

@@ -2,21 +2,12 @@
 
 #include <algorithm>
 
-#include "sched/offers.hpp"
-
 namespace rupam {
 
 SparkScheduler::SparkScheduler(SchedulerEnv env) : SparkScheduler(std::move(env), Config()) {}
 
 SparkScheduler::SparkScheduler(SchedulerEnv env, Config config)
     : SchedulerBase(std::move(env)), config_(config) {}
-
-void SparkScheduler::rebuild_levels(StageIdx& idx) {
-  idx.levels.clear();
-  if (idx.any_cached) idx.levels.push_back(Locality::kProcessLocal);
-  if (idx.any_preferred) idx.levels.push_back(Locality::kNodeLocal);
-  idx.levels.push_back(Locality::kAny);
-}
 
 void SparkScheduler::index_task(StageState& stage, StageIdx& idx, std::size_t i) {
   const TaskSpec& spec = stage.tasks[i].spec;
@@ -31,7 +22,7 @@ void SparkScheduler::index_task(StageState& stage, StageIdx& idx, std::size_t i)
                  (!spec.preferred_nodes.empty() && !idx.any_preferred);
   idx.any_cached = idx.any_cached || !spec.input_cache_key.empty();
   idx.any_preferred = idx.any_preferred || !spec.preferred_nodes.empty();
-  if (widened) rebuild_levels(idx);
+  if (widened) idx.levels = locality_levels(idx.any_cached, idx.any_preferred);
 }
 
 void SparkScheduler::deindex_task(StageState& stage, StageIdx& idx, std::size_t i) {
@@ -61,7 +52,7 @@ void SparkScheduler::deindex_task(StageState& stage, StageIdx& idx, std::size_t 
 void SparkScheduler::stage_submitted(StageState& stage) {
   StageIdx& idx = index_[stage.set.stage];
   for (std::size_t i = 0; i < stage.tasks.size(); ++i) index_task(stage, idx, i);
-  rebuild_levels(idx);
+  idx.levels = locality_levels(idx.any_cached, idx.any_preferred);
 }
 
 void SparkScheduler::stage_removed(StageState& stage) { index_.erase(stage.set.stage); }

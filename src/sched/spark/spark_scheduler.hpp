@@ -52,8 +52,8 @@ class SparkScheduler : public SchedulerBase {
   };
 
   /// Per-stage locality index over *pending* task indices. The achievable
-  /// locality levels are over all tasks of the set (matching
-  /// valid_locality_levels), so the flags only ever widen.
+  /// locality levels (locality_levels) are over all tasks of the set, so
+  /// the flags only ever widen.
   struct StageIdx {
     bool any_cached = false;
     bool any_preferred = false;
@@ -66,7 +66,6 @@ class SparkScheduler : public SchedulerBase {
     std::map<std::string, std::set<std::size_t>, std::less<>> by_key;
   };
 
-  void rebuild_levels(StageIdx& idx);
   void index_task(StageState& stage, StageIdx& idx, std::size_t i);
   void deindex_task(StageState& stage, StageIdx& idx, std::size_t i);
 

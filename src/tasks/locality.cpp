@@ -12,4 +12,12 @@ Locality locality_of(const TaskSpec& task, NodeId node, const CacheProbe& cache_
   return Locality::kAny;
 }
 
+std::vector<Locality> locality_levels(bool any_cached, bool any_preferred) {
+  std::vector<Locality> levels;
+  if (any_cached) levels.push_back(Locality::kProcessLocal);
+  if (any_preferred) levels.push_back(Locality::kNodeLocal);
+  levels.push_back(Locality::kAny);
+  return levels;
+}
+
 }  // namespace rupam

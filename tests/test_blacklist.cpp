@@ -1,12 +1,12 @@
 // Unit tests for the fault-tolerance primitives: missed-heartbeat
-// liveness (NodeLivenessTracker, ResourceMonitor) and SchedulerBase's
+// liveness (NodeLivenessTracker) and SchedulerBase's
 // failure-count blacklist with timed un-blacklist.
 #include <gtest/gtest.h>
 
 #include "cluster/liveness.hpp"
 #include "cluster/presets.hpp"
+#include "common/rng.hpp"
 #include "exec/executor.hpp"
-#include "sched/rupam/resource_monitor.hpp"
 #include "sched/scheduler.hpp"
 
 namespace rupam {
@@ -82,54 +82,31 @@ TEST(NodeLiveness, RejectsBadConfig) {
   EXPECT_THROW(tracker.configure({1.0, 0}), std::invalid_argument);
 }
 
-NodeMetrics node_metrics(NodeId id, double perf = 1.0) {
-  NodeMetrics m;
-  m.node = id;
-  m.cpu_perf = perf;
-  m.cores = 8;
-  m.memory = 16.0 * kGiB;
-  m.free_memory = 8.0 * kGiB;
-  m.net_bandwidth = gbit_per_s(1.0);
-  return m;
-}
-
-TEST(ResourceMonitorLiveness, DeadNodesLeaveEveryQueue) {
-  ResourceMonitor rm;
-  rm.configure_liveness({1.0, 3});
-  rm.record(node_metrics(0), /*now=*/0.0);
-  rm.record(node_metrics(1), /*now=*/0.0);
-  rm.record(node_metrics(1), /*now=*/9.0);  // node 1 keeps beating
-  auto newly_dead = rm.sweep_dead(10.0);
-  EXPECT_EQ(newly_dead, std::vector<NodeId>{0});
-  EXPECT_TRUE(rm.dead(0));
-  EXPECT_FALSE(rm.dead(1));
-  for (auto kind : {ResourceKind::kCpu, ResourceKind::kMemory, ResourceKind::kDisk,
-                    ResourceKind::kNetwork}) {
-    EXPECT_EQ(rm.ranked(kind, nullptr), std::vector<NodeId>{1}) << to_string(kind);
+TEST(Liveness, OverdueMatchesSweep) {
+  // Random heartbeat/sweep interleavings on quarter-second ticks (exact in
+  // binary, so deadlines land exactly on sweep times too): right after
+  // every sweep(t), overdue(n, t) must be exactly dead(n), for tracked and
+  // untracked nodes alike.
+  Rng rng(42, 7);
+  for (int trial = 0; trial < 200; ++trial) {
+    NodeLivenessTracker tracker;
+    LivenessConfig cfg{0.25 * static_cast<double>(1 + rng.uniform_index(8)),
+                       1 + static_cast<int>(rng.uniform_index(4))};
+    tracker.configure(cfg);
+    SimTime now = 0.0;
+    for (int step = 0; step < 300; ++step) {
+      now += 0.25 * static_cast<double>(rng.uniform_index(5));
+      if (rng.uniform() < 0.6) {
+        tracker.heartbeat(static_cast<NodeId>(rng.uniform_index(6)), now);
+        continue;
+      }
+      tracker.sweep(now);
+      for (NodeId n = 0; n < 8; ++n) {  // 6 and 7 never beat: untracked
+        ASSERT_EQ(tracker.overdue(n, now), tracker.dead(n))
+            << "trial " << trial << " node " << n << " t=" << now;
+      }
+    }
   }
-}
-
-TEST(ResourceMonitorLiveness, SnapshotRefreshDoesNotRevive) {
-  ResourceMonitor rm;
-  rm.configure_liveness({1.0, 3});
-  rm.record(node_metrics(0), /*now=*/0.0);
-  rm.sweep_dead(10.0);
-  ASSERT_TRUE(rm.dead(0));
-  // The dispatch-round refresh path (no timestamp) must not count as a
-  // heartbeat — only real beats revive.
-  rm.record(node_metrics(0));
-  EXPECT_TRUE(rm.dead(0));
-  EXPECT_EQ(rm.ranked(ResourceKind::kCpu, nullptr), std::vector<NodeId>{});
-  rm.record(node_metrics(0), /*now=*/10.5);
-  EXPECT_FALSE(rm.dead(0));
-  EXPECT_EQ(rm.ranked(ResourceKind::kCpu, nullptr), std::vector<NodeId>{0});
-}
-
-TEST(ResourceMonitorLiveness, DisabledByDefault) {
-  ResourceMonitor rm;
-  rm.record(node_metrics(0), /*now=*/0.0);
-  EXPECT_EQ(rm.sweep_dead(1000.0), std::vector<NodeId>{});
-  EXPECT_FALSE(rm.dead(0));
 }
 
 // Minimal concrete scheduler exposing the protected blacklist machinery.

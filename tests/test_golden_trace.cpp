@@ -3,12 +3,16 @@
 // tests/golden/ were captured from the pre-refactor scheduler with
 //   rupam_sim --workload PR --scheduler <s> --iterations 2 --seed 1
 // so any drift in event ordering, policy sorting, or id assignment shows
-// up as a trace diff here.
+// up as a trace diff here. The metrics fixtures pin the --metrics-out
+// export of a faulted run and of an elastic multi-tenant run the same way.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <fstream>
+#include <optional>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "app/cli.hpp"
 
@@ -50,6 +54,39 @@ TEST_P(GoldenTraceTest, SingleAppTraceByteIdentical) {
 
 INSTANTIATE_TEST_SUITE_P(AllSchedulers, GoldenTraceTest,
                          ::testing::Values("spark", "rupam", "stageaware", "fifo"));
+
+/// `rupam_sim ARGS --metrics-out <golden name>` must reproduce the fixture
+/// byte for byte (the suffix picks Prometheus text or JSON). The fixtures
+/// were captured while every series was still bumped live during the run,
+/// so they pin the end-of-run projection to the same numbers.
+void expect_metrics_golden(std::vector<std::string> args, const std::string& golden) {
+  std::string path = ::testing::TempDir() + "/" + golden;
+  args.push_back("--metrics-out");
+  args.push_back(path);
+  std::ostringstream out, err;
+  std::optional<CliOptions> opts = parse_cli(args, err);
+  ASSERT_TRUE(opts.has_value()) << err.str();
+  ASSERT_EQ(run_cli(*opts, out, err), 0) << err.str();
+  std::string expected = read_file(std::string(RUPAM_TEST_DATA_DIR) + "/golden/" + golden);
+  ASSERT_FALSE(expected.empty());
+  EXPECT_EQ(read_file(path), expected) << "metrics export drifted from the golden capture";
+  std::remove(path.c_str());
+}
+
+TEST(MetricsGolden, FaultedRunPrometheusByteIdentical) {
+  expect_metrics_golden({"--workload", "PR", "--scheduler", "rupam", "--faults",
+                         "crash@40:node=3:down=30;hbdrop@60:node=5:for=6;"
+                         "slow@20:node=1:for=50:factor=0.3:res=cpu;degrade@10:node=2:factor=0.5"},
+                        "metrics_PR_rupam_faults.prom");
+}
+
+TEST(MetricsGolden, ElasticTenantRunJsonByteIdentical) {
+  expect_metrics_golden({"--workload", "GM", "--scheduler", "rupam", "--arrivals", "0.05",
+                         "--duration", "120", "--pool-policy", "fair", "--preempt",
+                         "--autoscale", "3", "--spot-plan", "spot@20:node=3:notice=10",
+                         "--chaos", "3"},
+                        "metrics_GM_rupam_tenants.json");
+}
 
 }  // namespace
 }  // namespace rupam

@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include "sched/offers.hpp"
 #include "sched/speculation.hpp"
 #include "tasks/locality.hpp"
 
@@ -29,19 +28,14 @@ TEST(Locality, OrderingHelper) {
 }
 
 TEST(ValidLevels, OnlyAchievableLevelsListed) {
-  TaskSet set;
-  set.tasks.push_back(TaskSpec{});
-  auto levels = valid_locality_levels(set);
-  EXPECT_EQ(levels, (std::vector<Locality>{Locality::kAny}));
-
-  set.tasks[0].preferred_nodes = {0};
-  levels = valid_locality_levels(set);
-  EXPECT_EQ(levels, (std::vector<Locality>{Locality::kNodeLocal, Locality::kAny}));
-
-  set.tasks[0].input_cache_key = "blk";
-  levels = valid_locality_levels(set);
-  EXPECT_EQ(levels, (std::vector<Locality>{Locality::kProcessLocal, Locality::kNodeLocal,
-                                           Locality::kAny}));
+  EXPECT_EQ(locality_levels(false, false), (std::vector<Locality>{Locality::kAny}));
+  EXPECT_EQ(locality_levels(false, true),
+            (std::vector<Locality>{Locality::kNodeLocal, Locality::kAny}));
+  EXPECT_EQ(locality_levels(true, false),
+            (std::vector<Locality>{Locality::kProcessLocal, Locality::kAny}));
+  EXPECT_EQ(locality_levels(true, true), (std::vector<Locality>{Locality::kProcessLocal,
+                                                                Locality::kNodeLocal,
+                                                                Locality::kAny}));
 }
 
 TEST(Speculation, NoThresholdBeforeQuantile) {

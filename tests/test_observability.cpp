@@ -510,7 +510,7 @@ TEST(OverheadProfiler, CountsDecisionPathSections) {
             static_cast<std::uint64_t>(sim.scheduler().dispatch_rounds()));
   EXPECT_GT(profiler.section(ProfileSection::kEnqueue).count, 0u);
   EXPECT_GT(profiler.section(ProfileSection::kHeartbeat).count, 0u);
-  // RUPAM maintains its node heaps on every heartbeat and dispatch.
+  // RUPAM refreshes and sorts its node heaps inside dispatch rounds.
   EXPECT_GT(profiler.section(ProfileSection::kHeapMaintenance).count, 0u);
   profiler.reset();
   EXPECT_EQ(profiler.section(ProfileSection::kDispatch).count, 0u);

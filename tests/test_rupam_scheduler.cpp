@@ -7,6 +7,7 @@
 
 #include "app/simulation.hpp"
 #include "cluster/presets.hpp"
+#include "faults/fault_plan.hpp"
 #include "workloads/presets.hpp"
 
 namespace rupam {
@@ -240,6 +241,90 @@ TEST(RupamScheduler, DbClearedBetweenFreshSimulations) {
   EXPECT_GT(a.rupam_scheduler()->db().size(), 0u);
   Simulation b(cfg);
   EXPECT_EQ(b.rupam_scheduler()->db().size(), 0u);
+}
+
+/// One RUPAM run of PR on Hydra in which `node`'s heartbeats are swallowed
+/// over [from, from + span): the node's beat times and the times of every
+/// launch that landed on it. With `fault_tolerance` the silence comes from
+/// an hbdrop fault plan (which turns fault tolerance on) and the liveness
+/// sweep runs only every 5 s, so it lags the missed-heartbeat deadline;
+/// without, the heartbeat service drops the beats directly and fault
+/// tolerance stays off.
+struct SilentNodeRun {
+  std::vector<SimTime> beats;
+  std::vector<SimTime> launches;
+};
+
+SilentNodeRun run_with_silent_node(bool fault_tolerance, NodeId node, SimTime from,
+                                   SimTime span) {
+  SimulationConfig cfg;
+  cfg.scheduler = SchedulerKind::kRupam;
+  cfg.enable_trace = true;
+  cfg.fault_tolerance.check_interval = 5.0;
+  if (fault_tolerance) {
+    cfg.faults = parse_fault_spec("hbdrop@" + std::to_string(from) +
+                                  ":node=" + std::to_string(node) +
+                                  ":for=" + std::to_string(span));
+  }
+  Simulation sim(cfg);
+  EXPECT_EQ(sim.scheduler().fault_tolerance().enabled, fault_tolerance);
+  if (!fault_tolerance) {
+    sim.sim().schedule_at(from, [&sim, node] { sim.heartbeats().set_dropped(node, true); });
+    sim.sim().schedule_at(from + span,
+                          [&sim, node] { sim.heartbeats().set_dropped(node, false); });
+  }
+  SilentNodeRun run;
+  sim.heartbeats().subscribe([&](const NodeMetrics& m) {
+    if (m.node == node) run.beats.push_back(sim.sim().now());
+  });
+  Application app = build_workload(workload_preset("PR"), sim.cluster().node_ids(), 1, 0,
+                                   hdfs_placement_weights(sim.cluster()));
+  sim.run(app);
+  for (const TraceEvent& e : sim.trace()->events()) {
+    bool launch = e.type == TraceEventType::kTaskLaunched ||
+                  e.type == TraceEventType::kSpeculativeLaunched;
+    if (launch && e.node == node) run.launches.push_back(e.time);
+  }
+  return run;
+}
+
+TEST(RupamScheduler, SilentNodeGetsNoWorkWhileOverdue) {
+  const NodeId node = 0;
+  const SimTime from = 60.0;
+  const SimTime span = 8.0;
+  // 3 missed beats at the default 1 s period.
+  const SimTime deadline = 3.0;
+  for (bool fault_tolerance : {true, false}) {
+    SCOPED_TRACE(fault_tolerance ? "fault tolerance on" : "fault tolerance off");
+    SilentNodeRun run = run_with_silent_node(fault_tolerance, node, from, span);
+    // The one gap in the node's beats is the silence: last beat before it,
+    // first beat after it.
+    SimTime last = -1.0;
+    SimTime resumed = -1.0;
+    for (std::size_t i = 1; i < run.beats.size(); ++i) {
+      if (run.beats[i] - run.beats[i - 1] > deadline) {
+        ASSERT_LT(last, 0.0) << "more than one silence";
+        last = run.beats[i - 1];
+        resumed = run.beats[i];
+      }
+    }
+    ASSERT_GE(last, 0.0) << "no silence in the node's beats";
+    std::size_t while_overdue = 0;
+    std::size_t after_resume = 0;
+    for (SimTime t : run.launches) {
+      if (t - last > deadline && t < resumed) ++while_overdue;
+      if (t >= resumed) ++after_resume;
+    }
+    if (fault_tolerance) {
+      // Overdue means out of every queue, even before the lagging sweep
+      // declares the node dead.
+      EXPECT_EQ(while_overdue, 0u);
+      EXPECT_GT(after_resume, 0u) << "the node never took work after its beats resumed";
+    } else {
+      // Without fault tolerance a silent node is still a live node.
+      EXPECT_GT(while_overdue, 0u);
+    }
+  }
 }
 
 }  // namespace
