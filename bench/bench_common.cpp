@@ -5,7 +5,6 @@
 #include <fstream>
 
 #include "common/json_writer.hpp"
-#include "simcore/kernel_stats.hpp"
 
 namespace rupam::bench {
 
@@ -16,24 +15,6 @@ void print_header(const std::string& artifact, const std::string& description) {
                " not absolute seconds)\n"
             << "==============================================================\n";
 }
-
-Comparison compare(const WorkloadPreset& preset, int repetitions, int iterations_override,
-                   bool sample_utilization, bool keep_task_metrics, std::uint64_t base_seed) {
-  ExperimentConfig cfg;
-  cfg.repetitions = repetitions;
-  cfg.iterations_override = iterations_override;
-  cfg.sample_utilization = sample_utilization;
-  cfg.keep_task_metrics = keep_task_metrics;
-  cfg.base_seed = base_seed;
-  Comparison out;
-  cfg.scheduler = SchedulerKind::kSpark;
-  out.spark = run_experiment(preset, cfg);
-  cfg.scheduler = SchedulerKind::kRupam;
-  out.rupam = run_experiment(preset, cfg);
-  return out;
-}
-
-std::string gb(double bytes) { return format_fixed(bytes / kGiB, 2); }
 
 std::string pct(double fraction) { return format_fixed(fraction * 100.0, 1); }
 
@@ -58,19 +39,6 @@ void JsonReport::add_bool(const std::string& key, bool value) {
   entries_.emplace_back(key, value ? "true" : "false");
 }
 
-KernelStats Comparison::kernel_total() const {
-  KernelStats total = spark.kernel_total();
-  total += rupam.kernel_total();
-  return total;
-}
-
-void JsonReport::add_comparison(const std::string& prefix, const Comparison& c) {
-  add(prefix + "_spark_s", c.spark.mean_makespan());
-  add(prefix + "_rupam_s", c.rupam.mean_makespan());
-  add(prefix + "_speedup", c.speedup());
-  record_kernel(c.kernel_total());
-}
-
 void JsonReport::record_kernel(const KernelStats& stats) { kernel_ += stats; }
 
 bool JsonReport::write() const {
@@ -81,7 +49,7 @@ bool JsonReport::write() const {
   }
   // Standard memory/allocation footer appended to every report: peak RSS
   // plus the kernel counters of the runs this bench measured and recorded
-  // via record_kernel()/add_comparison() (see simcore/kernel_stats.hpp).
+  // via record_kernel() (see simcore/kernel_stats.hpp).
   const KernelStats& ks = kernel_;
   std::vector<std::pair<std::string, std::string>> all = entries_;
   all.emplace_back("peak_rss_mib", json_number(peak_rss_mib()));

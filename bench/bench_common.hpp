@@ -1,4 +1,4 @@
-// Shared helpers for the per-figure/table benchmark harnesses.
+// Shared helpers for the paper bench and the host-side cost benches.
 #pragma once
 
 #include <iostream>
@@ -7,28 +7,13 @@
 #include <vector>
 
 #include "common/table.hpp"
-#include "metrics/experiment.hpp"
+#include "simcore/kernel_stats.hpp"
 
 namespace rupam::bench {
 
 /// Standard banner: which paper artifact this binary regenerates.
 void print_header(const std::string& artifact, const std::string& description);
 
-/// Spark + RUPAM experiment pair on the Hydra cluster with the paper's
-/// 5-repetition protocol.
-struct Comparison {
-  ExperimentResult spark;
-  ExperimentResult rupam;
-  double speedup() const { return spark.mean_makespan() / rupam.mean_makespan(); }
-  /// Kernel counters summed over every run of both experiments.
-  KernelStats kernel_total() const;
-};
-
-Comparison compare(const WorkloadPreset& preset, int repetitions = 5,
-                   int iterations_override = 0, bool sample_utilization = false,
-                   bool keep_task_metrics = false, std::uint64_t base_seed = 1);
-
-std::string gb(double bytes);
 std::string pct(double fraction);
 
 /// Peak resident set size of this process in MiB (getrusage), 0 if
@@ -46,17 +31,12 @@ class JsonReport {
   void add(const std::string& key, const std::string& value);
   /// Literal JSON booleans (true/false), not 0/1 numbers.
   void add_bool(const std::string& key, bool value);
-  /// Records <prefix>_spark_s, <prefix>_rupam_s and <prefix>_speedup, and
-  /// folds both experiments' kernel counters into the report footer.
-  void add_comparison(const std::string& prefix, const Comparison& c);
-
   /// Accumulate the kernel counters of a measured Simulation into the
   /// report footer. KernelStats is per-Simulator, so benches record each
   /// run they measure; the footer sums exactly those runs (not unrelated
   /// activity elsewhere in the process).
   void record_kernel(const KernelStats& stats);
 
-  const std::string& path() const { return path_; }
   /// Returns false (and prints to stderr) when the file cannot be written.
   /// Every report is stamped with standard memory fields — peak RSS and the
   /// kernel's event-queue allocation counters — so the BENCH_*.json perf

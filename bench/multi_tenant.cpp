@@ -11,6 +11,7 @@
 #include "app/simulation.hpp"
 #include "bench_common.hpp"
 #include "common/stats.hpp"
+#include "workloads/presets.hpp"
 
 namespace {
 

@@ -39,6 +39,7 @@
 #include <string>
 #include <vector>
 
+#include "app/simulation.hpp"
 #include "bench_common.hpp"
 #include "cluster/fleet.hpp"
 #include "simcore/kernel_stats.hpp"

@@ -23,8 +23,10 @@
 #include <cstdlib>
 #include <new>
 
+#include "app/simulation.hpp"
 #include "bench_common.hpp"
 #include "obs/overhead.hpp"
+#include "workloads/presets.hpp"
 
 // ---------------------------------------------------------------------------
 // Global allocation counter: every operator new in this process bumps it, so

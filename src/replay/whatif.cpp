@@ -1,11 +1,9 @@
 #include "replay/whatif.hpp"
 
 #include <algorithm>
-#include <exception>
 #include <map>
 #include <sstream>
 #include <stdexcept>
-#include <thread>
 
 #include "common/json_reader.hpp"
 #include "common/json_writer.hpp"
@@ -190,41 +188,18 @@ WhatIfReport advise_whatif(const RunSpec& spec, const std::vector<DiagnosedStrag
   report.base = run_base(spec, config.analyze_k);
   auto proposals = propose_branches(spec, stragglers, config.max_candidates);
 
-  // Branch replays are independent cells — same worker-pool shape as the
-  // sweep engine, with results written into pre-sized slots so thread
-  // scheduling cannot reorder the aggregation.
+  // Branch replays are independent cells on the sweep engine's worker
+  // pool, with results written into pre-sized slots so thread scheduling
+  // cannot reorder the aggregation.
   std::vector<WhatIfFinding> findings(proposals.size());
-  std::vector<std::exception_ptr> errors(proposals.size());
-  WorkQueue<std::size_t> queue;
-  for (std::size_t i = 0; i < proposals.size(); ++i) queue.push(i);
-  queue.close();
-  unsigned hw = std::thread::hardware_concurrency();
-  std::size_t workers = config.threads > 0 ? static_cast<std::size_t>(config.threads)
-                                           : static_cast<std::size_t>(hw != 0 ? hw : 1);
-  workers = std::min(workers, proposals.size());
-  workers = std::max<std::size_t>(workers, proposals.empty() ? 0 : 1);
-  auto worker = [&] {
-    std::size_t index = 0;
-    while (queue.pop(index)) {
-      try {
-        WhatIfFinding& f = findings[index];
-        f.branch = proposals[index].first;
-        f.motivation = proposals[index].second;
-        f.outcome = run_branch_side(spec, f.branch, config.analyze_k);
-        f.p95_jct_saving = report.base.jct.p95 - f.outcome.jct.p95;
-        f.makespan_saving = report.base.makespan - f.outcome.makespan;
-      } catch (...) {
-        errors[index] = std::current_exception();
-      }
-    }
-  };
-  std::vector<std::thread> pool;
-  pool.reserve(workers);
-  for (std::size_t i = 0; i < workers; ++i) pool.emplace_back(worker);
-  for (std::thread& t : pool) t.join();
-  for (const std::exception_ptr& e : errors) {
-    if (e) std::rethrow_exception(e);
-  }
+  parallel_for(proposals.size(), config.threads, [&](std::size_t index) {
+    WhatIfFinding& f = findings[index];
+    f.branch = proposals[index].first;
+    f.motivation = proposals[index].second;
+    f.outcome = run_branch_side(spec, f.branch, config.analyze_k);
+    f.p95_jct_saving = report.base.jct.p95 - f.outcome.jct.p95;
+    f.makespan_saving = report.base.makespan - f.outcome.makespan;
+  });
 
   std::stable_sort(findings.begin(), findings.end(), [](const WhatIfFinding& a,
                                                         const WhatIfFinding& b) {

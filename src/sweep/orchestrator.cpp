@@ -1,10 +1,9 @@
 #include "sweep/orchestrator.hpp"
 
-#include <algorithm>
 #include <exception>
 #include <mutex>
+#include <optional>
 #include <sstream>
-#include <thread>
 
 #include "app/simulation.hpp"
 #include "common/json_writer.hpp"
@@ -156,15 +155,6 @@ RunResult run_sweep_cell(const SweepSpec& spec, const CellCoord& cell, int repli
   return r;
 }
 
-namespace {
-
-struct WorkItem {
-  std::size_t cell = 0;
-  int replication = 0;
-};
-
-}  // namespace
-
 SweepMatrix run_sweep(const SweepSpec& spec, const SweepOptions& options) {
   spec.validate();
 
@@ -172,72 +162,50 @@ SweepMatrix run_sweep(const SweepSpec& spec, const SweepOptions& options) {
   matrix.spec = spec;
   matrix.cells.resize(spec.cell_count());
   const std::size_t total = spec.total_runs();
+  const auto reps = static_cast<std::size_t>(spec.replications);
   for (std::size_t i = 0; i < matrix.cells.size(); ++i) {
     matrix.cells[i].coord = spec.cell_at(i);
-    matrix.cells[i].reps.resize(static_cast<std::size_t>(spec.replications));
+    matrix.cells[i].reps.resize(reps);
   }
   if (total == 0) return matrix;
-
-  WorkQueue<WorkItem> queue;
-  for (std::size_t cell = 0; cell < matrix.cells.size(); ++cell) {
-    for (int rep = 0; rep < spec.replications; ++rep) {
-      queue.push(WorkItem{cell, rep});
-    }
-  }
-  queue.close();
 
   auto runner = options.runner
                     ? options.runner
                     : std::function<RunResult(const SweepSpec&, const CellCoord&, int,
                                               std::uint64_t)>(run_sweep_cell);
 
-  int threads = options.threads;
-  if (threads <= 0) threads = static_cast<int>(std::thread::hardware_concurrency());
-  if (threads < 1) threads = 1;
-  threads = static_cast<int>(std::min<std::size_t>(static_cast<std::size_t>(threads), total));
-
   std::mutex progress_mutex;
   std::size_t done = 0;
-  auto worker = [&] {
-    WorkItem item;
-    while (queue.pop(item)) {
-      CellResult& cell = matrix.cells[item.cell];
-      // Each (cell, replication) slot is written by exactly one worker —
-      // results are disjoint, so no lock is needed around the write.
-      RunResult& slot = cell.reps[static_cast<std::size_t>(item.replication)];
-      std::uint64_t seed = derive_run_seed(spec, cell.coord, item.replication);
-      if (options.controller != nullptr && options.controller->stop_requested()) {
-        slot.ok = false;
-        slot.error = "cancelled";
-        slot.seed = seed;
-        slot.replication = item.replication;
-      } else {
-        try {
-          slot = runner(spec, cell.coord, item.replication, seed);
-        } catch (const std::exception& e) {
-          slot = RunResult{};
-          slot.error = e.what();
-          slot.seed = seed;
-          slot.replication = item.replication;
-        } catch (...) {
-          slot = RunResult{};
-          slot.error = "unknown error";
-          slot.seed = seed;
-          slot.replication = item.replication;
-        }
-      }
-      {
-        std::lock_guard<std::mutex> lock(progress_mutex);
-        ++done;
-        if (options.on_progress) options.on_progress(done, total);
+  // Run i is (cell i / reps, replication i % reps): cell-major order.
+  parallel_for(total, options.threads, [&](std::size_t i) {
+    CellResult& cell = matrix.cells[i / reps];
+    const int replication = static_cast<int>(i % reps);
+    // Each (cell, replication) slot is written by exactly one worker —
+    // results are disjoint, so no lock is needed around the write.
+    RunResult& slot = cell.reps[i % reps];
+    std::uint64_t seed = derive_run_seed(spec, cell.coord, replication);
+    std::optional<std::string> error;  // set iff the run did not complete
+    if (options.controller != nullptr && options.controller->stop_requested()) {
+      error = "cancelled";
+    } else {
+      try {
+        slot = runner(spec, cell.coord, replication, seed);
+      } catch (const std::exception& e) {
+        error = e.what();
+      } catch (...) {
+        error = "unknown error";
       }
     }
-  };
-
-  std::vector<std::thread> pool;
-  pool.reserve(static_cast<std::size_t>(threads));
-  for (int i = 0; i < threads; ++i) pool.emplace_back(worker);
-  for (std::thread& t : pool) t.join();
+    if (error) {
+      slot = RunResult{};
+      slot.error = *error;
+      slot.seed = seed;
+      slot.replication = replication;
+    }
+    std::lock_guard<std::mutex> lock(progress_mutex);
+    ++done;
+    if (options.on_progress) options.on_progress(done, total);
+  });
 
   // Aggregation runs single-threaded after the join, in grid order — the
   // matrix (and its JSON) is independent of which worker ran which cell.

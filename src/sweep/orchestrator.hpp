@@ -1,6 +1,6 @@
 // Parallel sweep orchestrator: execute every (cell, replication) run of a
-// SweepSpec grid on a fixed-size std::thread worker pool fed by an MPMC
-// work queue, and collect results into a stable-ordered matrix.
+// SweepSpec grid on the parallel_for worker pool (sweep/work_queue.hpp),
+// and collect results into a stable-ordered matrix.
 //
 // Determinism contract: each run's seed is derived purely from (base_seed,
 // cell coordinates, replication index) and results land in preassigned

@@ -2,7 +2,12 @@
 // of tasks, and the paper's headline orderings.
 #include <gtest/gtest.h>
 
-#include "metrics/experiment.hpp"
+#include <set>
+
+#include "app/run_spec.hpp"
+#include "app/simulation.hpp"
+#include "metrics/locality_counter.hpp"
+#include "workloads/presets.hpp"
 
 namespace rupam {
 namespace {
@@ -38,55 +43,76 @@ INSTANTIATE_TEST_SUITE_P(Table3, EveryWorkloadE2E,
                          ::testing::Values("LR", "TeraSort", "SQL", "PR", "TC", "GM",
                                            "KMeans"));
 
+struct E2ERun {
+  SimTime makespan = 0.0;
+  LocalityCounts locality{};
+  std::size_t oom_kills = 0;
+  std::size_t failed_attempts = 0;
+  double avg_memory_used = 0.0;  // bytes; 0 unless sampled
+};
+
+/// One run built the CLI's way: RunSpec → make_simulation_config →
+/// make_run_application.
+E2ERun run_once(const char* workload, SchedulerKind scheduler, std::uint64_t seed,
+                int iterations = 0, bool sampled = false) {
+  RunSpec spec;
+  spec.workload = workload;
+  spec.scheduler = scheduler;
+  spec.seed = seed;
+  spec.iterations = iterations;
+  spec.sample_utilization = sampled;
+  Simulation sim(make_simulation_config(spec));
+  Application app = make_run_application(spec, sim);
+  E2ERun run;
+  run.makespan = sim.run(app);
+  run.locality = count_locality(sim.scheduler().completed());
+  run.oom_kills = sim.total_oom_kills();
+  run.failed_attempts = sim.scheduler().failures().size();
+  if (sim.sampler() != nullptr) run.avg_memory_used = sim.sampler()->avg_memory_used();
+  return run;
+}
+
+/// Mean makespan over replications at seeds 1..reps.
+double mean_makespan(const char* workload, SchedulerKind scheduler, int reps,
+                     std::size_t* failed_attempts = nullptr) {
+  double sum = 0.0;
+  for (int r = 0; r < reps; ++r) {
+    E2ERun run = run_once(workload, scheduler, 1 + static_cast<std::uint64_t>(r));
+    sum += run.makespan;
+    if (failed_attempts != nullptr) *failed_attempts += run.failed_attempts;
+  }
+  return sum / reps;
+}
+
 TEST(E2E, DeterministicGivenSeed) {
-  ExperimentConfig cfg;
-  cfg.scheduler = SchedulerKind::kRupam;
-  cfg.repetitions = 1;
-  cfg.iterations_override = 1;
-  RunRecord a = run_workload_once(workload_preset("PR"), cfg, 9);
-  RunRecord b = run_workload_once(workload_preset("PR"), cfg, 9);
+  E2ERun a = run_once("PR", SchedulerKind::kRupam, 9, /*iterations=*/1);
+  E2ERun b = run_once("PR", SchedulerKind::kRupam, 9, /*iterations=*/1);
   EXPECT_DOUBLE_EQ(a.makespan, b.makespan);
   EXPECT_EQ(a.locality, b.locality);
   EXPECT_EQ(a.oom_kills, b.oom_kills);
 }
 
 TEST(E2E, DifferentSeedsProduceDifferentRuns) {
-  ExperimentConfig cfg;
-  cfg.scheduler = SchedulerKind::kSpark;
-  cfg.repetitions = 1;
-  cfg.iterations_override = 1;
-  RunRecord a = run_workload_once(workload_preset("PR"), cfg, 1);
-  RunRecord b = run_workload_once(workload_preset("PR"), cfg, 2);
+  E2ERun a = run_once("PR", SchedulerKind::kSpark, 1, /*iterations=*/1);
+  E2ERun b = run_once("PR", SchedulerKind::kSpark, 2, /*iterations=*/1);
   EXPECT_NE(a.makespan, b.makespan);
 }
 
 TEST(E2E, RupamBeatsSparkOnPageRank) {
   // The paper's strongest result: PR under default Spark suffers OOM kills
   // and worker losses; RUPAM avoids them and wins big (Fig 5).
-  ExperimentConfig spark_cfg;
-  spark_cfg.scheduler = SchedulerKind::kSpark;
-  spark_cfg.repetitions = 2;
-  ExperimentConfig rupam_cfg = spark_cfg;
-  rupam_cfg.scheduler = SchedulerKind::kRupam;
-  ExperimentResult spark = run_experiment(workload_preset("PR"), spark_cfg);
-  ExperimentResult rupam = run_experiment(workload_preset("PR"), rupam_cfg);
-  EXPECT_GT(spark.mean_makespan(), 1.5 * rupam.mean_makespan());
   std::size_t spark_failures = 0, rupam_failures = 0;
-  for (const auto& r : spark.runs) spark_failures += r.failed_attempts;
-  for (const auto& r : rupam.runs) rupam_failures += r.failed_attempts;
+  double spark = mean_makespan("PR", SchedulerKind::kSpark, 2, &spark_failures);
+  double rupam = mean_makespan("PR", SchedulerKind::kRupam, 2, &rupam_failures);
+  EXPECT_GT(spark, 1.5 * rupam);
   EXPECT_GT(spark_failures, rupam_failures);
 }
 
 TEST(E2E, GramianIsRoughlyNeutral) {
   // One-pass workload: nothing for DB_task_char to learn; the paper
   // reports only +1.4% for GM.
-  ExperimentConfig cfg;
-  cfg.scheduler = SchedulerKind::kSpark;
-  cfg.repetitions = 2;
-  ExperimentResult spark = run_experiment(workload_preset("GM"), cfg);
-  cfg.scheduler = SchedulerKind::kRupam;
-  ExperimentResult rupam = run_experiment(workload_preset("GM"), cfg);
-  double speedup = spark.mean_makespan() / rupam.mean_makespan();
+  double speedup = mean_makespan("GM", SchedulerKind::kSpark, 2) /
+                   mean_makespan("GM", SchedulerKind::kRupam, 2);
   EXPECT_GT(speedup, 0.85);
   EXPECT_LT(speedup, 1.35);
 }
@@ -95,25 +121,17 @@ TEST(E2E, RupamNeverLosesBadly) {
   // "Regardless of iterations, RUPAM is able to match or outperform the
   // default Spark scheduler" — allow a small tolerance for one-pass noise.
   for (const char* name : {"LR", "TeraSort", "PR", "TC"}) {
-    ExperimentConfig cfg;
-    cfg.repetitions = 1;
-    cfg.scheduler = SchedulerKind::kSpark;
-    ExperimentResult spark = run_experiment(workload_preset(name), cfg);
-    cfg.scheduler = SchedulerKind::kRupam;
-    ExperimentResult rupam = run_experiment(workload_preset(name), cfg);
-    EXPECT_GT(spark.mean_makespan() / rupam.mean_makespan(), 0.95) << name;
+    double spark = run_once(name, SchedulerKind::kSpark, 1).makespan;
+    double rupam = run_once(name, SchedulerKind::kRupam, 1).makespan;
+    EXPECT_GT(spark / rupam, 0.95) << name;
   }
 }
 
 TEST(E2E, LocalityShapeMatchesTable5) {
   // Spark keeps more PROCESS_LOCAL tasks; RUPAM trades locality for
   // matching resources (more ANY). RACK_LOCAL never occurs.
-  ExperimentConfig cfg;
-  cfg.repetitions = 1;
-  cfg.scheduler = SchedulerKind::kSpark;
-  RunRecord spark = run_workload_once(workload_preset("LR"), cfg, 4);
-  cfg.scheduler = SchedulerKind::kRupam;
-  RunRecord rupam = run_workload_once(workload_preset("LR"), cfg, 4);
+  E2ERun spark = run_once("LR", SchedulerKind::kSpark, 4);
+  E2ERun rupam = run_once("LR", SchedulerKind::kRupam, 4);
   // Shape with 10% slack (single-seed counts are noisy): Spark preserves
   // at least as much locality as RUPAM, which trades it away.
   EXPECT_GE(static_cast<double>(spark.locality[0] + spark.locality[1]),
@@ -126,31 +144,9 @@ TEST(E2E, LocalityShapeMatchesTable5) {
 
 TEST(E2E, MemoryUsageHigherUnderRupam) {
   // Fig 8(b): dynamic executor sizing raises average memory usage.
-  ExperimentConfig cfg;
-  cfg.repetitions = 1;
-  cfg.sample_utilization = true;
-  cfg.scheduler = SchedulerKind::kSpark;
-  RunRecord spark = run_workload_once(workload_preset("PR"), cfg, 3);
-  cfg.scheduler = SchedulerKind::kRupam;
-  RunRecord rupam = run_workload_once(workload_preset("PR"), cfg, 3);
+  E2ERun spark = run_once("PR", SchedulerKind::kSpark, 3, 0, /*sampled=*/true);
+  E2ERun rupam = run_once("PR", SchedulerKind::kRupam, 3, 0, /*sampled=*/true);
   EXPECT_GT(rupam.avg_memory_used, spark.avg_memory_used);
-}
-
-TEST(Experiment, RunnerProducesRequestedRepetitions) {
-  ExperimentConfig cfg;
-  cfg.repetitions = 3;
-  cfg.iterations_override = 1;
-  ExperimentResult r = run_experiment(workload_preset("GM"), cfg);
-  EXPECT_EQ(r.runs.size(), 3u);
-  EXPECT_GT(r.mean_makespan(), 0.0);
-  EXPECT_GE(r.ci95_makespan(), 0.0);
-  EXPECT_GT(r.median_run().makespan, 0.0);
-}
-
-TEST(Experiment, RejectsZeroRepetitions) {
-  ExperimentConfig cfg;
-  cfg.repetitions = 0;
-  EXPECT_THROW(run_experiment(workload_preset("GM"), cfg), std::invalid_argument);
 }
 
 }  // namespace

@@ -420,6 +420,33 @@ TEST(SweepStress, WorkQueueDrainsUnderContention) {
   EXPECT_EQ(queue.size(), 0u);
 }
 
+TEST(SweepParallelFor, RunsEachIndexOnceAtAnyThreadCount) {
+  for (std::size_t n : {0, 1, 7, 100}) {
+    for (int threads : {0, 1, 3, 8}) {
+      std::vector<std::atomic<int>> runs(n);
+      parallel_for(n, threads, [&](std::size_t i) { runs[i].fetch_add(1); });
+      for (std::size_t i = 0; i < n; ++i) {
+        EXPECT_EQ(runs[i].load(), 1) << "n=" << n << " threads=" << threads << " i=" << i;
+      }
+    }
+  }
+}
+
+TEST(SweepParallelFor, RethrowsLowestIndexAfterDraining) {
+  constexpr std::size_t kN = 10;
+  std::vector<std::atomic<int>> runs(kN);
+  try {
+    parallel_for(kN, 3, [&](std::size_t i) {
+      runs[i].fetch_add(1);
+      if (i == 5 || i == 3) throw std::runtime_error("index " + std::to_string(i));
+    });
+    FAIL() << "parallel_for swallowed the exceptions";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "index 3");
+  }
+  for (std::size_t i = 0; i < kN; ++i) EXPECT_EQ(runs[i].load(), 1) << "i=" << i;
+}
+
 // ------------------------------------------------------------ real runs --
 
 TEST(SweepRealRun, TinyCellIsDeterministicAndPopulated) {
