@@ -520,7 +520,13 @@ int run_multi_tenant(const CliOptions& options, std::ostream& out, std::ostream&
   }
 
   Simulation& sim = *sim_storage;
-  TenantRunReport report = sim.run(stream);
+  TenantRunReport report;
+  try {
+    report = sim.run(stream);
+  } catch (const std::exception& e) {  // run-time failure, e.g. max_sim_time
+    err << e.what() << "\n";
+    return 2;
+  }
   out << stream.size() << " applications (" << report.jobs.size() << " jobs) under "
       << to_string(run.scheduler) << ", " << to_string(run.pool_policy)
       << " pools (arrivals=" << run.arrivals << "/s, tenants=" << run.tenants
@@ -731,7 +737,13 @@ int run_cli(const CliOptions& options, std::ostream& out, std::ostream& err) {
       return 2;
     }
     Simulation& sim = *sim_storage;
-    SimTime makespan = sim.run(app);
+    SimTime makespan = 0.0;
+    try {
+      makespan = sim.run(app);
+    } catch (const std::exception& e) {  // run-time failure, e.g. max_sim_time
+      err << e.what() << "\n";
+      return 2;
+    }
     makespans.add(makespan);
     LocalityCounts counts = count_locality(sim.scheduler().completed());
     for (int l = 0; l < kNumLocalityLevels; ++l) locality[l] += counts[l];

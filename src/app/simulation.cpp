@@ -8,6 +8,19 @@
 
 namespace rupam {
 
+namespace {
+
+// Run constants (DESIGN.md §4). Default Spark sizes every executor for the
+// weakest node and RUPAM sizes per node ("dynamic executor memory",
+// §III-C2); both leave this much headroom for OS+JVM overhead.
+constexpr Bytes kExecutorMemoryHeadroom = 2.0 * kGiB;
+// Fraction of each executor heap the block cache may use.
+constexpr double kStorageFraction = 0.3;
+// Utilization sampling period (sample_utilization).
+constexpr SimTime kSamplePeriod = 1.0;
+
+}  // namespace
+
 std::vector<double> hdfs_placement_weights(const Cluster& cluster) {
   std::vector<double> weights;
   weights.reserve(cluster.size());
@@ -34,19 +47,16 @@ Simulation::Simulation(SimulationConfig config) : config_(std::move(config)) {
   env.cluster = cluster_.get();
   for (auto& e : executors_) env.executors.push_back(e.get());
 
-  SchedulerConfig sched_cfg;
-  sched_cfg.rupam = config_.rupam;
-  sched_cfg.spark = config_.spark;
-  scheduler_ = make_scheduler(config_.scheduler, std::move(env), sched_cfg);
+  scheduler_ = make_scheduler(config_.scheduler, std::move(env), config_.rupam);
   rupam_ = dynamic_cast<RupamScheduler*>(scheduler_.get());
   scheduler_->configure_speculation(config_.speculation);
   scheduler_->configure_pools(config_.pools);
   scheduler_->configure_preemption(config_.preemption);
 
-  heartbeats_ = std::make_unique<HeartbeatService>(*cluster_, config_.heartbeat_period);
-  heartbeats_->subscribe([this](const NodeMetrics& metrics) {
+  heartbeats_ = std::make_unique<HeartbeatService>(*cluster_, kHeartbeatPeriod);
+  heartbeats_->subscribe([this](NodeId node) {
     OverheadProfiler::Scope scope(profiler_, ProfileSection::kHeartbeat);
-    scheduler_->on_heartbeat(metrics);
+    scheduler_->on_heartbeat(node);
   });
 
   dag_ = std::make_unique<DagScheduler>(
@@ -58,7 +68,7 @@ Simulation::Simulation(SimulationConfig config) : config_(std::move(config)) {
       });
 
   if (config_.sample_utilization) {
-    sampler_ = std::make_unique<UtilizationSampler>(*cluster_, config_.sample_period);
+    sampler_ = std::make_unique<UtilizationSampler>(*cluster_, kSamplePeriod);
   }
   Observers observers;
   if (config_.enable_trace) {
@@ -74,13 +84,11 @@ Simulation::Simulation(SimulationConfig config) : config_(std::move(config)) {
 
   FaultPlan plan = config_.faults;
   if (config_.chaos_seed != 0) {
-    FaultPlan chaos =
-        make_chaos_plan(config_.chaos_seed, cluster_->size(), config_.chaos_horizon);
+    FaultPlan chaos = make_chaos_plan(config_.chaos_seed, cluster_->size());
     plan.events.insert(plan.events.end(), chaos.events.begin(), chaos.events.end());
     plan.sort();
   }
   FaultToleranceConfig ft = config_.fault_tolerance;
-  ft.heartbeat_period = config_.heartbeat_period;
   if (!plan.empty()) ft.enabled = true;  // faults imply blacklist + liveness
   scheduler_->configure_fault_tolerance(ft);
   if (!plan.empty()) {
@@ -144,10 +152,9 @@ Executor& Simulation::add_executor(NodeId id, Rng rng) {
   Bytes memory = config_.scheduler == SchedulerKind::kRupam ? node.spec().memory
                                                              : cluster_->min_node_memory();
   ExecutorConfig ec;
-  ec.heap = std::max(1.0 * kGiB, memory - config_.executor_memory_headroom);
-  ec.storage_fraction = config_.storage_fraction;
+  ec.heap = std::max(1.0 * kGiB, memory - kExecutorMemoryHeadroom);
+  ec.storage_fraction = kStorageFraction;
   ec.task_slots = node.spec().cores;
-  ec.gc = config_.gc;
   ec.oom_grace = config_.oom_grace;
   executors_.push_back(std::make_unique<Executor>(sim_, node, id, ec, std::move(rng)));
   Executor* exec = executors_.back().get();

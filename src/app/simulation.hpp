@@ -42,19 +42,11 @@ struct SimulationConfig {
   std::vector<NodeSpec> nodes;
   Bytes switch_bandwidth = gbit_per_s(1.0);
 
-  /// Default Spark sizes every executor for the weakest node; RUPAM sizes
-  /// per node ("dynamic executor memory", §III-C2). Both leave this much
-  /// headroom for OS+JVM overhead.
-  Bytes executor_memory_headroom = 2.0 * kGiB;
-  double storage_fraction = 0.3;
-  GcModelParams gc;
   /// GC-thrash window before an overfilled executor resolves (OOM/loss).
   SimTime oom_grace = 2.0;
 
-  SimTime heartbeat_period = 1.0;
   SpeculationConfig speculation;
   RupamConfig rupam;
-  SparkScheduler::Config spark;
   /// Cross-job scheduling policy and pool definitions (FIFO by default —
   /// identical to single-tenant behaviour).
   PoolConfig pools;
@@ -68,7 +60,6 @@ struct SimulationConfig {
   NodeClassMix autoscale_class;
 
   bool sample_utilization = false;
-  SimTime sample_period = 1.0;
   /// Record a structured scheduling-event trace (CSV / chrome-tracing
   /// exportable via Simulation::trace()).
   bool enable_trace = false;
@@ -91,12 +82,11 @@ struct SimulationConfig {
 
   /// Declarative fault plan to replay (see faults/fault_plan.hpp).
   FaultPlan faults;
-  /// Non-zero: merge in a seeded random chaos plan.
+  /// Non-zero: merge in a seeded random chaos plan (make_chaos_plan's
+  /// default horizon).
   std::uint64_t chaos_seed = 0;
-  SimTime chaos_horizon = 240.0;
   /// Blacklisting + missed-heartbeat liveness. Auto-enabled whenever a
-  /// fault plan or chaos seed is configured; heartbeat_period is always
-  /// taken from the field above.
+  /// fault plan or chaos seed is configured.
   FaultToleranceConfig fault_tolerance;
 
   /// Safety valve: abort runs that exceed this much simulated time.

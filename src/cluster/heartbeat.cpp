@@ -84,8 +84,7 @@ void HeartbeatService::beat(NodeId id) {
   // A silenced node's slot still cycles in the task set, so reporting
   // resumes the period after the fault clears.
   if (cluster_.node(id).online() && !dropped(id)) {
-    NodeMetrics metrics = cluster_.node(id).metrics();
-    for (const auto& listener : listeners_) listener(metrics);
+    for (const auto& listener : listeners_) listener(id);
   }
 }
 

@@ -1,7 +1,8 @@
-// Periodic worker → master heartbeats carrying piggy-backed resource
-// metrics (RUPAM's "extended heartbeat", paper §III-B1). Listeners get one
-// callback per node per period; beats are staggered deterministically so no
-// two nodes report at the exact same instant.
+// Periodic worker → master heartbeats. A beat carries only the node id:
+// listeners that need a node's metrics (RUPAM's "extended heartbeat",
+// paper §III-B1) read them from the live node at the beat. Listeners get
+// one callback per node per period; beats are staggered deterministically
+// so no two nodes report at the exact same instant.
 //
 // All N per-node timers ride on a single PeriodicTaskSet, so the service
 // occupies one kernel event-queue entry regardless of cluster size.
@@ -17,11 +18,15 @@
 
 namespace rupam {
 
+/// Worker → master heartbeat period. The one value both the service's
+/// wheel and the scheduler's liveness deadline are built from.
+inline constexpr SimTime kHeartbeatPeriod = 1.0;
+
 class HeartbeatService {
  public:
-  using Listener = std::function<void(const NodeMetrics&)>;
+  using Listener = std::function<void(NodeId)>;
 
-  HeartbeatService(Cluster& cluster, SimTime period = 1.0);
+  HeartbeatService(Cluster& cluster, SimTime period = kHeartbeatPeriod);
 
   void subscribe(Listener listener);
 
@@ -47,7 +52,6 @@ class HeartbeatService {
   void set_dropped(NodeId node, bool dropped);
   bool dropped(NodeId node) const;
 
-  SimTime period() const { return period_; }
   /// Kernel event-queue entries the service occupies (1 while running).
   std::size_t queue_entries() const { return timers_ ? timers_->queue_entries() : 0u; }
 

@@ -3,7 +3,7 @@
 // Rate resources are FairShareResource instances, so contention between
 // concurrently running task phases emerges from the event model. Memory is
 // tracked by the executors hosted on the node; the node aggregates their
-// usage for its heartbeat metrics (RUPAM Table I, left side).
+// usage for its metrics snapshot (RUPAM Table I, left side).
 #pragma once
 
 #include <functional>
@@ -18,7 +18,10 @@
 
 namespace rupam {
 
-/// Snapshot a node reports in its (extended) heartbeat.
+/// A node's static and real-time properties (RUPAM Table I, left side):
+/// the paper's "extended heartbeat" payload. Here a heartbeat carries only
+/// the node id; RUPAM's ResourceMonitor takes this snapshot of every
+/// member from the live node at the start of each dispatch round.
 struct NodeMetrics {
   NodeId node = kInvalidNode;
   // Static properties (sent once at registration in the paper; carried in

@@ -16,6 +16,18 @@ namespace {
 
 constexpr double kEps = 1e-9;
 
+// Straggler-cause thresholds (run constants, DESIGN.md §4). Stages with
+// fewer tasks than this have no meaningful median.
+constexpr std::size_t kMinStageTasks = 3;
+// A node class is "slow" when its cpu_perf < margin x the best class.
+constexpr double kSlowClassMargin = 0.9;
+// GC-pressure straggler: GC wall share of the winning attempt above this.
+constexpr double kGcShare = 0.25;
+// Shuffle-skew straggler: shuffle-read share above this.
+constexpr double kShuffleShare = 0.5;
+// Blacklist rebound: launch within this window after un-blacklisting.
+constexpr SimTime kBlacklistReboundWindow = 60.0;
+
 struct AttemptKey {
   StageId stage = -1;
   TaskId task = -1;
@@ -385,7 +397,7 @@ RunDiagnosis analyze_run(const RunArtifacts& artifacts, const AnalyzerConfig& co
         durations.push_back(t.duration);
         ++diag.tasks;
       }
-      if (durations.size() >= config.min_stage_tasks) {
+      if (durations.size() >= kMinStageTasks) {
         stage_median[stage] = percentile_inplace(durations, 50.0);
       }
     }
@@ -464,7 +476,7 @@ RunDiagnosis analyze_run(const RunArtifacts& artifacts, const AnalyzerConfig& co
       r.detail = "failed_node=" + std::to_string(lost->node) + " " +
                  std::string(to_string(evt->type)) + "_at=" + secs(evt->time);
     } else if ((evt = find_in_window(events.unblacklists, win.node,
-                                     win.launch - config.blacklist_rebound_window,
+                                     win.launch - kBlacklistReboundWindow,
                                      win.launch)) != nullptr) {
       r.cause = StragglerCause::kBlacklistRebound;
       r.detail = "unblacklisted_at=" + secs(evt->time) + " launch=" + secs(win.launch);
@@ -477,14 +489,14 @@ RunDiagnosis analyze_run(const RunArtifacts& artifacts, const AnalyzerConfig& co
         r.cause = StragglerCause::kGpuContention;
         r.detail = "queue=" + std::string(to_string(dec->queue)) + " reason=" + dec->reason;
       } else if (info != nullptr && best_perf > 0.0 &&
-                 info->cpu_perf < config.slow_class_margin * best_perf) {
+                 info->cpu_perf < kSlowClassMargin * best_perf) {
         r.cause = StragglerCause::kSlowNodeClass;
         r.detail = "class=" + info->node_class + " cpu_perf=" + two(info->cpu_perf) +
                    " best=" + two(best_perf);
-      } else if (service > 0.0 && ph.gc / service > config.gc_share) {
+      } else if (service > 0.0 && ph.gc / service > kGcShare) {
         r.cause = StragglerCause::kGcPressure;
         r.detail = "gc_s=" + secs(ph.gc) + " share=" + two(ph.gc / service);
-      } else if (service > 0.0 && ph.shuffle_read / service > config.shuffle_share) {
+      } else if (service > 0.0 && ph.shuffle_read / service > kShuffleShare) {
         r.cause = StragglerCause::kShuffleSkew;
         r.detail = "shuffle_read_s=" + secs(ph.shuffle_read) +
                    " share=" + two(ph.shuffle_read / service);

@@ -138,19 +138,10 @@ struct RunArtifacts {
   std::vector<AnalyzerNodeInfo> nodes;
 };
 
+/// The cause thresholds are constants in analyzer.cpp (DESIGN.md §4).
 struct AnalyzerConfig {
   /// Straggler threshold: task service time > k x stage median.
   double straggler_k = 1.5;
-  /// Stages with fewer tasks than this have no meaningful median.
-  std::size_t min_stage_tasks = 3;
-  /// A node class is "slow" when its cpu_perf < margin x the best class.
-  double slow_class_margin = 0.9;
-  /// GC-pressure straggler: GC wall share of the winning attempt above this.
-  double gc_share = 0.25;
-  /// Shuffle-skew straggler: shuffle-read share above this.
-  double shuffle_share = 0.5;
-  /// Blacklist rebound: launch within this window after un-blacklisting.
-  SimTime blacklist_rebound_window = 60.0;
 };
 
 struct RunDiagnosis {

@@ -241,10 +241,8 @@ RunOutcome run_branch_side(const RunSpec& spec, const BranchSpec& branch, double
       // (same merge order and sort the Simulation constructor applies).
       FaultPlan plan = cfg.faults;
       if (cfg.chaos_seed != 0) {
-        FaultPlan chaos = make_chaos_plan(cfg.chaos_seed, static_cast<int>(cfg.nodes.empty()
-                                                                               ? 12
-                                                                               : cfg.nodes.size()),
-                                          cfg.chaos_horizon);
+        std::size_t nodes = cfg.nodes.empty() ? 12 : cfg.nodes.size();
+        FaultPlan chaos = make_chaos_plan(cfg.chaos_seed, nodes);
         plan.events.insert(plan.events.end(), chaos.events.begin(), chaos.events.end());
         cfg.chaos_seed = 0;
       }

@@ -5,11 +5,12 @@
 
 namespace rupam {
 
-CapabilityScheduler::CapabilityScheduler(SchedulerEnv env)
-    : CapabilityScheduler(std::move(env), Config()) {}
+namespace {
 
-CapabilityScheduler::CapabilityScheduler(SchedulerEnv env, Config config)
-    : SchedulerBase(std::move(env)), config_(config) {}
+// Algorithm-1-style sensitivity of the stage-level classifier.
+constexpr double kResFactor = 2.0;
+
+}  // namespace
 
 ResourceKind CapabilityScheduler::stage_bottleneck(const std::string& stage_name) const {
   auto it = profiles_.find(stage_name);
@@ -24,8 +25,8 @@ ResourceKind CapabilityScheduler::stage_bottleneck(const std::string& stage_name
   double compute = p.compute / n;
   double read = p.shuffle_read / n;
   double write = p.shuffle_write / n;
-  if (compute > config_.res_factor * std::max(read, write)) return ResourceKind::kCpu;
-  if (read > config_.res_factor * write) return ResourceKind::kNetwork;
+  if (compute > kResFactor * std::max(read, write)) return ResourceKind::kCpu;
+  if (read > kResFactor * write) return ResourceKind::kNetwork;
   return ResourceKind::kDisk;
 }
 

@@ -33,13 +33,7 @@ namespace rupam {
 
 class CapabilityScheduler : public SchedulerBase {
  public:
-  struct Config {
-    /// Algorithm-1-style sensitivity used for the stage-level classifier.
-    double res_factor = 2.0;
-  };
-
-  explicit CapabilityScheduler(SchedulerEnv env);
-  CapabilityScheduler(SchedulerEnv env, Config config);
+  explicit CapabilityScheduler(SchedulerEnv env) : SchedulerBase(std::move(env)) {}
 
   std::string name() const override { return "StageAware"; }
 
@@ -89,7 +83,6 @@ class CapabilityScheduler : public SchedulerBase {
   /// Returns a reference into reused scratch, valid until the next call.
   const std::vector<NodeId>& ranked_free_nodes(ResourceKind kind);
 
-  Config config_;
   std::map<std::string, StageProfileEstimate> profiles_;
   // Dispatch-path scratch: capacity persists across rounds.
   std::array<ReadyHeap, kNumResourceKinds> ready_;

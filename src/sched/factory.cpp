@@ -5,6 +5,7 @@
 #include "sched/baselines/capability_scheduler.hpp"
 #include "sched/baselines/fifo_scheduler.hpp"
 #include "sched/baselines/heft_scheduler.hpp"
+#include "sched/spark/spark_scheduler.hpp"
 
 namespace rupam {
 
@@ -29,10 +30,10 @@ std::optional<SchedulerKind> scheduler_kind_from_name(const std::string& name) {
 }
 
 std::unique_ptr<SchedulerBase> make_scheduler(SchedulerKind kind, SchedulerEnv env,
-                                              const SchedulerConfig& config) {
+                                              const RupamConfig& rupam) {
   switch (kind) {
     case SchedulerKind::kRupam:
-      return std::make_unique<RupamScheduler>(std::move(env), config.rupam);
+      return std::make_unique<RupamScheduler>(std::move(env), rupam);
     case SchedulerKind::kStageAware:
       return std::make_unique<CapabilityScheduler>(std::move(env));
     case SchedulerKind::kFifo:
@@ -40,19 +41,9 @@ std::unique_ptr<SchedulerBase> make_scheduler(SchedulerKind kind, SchedulerEnv e
     case SchedulerKind::kHeft:
       return std::make_unique<HeftScheduler>(std::move(env));
     case SchedulerKind::kSpark:
-      return std::make_unique<SparkScheduler>(std::move(env), config.spark);
+      return std::make_unique<SparkScheduler>(std::move(env));
   }
   throw std::invalid_argument("make_scheduler: unknown SchedulerKind");
-}
-
-std::unique_ptr<SchedulerBase> make_scheduler(const std::string& name, SchedulerEnv env,
-                                              const SchedulerConfig& config) {
-  std::optional<SchedulerKind> kind = scheduler_kind_from_name(name);
-  if (!kind) {
-    throw std::invalid_argument("make_scheduler: unknown scheduler '" + name +
-                                "' (expected spark|rupam|stageaware|fifo|heft)");
-  }
-  return make_scheduler(*kind, std::move(env), config);
 }
 
 }  // namespace rupam

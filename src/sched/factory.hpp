@@ -1,7 +1,7 @@
 // Single construction point for every task scheduler. The rest of the
 // code base (Simulation, CLI, benches, tests) names schedulers via
-// SchedulerKind or the CLI string and calls make_scheduler — there are
-// no per-call-site if/switch construction chains.
+// SchedulerKind and calls make_scheduler — there are no per-call-site
+// if/switch construction chains.
 #pragma once
 
 #include <memory>
@@ -11,7 +11,6 @@
 
 #include "sched/rupam/rupam_scheduler.hpp"
 #include "sched/scheduler.hpp"
-#include "sched/spark/spark_scheduler.hpp"
 
 namespace rupam {
 
@@ -29,20 +28,9 @@ std::string_view to_string(SchedulerKind kind);
 /// for unknown names.
 std::optional<SchedulerKind> scheduler_kind_from_name(const std::string& name);
 
-/// Per-scheduler tuning knobs. Schedulers only read their own section, so
-/// one struct can be shared across a whole experiment sweep.
-struct SchedulerConfig {
-  RupamConfig rupam;
-  SparkScheduler::Config spark;
-};
-
-/// Construct a scheduler of `kind` over `env`.
+/// Construct a scheduler of `kind` over `env`. Only RUPAM reads `rupam`;
+/// no other scheduler has a setting a run can vary.
 std::unique_ptr<SchedulerBase> make_scheduler(SchedulerKind kind, SchedulerEnv env,
-                                              const SchedulerConfig& config = {});
-
-/// String-named variant for CLI-style call sites; throws
-/// std::invalid_argument on an unknown name.
-std::unique_ptr<SchedulerBase> make_scheduler(const std::string& name, SchedulerEnv env,
-                                              const SchedulerConfig& config = {});
+                                              const RupamConfig& rupam = {});
 
 }  // namespace rupam

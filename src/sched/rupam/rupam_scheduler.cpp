@@ -4,21 +4,46 @@
 #include <optional>
 
 #include "common/log.hpp"
+#include "sched/speculation.hpp"
 
 namespace rupam {
 
+namespace {
+
+// Run constants (DESIGN.md §4). Free-memory level below which a heartbeat
+// flags a memory straggler.
+constexpr Bytes kLowMemoryWatermark = 768.0 * kMiB;
+// Safety margin the memory guard keeps free beyond a task's footprint.
+constexpr Bytes kMemoryGuardHeadroom = 768.0 * kMiB;
+// Per-resource admission limits for over-commit: the most attempts the
+// dispatcher commits to one node per resource queue. SSDs sustain deep
+// I/O queues; HDDs thrash, so the dispatcher stacks accordingly (this is
+// where "schedule I/O tasks to SSD nodes" bites).
+constexpr int kMaxDiskTasksSsd = 16;
+constexpr int kMaxDiskTasksHdd = 6;
+constexpr int kMaxNetTasks = 12;
+// Hard per-node cap on running tasks: kMaxTasksPerCore per core plus
+// kOvercommitSlack flat extra slots (lets a core-saturated node still take
+// a few mismatched-resource tasks, e.g. GPU work).
+constexpr double kMaxTasksPerCore = 1.0;
+constexpr int kOvercommitSlack = 8;
+
+}  // namespace
+
 RupamScheduler::RupamScheduler(SchedulerEnv env, RupamConfig config)
-    : SchedulerBase(std::move(env)),
-      config_(config),
-      tm_(db_, TaskManagerConfig{config.res_factor, config.mem_queue_threshold}) {
+    : SchedulerBase(std::move(env)), config_(config), tm_(db_, config.res_factor) {
   for (NodeId id : cluster().node_ids()) {
     if (cluster().node(id).gpus().total() > 0) gpu_nodes_.push_back(id);
   }
 }
 
-void RupamScheduler::on_heartbeat(const NodeMetrics& metrics) {
-  check_memory_straggler(metrics);
-  SchedulerBase::on_heartbeat(metrics);
+void RupamScheduler::on_heartbeat(NodeId node) {
+  check_memory_straggler(node);
+  SchedulerBase::on_heartbeat(node);
+}
+
+DispatcherPolicy RupamScheduler::dispatcher_policy() const {
+  return DispatcherPolicy{config_.opt_executor_lock, config_.memory_guard, kMemoryGuardHeadroom};
 }
 
 void RupamScheduler::node_membership_changed(NodeId node, NodeLifecycle state) {
@@ -92,7 +117,7 @@ bool RupamScheduler::node_available(const NodeMetrics& metrics, ResourceKind kin
   if (exec == nullptr || !exec->alive()) return false;
   if (!config_.overcommit) return exec->free_slots() > 0;  // slot semantics (ablation)
   Node& node = cluster().node(metrics.node);
-  double cap = config_.max_tasks_per_core * node.spec().cores + config_.overcommit_slack;
+  double cap = kMaxTasksPerCore * node.spec().cores + kOvercommitSlack;
   if (exec->running_tasks() >= static_cast<int>(cap)) return false;
   // Node-health gates from real-time utilization (the RM metrics): a node
   // whose disk or NIC queue is already deep takes no further work of any
@@ -116,10 +141,9 @@ bool RupamScheduler::node_available(const NodeMetrics& metrics, ResourceKind kin
       return metrics.free_memory > 512.0 * kMiB &&
              committed < std::max(2, node.spec().cores / 4);
     case ResourceKind::kDisk:
-      return committed < (node.spec().has_ssd ? config_.max_disk_tasks_ssd
-                                              : config_.max_disk_tasks_hdd);
+      return committed < (node.spec().has_ssd ? kMaxDiskTasksSsd : kMaxDiskTasksHdd);
     case ResourceKind::kNetwork:
-      return committed < config_.max_net_tasks;
+      return committed < kMaxNetTasks;
     case ResourceKind::kGpu:
       return metrics.gpus_idle > 0;
   }
@@ -154,9 +178,7 @@ RupamScheduler::RowSnapshot& RupamScheduler::rows_for(ResourceKind kind) {
   snap.tm_version = tm_.version();
   snap.gpu_refs = gpu_refs;
   snap.rows.clear();
-  snap.index.clear(cluster().size(), DispatcherPolicy{config_.opt_executor_lock,
-                                                      config_.memory_guard,
-                                                      config_.memory_guard_headroom});
+  snap.index.clear(cluster().size(), dispatcher_policy());
   bool fair = pools_.policy == PoolPolicy::kFair;
   auto add = [&](const TaskManager::PendingRef& ref) {
     auto it = stages_.find(ref.stage);
@@ -242,8 +264,7 @@ RupamScheduler::Pick RupamScheduler::pick_from_rows(RowSnapshot& snap, ResourceK
     }
     views.push_back(v);
   }
-  DispatcherPolicy policy{config_.opt_executor_lock, config_.memory_guard,
-                          config_.memory_guard_headroom};
+  DispatcherPolicy policy = dispatcher_policy();
   std::optional<std::size_t> chosen;
   if (pools_.policy == PoolPolicy::kFair) {
     for (std::size_t p : by_pool_used_) by_pool_[p].clear();
@@ -300,7 +321,7 @@ RupamScheduler::Pick RupamScheduler::pick_speculative(
   for (const SpecCandidate& c : candidates) {
     if (c.task->has_attempt_on(node)) continue;
     if (config_.memory_guard &&
-        c.task->spec.total_memory() + config_.memory_guard_headroom > free_mem) {
+        c.task->spec.total_memory() + kMemoryGuardHeadroom > free_mem) {
       continue;
     }
     return Pick{c.stage, c.task, /*gpu_race_copy=*/true};
@@ -320,7 +341,7 @@ bool RupamScheduler::dispatch_possible() const {
     for (const auto& [id, stage] : stages_) {
       if (!stage.finished_runtimes.empty() &&
           static_cast<double>(stage.finished_runtimes.size()) >=
-              speculation_.quantile * static_cast<double>(stage.tasks.size())) {
+              SpeculationRule{}.quantile * static_cast<double>(stage.tasks.size())) {
         return true;
       }
     }
@@ -443,14 +464,14 @@ void RupamScheduler::try_dispatch() {
   }
 }
 
-void RupamScheduler::check_memory_straggler(const NodeMetrics& metrics) {
+void RupamScheduler::check_memory_straggler(NodeId node) {
   if (!config_.memory_straggler) return;
-  if (metrics.free_memory >= config_.low_memory_watermark) return;
-  Executor* exec = executor(metrics.node);
+  if (cluster().node(node).free_memory() >= kLowMemoryWatermark) return;
+  Executor* exec = executor(node);
   if (exec == nullptr || exec->running_tasks() < 2) return;
   // Rate-limit per node: relocation is a remedial action, not a policy —
   // killing the top consumer every heartbeat would thrash.
-  auto it = last_relocation_.find(metrics.node);
+  auto it = last_relocation_.find(node);
   if (it != last_relocation_.end() && sim().now() - it->second < 10.0) return;
 
   // Find the largest memory consumer on this node across active stages.
@@ -461,7 +482,7 @@ void RupamScheduler::check_memory_straggler(const NodeMetrics& metrics) {
     for (auto& task : stage.tasks) {
       if (task.finished || relocating_.count(task.spec.id) > 0) continue;
       for (const auto& attempt : task.live) {
-        if (attempt.node != metrics.node) continue;
+        if (attempt.node != node) continue;
         if (attempt.exec->reserved_memory() > victim_mem) {
           victim_mem = attempt.exec->reserved_memory();
           victim_stage = &stage;
@@ -472,9 +493,9 @@ void RupamScheduler::check_memory_straggler(const NodeMetrics& metrics) {
   }
   if (victim == nullptr) return;
   RUPAM_INFO(sim().now(), "RUPAM: memory straggler — relocating task ", victim->spec.id,
-             " off node ", metrics.node);
+             " off node ", node);
   relocating_.insert(victim->spec.id);
-  last_relocation_[metrics.node] = sim().now();
+  last_relocation_[node] = sim().now();
   relocate_task(*victim_stage, *victim, "memory straggler");
 }
 

@@ -49,27 +49,13 @@
 
 namespace rupam {
 
+/// What a RUPAM run can vary: Algorithm 1's Res_factor (the paper driver
+/// sweeps it) and the mechanism toggles the ablations flip. Admission
+/// limits, memory watermarks and the MEM-queue threshold are run
+/// constants (rupam_scheduler.cpp, task_manager.cpp).
 struct RupamConfig {
   /// Algorithm 1 sensitivity.
   double res_factor = 2.0;
-  /// Tasks above this peak memory also join the MEM queue.
-  Bytes mem_queue_threshold = 1.0 * kGiB;
-  /// Free-memory level below which RM flags a memory straggler.
-  Bytes low_memory_watermark = 768.0 * kMiB;
-  /// Safety margin the memory guard keeps free beyond a task's footprint.
-  Bytes memory_guard_headroom = 768.0 * kMiB;
-  /// Per-resource admission limits for over-commit: maximum concurrent
-  /// phases the dispatcher will stack on one node per resource.
-  /// SSDs sustain deep I/O queues; HDDs thrash — the dispatcher stacks
-  /// accordingly (this is where "schedule I/O tasks to SSD nodes" bites).
-  int max_disk_tasks_ssd = 16;
-  int max_disk_tasks_hdd = 6;
-  int max_net_tasks = 12;
-  /// Hard per-node cap (sanity bound on over-commit).
-  double max_tasks_per_core = 1.0;
-  /// Flat extra slots on top of the per-core cap (lets a core-saturated
-  /// node still take a few mismatched-resource tasks, e.g. GPU work).
-  int overcommit_slack = 8;
   /// Feature toggles (ablation benches flip these).
   bool opt_executor_lock = true;
   bool memory_guard = true;
@@ -84,12 +70,11 @@ class RupamScheduler : public SchedulerBase {
 
   std::string name() const override { return "RUPAM"; }
 
-  void on_heartbeat(const NodeMetrics& metrics) override;
+  void on_heartbeat(NodeId node) override;
 
   /// Exposed so experiments can clear DB_task_char between repetitions
   /// (the paper clears it after each of the five Fig-5 runs).
   TaskCharDb& db() { return db_; }
-  const RupamConfig& config() const { return config_; }
   std::size_t gpu_races() const { return gpu_races_; }
 
  protected:
@@ -155,7 +140,10 @@ class RupamScheduler : public SchedulerBase {
   /// Cheap pre-check: could any kind-visit possibly launch something?
   bool dispatch_possible() const;
   bool any_idle_gpu() const;
-  void check_memory_straggler(const NodeMetrics& metrics);
+  /// Relocate the largest memory consumer off `node` when its free memory
+  /// is below the low watermark at its heartbeat.
+  void check_memory_straggler(NodeId node);
+  DispatcherPolicy dispatcher_policy() const;
   void seed_monitor();
 
   RupamConfig config_;

@@ -5,18 +5,27 @@
 
 namespace rupam {
 
-TaskManager::TaskManager(TaskCharDb& db, TaskManagerConfig config) : db_(db), config_(config) {
-  if (config_.res_factor <= 0.0) throw std::invalid_argument("TaskManager: res_factor <= 0");
+namespace {
+
+// Tasks whose recorded peak memory exceeds this also join the MEM queue
+// (extension of Algorithm 1's 4-way split to the paper's 5 resource
+// queues).
+constexpr Bytes kMemQueueThreshold = 1.0 * kGiB;
+
+}  // namespace
+
+TaskManager::TaskManager(TaskCharDb& db, double res_factor) : db_(db), res_factor_(res_factor) {
+  if (res_factor_ <= 0.0) throw std::invalid_argument("TaskManager: res_factor <= 0");
 }
 
 ResourceKind TaskManager::bottleneck(SimTime compute_time, SimTime shuffle_read,
                                      SimTime shuffle_write, bool gpu) const {
   // Algorithm 1, line for line.
   if (gpu) return ResourceKind::kGpu;
-  if (compute_time > config_.res_factor * std::max(shuffle_read, shuffle_write)) {
+  if (compute_time > res_factor_ * std::max(shuffle_read, shuffle_write)) {
     return ResourceKind::kCpu;
   }
-  if (shuffle_read > config_.res_factor * shuffle_write) return ResourceKind::kNetwork;
+  if (shuffle_read > res_factor_ * shuffle_write) return ResourceKind::kNetwork;
   return ResourceKind::kDisk;
 }
 
@@ -36,7 +45,7 @@ std::vector<ResourceKind> TaskManager::classify(const TaskSpec& spec) const {
   if (rec != nullptr) {
     kinds.push_back(bottleneck(rec->compute_time, rec->shuffle_read, rec->shuffle_write,
                                rec->gpu || stage_gpu));
-    if (rec->peak_memory > config_.mem_queue_threshold) {
+    if (rec->peak_memory > kMemQueueThreshold) {
       kinds.push_back(ResourceKind::kMemory);
     }
     return kinds;

@@ -29,14 +29,6 @@
 
 namespace rupam {
 
-struct TaskManagerConfig {
-  /// Res_factor (Algorithm 1): sensitivity of bottleneck classification.
-  double res_factor = 2.0;
-  /// Tasks with peak memory above this also join the MEM queue (extension
-  /// of Algorithm 1's 4-way split to the paper's 5 resource queues).
-  Bytes mem_queue_threshold = 1.0 * kGiB;
-};
-
 class TaskManager {
  public:
   struct PendingRef {
@@ -53,7 +45,9 @@ class TaskManager {
   /// "characterize again on retry" behaviour.
   using Queue = std::map<std::uint64_t, PendingRef>;
 
-  TaskManager(TaskCharDb& db, TaskManagerConfig config = {});
+  /// `res_factor` is Algorithm 1's Res_factor: the sensitivity of
+  /// bottleneck classification.
+  explicit TaskManager(TaskCharDb& db, double res_factor = 2.0);
 
   /// Algorithm 1 over recorded/observed characteristics.
   ResourceKind bottleneck(SimTime compute_time, SimTime shuffle_read, SimTime shuffle_write,
@@ -88,7 +82,6 @@ class TaskManager {
   void record_completion(const TaskSpec& spec, const TaskMetrics& metrics);
 
   TaskCharDb& db() { return db_; }
-  const TaskManagerConfig& config() const { return config_; }
 
  private:
   struct Slot {
@@ -97,7 +90,7 @@ class TaskManager {
   };
 
   TaskCharDb& db_;
-  TaskManagerConfig config_;
+  double res_factor_;
   std::array<Queue, kNumResourceKinds> active_;
   std::array<Queue, kNumResourceKinds> parked_;
   /// (stage, task_index) → every ref the task holds across queues.

@@ -5,11 +5,35 @@
 #include <stdexcept>
 #include <tuple>
 
+#include "cluster/heartbeat.hpp"
 #include "common/log.hpp"
 #include "common/stats.hpp"
 #include "sched/speculation.hpp"
 
 namespace rupam {
+
+namespace {
+
+// Run constants (DESIGN.md §4). Period of the straggler check
+// (spark.speculation.interval).
+constexpr SimTime kSpeculationInterval = 1.0;
+// A node is dead after this many heartbeat periods without a beat.
+constexpr int kMissedHeartbeatsDead = 3;
+// spark.blacklist.*: this many failed attempts on one node inside the
+// sliding window blacklist it for the duration (timed un-blacklist).
+constexpr int kBlacklistMaxFailures = 3;
+constexpr SimTime kFailureWindow = 60.0;
+constexpr SimTime kBlacklistDuration = 120.0;
+// FAIR preemption: reclaim-check period; a pool below its share this long
+// is starved; kill budget per check; only pools above kShareSlack × their
+// fair share lose attempts (hysteresis: never preempt a pool sitting at
+// its exact share).
+constexpr SimTime kPreemptionInterval = 2.0;
+constexpr SimTime kStarvationTimeout = 6.0;
+constexpr int kMaxKillsPerRound = 2;
+constexpr double kShareSlack = 1.2;
+
+}  // namespace
 
 bool SchedulerBase::TaskState::has_attempt_on(NodeId node) const {
   return std::any_of(live.begin(), live.end(),
@@ -20,7 +44,8 @@ bool SchedulerBase::TaskState::has_gpu_attempt() const {
   return std::any_of(live.begin(), live.end(), [](const Attempt& a) { return a.gpu; });
 }
 
-SchedulerBase::SchedulerBase(SchedulerEnv env) : env_(std::move(env)) {
+SchedulerBase::SchedulerBase(SchedulerEnv env)
+    : env_(std::move(env)), liveness_({kHeartbeatPeriod, kMissedHeartbeatsDead}) {
   if (env_.sim == nullptr || env_.cluster == nullptr) {
     throw std::invalid_argument("SchedulerBase: null environment");
   }
@@ -98,19 +123,6 @@ void SchedulerBase::handle_membership(NodeId node, NodeLifecycle state) {
       node_membership_changed(node, state);
       request_dispatch();
       break;
-  }
-}
-
-void SchedulerBase::configure_speculation(SpeculationConfig cfg) {
-  speculation_ = cfg;
-  // The cached thresholds came from the old rule.
-  for (auto& [id, stage] : stages_) stage.threshold_finished = SIZE_MAX;
-}
-
-void SchedulerBase::configure_fault_tolerance(const FaultToleranceConfig& cfg) {
-  fault_tolerance_ = cfg;
-  if (cfg.enabled) {
-    liveness_.configure({cfg.heartbeat_period, cfg.missed_heartbeats_dead});
   }
 }
 
@@ -284,7 +296,7 @@ void SchedulerBase::submit(const TaskSet& task_set) {
   stage_submitted(it->second);
   if (speculation_.enabled && !speculation_timer_.pending()) {
     speculation_timer_ =
-        sim().schedule_after(speculation_.interval, [this] { speculation_tick(); });
+        sim().schedule_after(kSpeculationInterval, [this] { speculation_tick(); });
   }
   if (fault_tolerance_.enabled && !fault_tolerance_timer_.pending()) {
     fault_tolerance_timer_ =
@@ -292,16 +304,16 @@ void SchedulerBase::submit(const TaskSet& task_set) {
   }
   if (preemption_.enabled && !preemption_timer_.pending()) {
     preemption_timer_ =
-        sim().schedule_after(preemption_.interval, [this] { preemption_tick(); });
+        sim().schedule_after(kPreemptionInterval, [this] { preemption_tick(); });
   }
   request_dispatch();
 }
 
-void SchedulerBase::on_heartbeat(const NodeMetrics& metrics) {
-  if (fault_tolerance_.enabled && liveness_.heartbeat(metrics.node, sim().now())) {
-    trace(TraceEventType::kNodeRecovered, -1, -1, 0, metrics.node, "heartbeats resumed");
-    RUPAM_INFO(sim().now(), name(), ": node ", metrics.node, " recovered (heartbeats resumed)");
-    note_node_maybe_free(metrics.node);
+void SchedulerBase::on_heartbeat(NodeId node) {
+  if (fault_tolerance_.enabled && liveness_.heartbeat(node, sim().now())) {
+    trace(TraceEventType::kNodeRecovered, -1, -1, 0, node, "heartbeats resumed");
+    RUPAM_INFO(sim().now(), name(), ": node ", node, " recovered (heartbeats resumed)");
+    note_node_maybe_free(node);
   }
   request_dispatch();
 }
@@ -337,9 +349,9 @@ void SchedulerBase::note_node_failure(NodeId node) {
   SimTime now = sim().now();
   auto& times = recent_failures_[node];
   std::erase_if(times,
-                [&](SimTime t) { return t < now - fault_tolerance_.failure_window; });
+                [&](SimTime t) { return t < now - kFailureWindow; });
   times.push_back(now);
-  if (static_cast<int>(times.size()) < fault_tolerance_.blacklist_max_failures) return;
+  if (static_cast<int>(times.size()) < kBlacklistMaxFailures) return;
   if (blacklisted_until_.count(node) > 0) return;
   // Never blacklist the last usable node — a fully-blacklisted cluster
   // would deadlock the job (Spark aborts instead; we keep running).
@@ -352,12 +364,11 @@ void SchedulerBase::note_node_failure(NodeId node) {
     }
   }
   if (!other_usable) return;
-  blacklisted_until_[node] = now + fault_tolerance_.blacklist_duration;
+  blacklisted_until_[node] = now + kBlacklistDuration;
   ++blacklist_count_;
   trace(TraceEventType::kNodeBlacklisted, -1, -1, 0, node,
         std::to_string(times.size()) + " failures in window");
-  RUPAM_WARN(now, name(), ": node ", node, " blacklisted until ",
-             now + fault_tolerance_.blacklist_duration);
+  RUPAM_WARN(now, name(), ": node ", node, " blacklisted until ", now + kBlacklistDuration);
 }
 
 void SchedulerBase::resubmit(const TaskSet& task_set) {
@@ -670,7 +681,7 @@ void SchedulerBase::handle_failure(StageId stage_id, std::size_t task_index, Att
 void SchedulerBase::speculation_tick() {
   if (!stages_.empty()) request_dispatch();
   speculation_timer_ =
-      sim().schedule_after(speculation_.interval, [this] { speculation_tick(); });
+      sim().schedule_after(kSpeculationInterval, [this] { speculation_tick(); });
 }
 
 std::size_t SchedulerBase::pending_tasks() const {
@@ -691,7 +702,7 @@ int SchedulerBase::free_slots_total() const {
 
 void SchedulerBase::preemption_tick() {
   preemption_timer_ =
-      sim().schedule_after(preemption_.interval, [this] { preemption_tick(); });
+      sim().schedule_after(kPreemptionInterval, [this] { preemption_tick(); });
   if (pools_.policy != PoolPolicy::kFair || stages_.empty()) {
     std::fill(starved_since_.begin(), starved_since_.end(), -1.0);
     return;
@@ -744,13 +755,13 @@ void SchedulerBase::preemption_tick() {
     }
     if (starved_since_[i] < 0.0) {
       starved_since_[i] = now;
-    } else if (now - starved_since_[i] >= preemption_.starvation_timeout) {
+    } else if (now - starved_since_[i] >= kStarvationTimeout) {
       due_scratch_.push_back(pool);
     }
   }
   if (due_scratch_.empty()) return;
   // Victim pool: the one furthest above its share, with hysteresis.
-  int kills_left = preemption_.max_kills_per_round;
+  int kills_left = kMaxKillsPerRound;
   for (PoolId starved_pool : due_scratch_) {
     if (kills_left <= 0) break;
     PoolId victim;
@@ -759,7 +770,7 @@ void SchedulerBase::preemption_tick() {
       if (pool == starved_pool) continue;
       double target = pool_target_scratch_[pool.index()];
       double over = static_cast<double>(pool_running_[pool.index()]) -
-                    std::max(target * preemption_.share_slack, target + 0.5);
+                    std::max(target * kShareSlack, target + 0.5);
       if (over > worst_excess) {
         worst_excess = over;
         victim = pool;
@@ -798,7 +809,7 @@ void SchedulerBase::preemption_tick() {
 const std::vector<std::pair<StageId, std::size_t>>& SchedulerBase::find_speculatable() {
   speculatable_scratch_.clear();
   if (!speculation_.enabled) return speculatable_scratch_;
-  SpeculationRule rule{speculation_.quantile, speculation_.multiplier, 0.1};
+  const SpeculationRule rule;
   overdue_scratch_.clear();
   for (auto& [stage_id, stage] : stages_) {
     if (stage.threshold_finished != stage.finished_runtimes.size() ||

@@ -40,12 +40,11 @@ struct SchedulerEnv {
   std::vector<Executor*> executors;
 };
 
-/// Spark's speculative-execution knobs (spark.speculation.*).
+/// Spark's speculative execution (spark.speculation). The check period is
+/// a run constant (scheduler.cpp) and stragglers are judged by
+/// SpeculationRule's defaults (sched/speculation.hpp).
 struct SpeculationConfig {
   bool enabled = true;
-  SimTime interval = 1.0;    // check period
-  double quantile = 0.75;    // fraction of tasks that must have finished
-  double multiplier = 1.5;   // straggler = runtime > multiplier * median
 };
 
 /// Every observation sink a scheduler can feed, in one struct. None are
@@ -65,31 +64,23 @@ struct Observers {
 /// Node-level fault tolerance: missed-heartbeat liveness plus failure
 /// blacklisting (Spark's spark.blacklist.*). Disabled by default — as in
 /// Spark 2.2 — so fault-free runs schedule no extra timer events and stay
-/// bit-identical to earlier seeds.
+/// bit-identical to earlier seeds. The liveness deadline and blacklist
+/// thresholds are run constants (scheduler.cpp).
 struct FaultToleranceConfig {
   bool enabled = false;
-  SimTime heartbeat_period = 1.0;     // must match the HeartbeatService
-  int missed_heartbeats_dead = 3;     // node is dead after this many misses
-  int blacklist_max_failures = 3;     // failures within the window → blacklist
-  SimTime failure_window = 60.0;
-  SimTime blacklist_duration = 120.0; // timed un-blacklist
-  SimTime check_interval = 1.0;       // dead-sweep / expiry period
+  SimTime check_interval = 1.0;  // dead-sweep / expiry period
 };
 
 /// Spark-style dynamic slot reclaim under FAIR pools: a pool running below
-/// its weighted fair share for `starvation_timeout` gets slots back by
+/// its weighted fair share for a starvation timeout gets slots back by
 /// killing the newest attempts of the most over-share pool (checkpoint-free
 /// kill-and-resubmit — the task requeues with its original submit time, so
 /// the wasted work lands in its JCT). Disabled by default: fair-share-only
-/// runs schedule no extra timer events and stay bit-identical.
+/// runs schedule no extra timer events and stay bit-identical. The check
+/// period, timeout, kill budget and share slack are run constants
+/// (scheduler.cpp).
 struct PreemptionConfig {
   bool enabled = false;
-  SimTime interval = 2.0;            // reclaim-check period
-  SimTime starvation_timeout = 6.0;  // below-share this long → preempt
-  int max_kills_per_round = 2;       // kill budget per check
-  /// Only pools above share_slack × fair share lose attempts (hysteresis:
-  /// never preempt a pool sitting at its exact share).
-  double share_slack = 1.2;
 };
 
 class SchedulerBase {
@@ -107,16 +98,15 @@ class SchedulerBase {
 
   /// Entry point from the DAG scheduler.
   void submit(const TaskSet& task_set);
-  /// Entry point from the heartbeat service.
-  virtual void on_heartbeat(const NodeMetrics& metrics);
+  /// Entry point from the heartbeat service: `node` just beat.
+  virtual void on_heartbeat(NodeId node);
 
   void set_partition_success_handler(PartitionSuccessFn fn) {
     on_partition_success_ = std::move(fn);
   }
-  void configure_speculation(SpeculationConfig cfg);
-  void configure_fault_tolerance(const FaultToleranceConfig& cfg);
+  void configure_speculation(const SpeculationConfig& cfg) { speculation_ = cfg; }
+  void configure_fault_tolerance(const FaultToleranceConfig& cfg) { fault_tolerance_ = cfg; }
   void configure_preemption(const PreemptionConfig& cfg) { preemption_ = cfg; }
-  const PreemptionConfig& preemption() const { return preemption_; }
   /// Cross-job scheduling policy (FIFO default, FAIR pools for
   /// multi-tenant runs). See sched/pool.hpp. Refreshes the dense per-pool
   /// spec mirror for pools already interned.

@@ -4,10 +4,13 @@
 
 namespace rupam {
 
-SparkScheduler::SparkScheduler(SchedulerEnv env) : SparkScheduler(std::move(env), Config()) {}
+namespace {
 
-SparkScheduler::SparkScheduler(SchedulerEnv env, Config config)
-    : SchedulerBase(std::move(env)), config_(config) {}
+// spark.locality.wait: dwell time per locality level (a run constant,
+// DESIGN.md §4).
+constexpr SimTime kLocalityWait = 3.0;
+
+}  // namespace
 
 void SparkScheduler::index_task(StageState& stage, StageIdx& idx, std::size_t i) {
   const TaskSpec& spec = stage.tasks[i].spec;
@@ -85,12 +88,10 @@ void SparkScheduler::cache_block_changed(NodeId node, const std::string& key, bo
 
 Locality SparkScheduler::allowed_level(const StageState& stage, const StageIdx& idx) const {
   // Walk the stage's achievable levels; each level is granted
-  // `locality_wait` seconds since the last launch before relaxing.
+  // kLocalityWait seconds since the last launch before relaxing.
   SimTime reference = std::max(stage.submit_time, stage.last_launch);
   SimTime waited = sim().now() - reference;
-  auto hops = config_.locality_wait > 0.0
-                  ? static_cast<std::size_t>(waited / config_.locality_wait)
-                  : idx.levels.size();
+  auto hops = static_cast<std::size_t>(waited / kLocalityWait);
   std::size_t i = std::min(hops, idx.levels.size() - 1);
   return idx.levels[i];
 }

@@ -27,13 +27,7 @@ namespace rupam {
 
 class SparkScheduler : public SchedulerBase {
  public:
-  struct Config {
-    /// spark.locality.wait — dwell time per locality level.
-    SimTime locality_wait = 3.0;
-  };
-
-  explicit SparkScheduler(SchedulerEnv env);
-  SparkScheduler(SchedulerEnv env, Config config);
+  explicit SparkScheduler(SchedulerEnv env) : SchedulerBase(std::move(env)) {}
 
   std::string name() const override { return "Spark"; }
 
@@ -78,7 +72,6 @@ class SparkScheduler : public SchedulerBase {
   Locality allowed_level(const StageState& stage, const StageIdx& idx) const;
   bool launch_speculative_copies();
 
-  Config config_;
   std::size_t offer_rotation_ = 0;
   std::map<StageId, StageIdx> index_;
 };

@@ -7,15 +7,6 @@
 namespace rupam {
 
 SimTime straggler_threshold(const std::vector<double>& finished_runtimes,
-                            std::size_t total_tasks, const SpeculationRule& rule) {
-  if (total_tasks == 0 || finished_runtimes.empty()) return -1.0;
-  double finished = static_cast<double>(finished_runtimes.size());
-  if (finished < rule.quantile * static_cast<double>(total_tasks)) return -1.0;
-  double median = percentile(finished_runtimes, 50.0);
-  return std::max(rule.multiplier * median, rule.min_threshold);
-}
-
-SimTime straggler_threshold(const std::vector<double>& finished_runtimes,
                             std::size_t total_tasks, const SpeculationRule& rule,
                             std::vector<double>& scratch) {
   if (total_tasks == 0 || finished_runtimes.empty()) return -1.0;

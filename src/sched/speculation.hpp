@@ -10,6 +10,9 @@
 
 namespace rupam {
 
+/// spark.speculation.quantile / .multiplier. The defaults are the rule
+/// every run applies: SchedulerBase's straggler scan and RUPAM's dispatch
+/// pre-check both read them from here.
 struct SpeculationRule {
   double quantile = 0.75;
   double multiplier = 1.5;
@@ -18,13 +21,10 @@ struct SpeculationRule {
 };
 
 /// Returns a straggler runtime threshold, or a negative value when the
-/// stage has not yet finished enough tasks to judge.
-SimTime straggler_threshold(const std::vector<double>& finished_runtimes,
-                            std::size_t total_tasks, const SpeculationRule& rule);
-
-/// Same rule using a caller-owned scratch buffer for the median, so a hot
-/// caller (the per-round speculation scan) allocates nothing once the
-/// scratch capacity has warmed up. `scratch` is clobbered.
+/// stage has not yet finished enough tasks to judge. The median is taken in
+/// a caller-owned scratch buffer, so a hot caller (the per-round
+/// speculation scan) allocates nothing once the scratch capacity has
+/// warmed up. `scratch` is clobbered.
 SimTime straggler_threshold(const std::vector<double>& finished_runtimes,
                             std::size_t total_tasks, const SpeculationRule& rule,
                             std::vector<double>& scratch);

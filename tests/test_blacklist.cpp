@@ -144,9 +144,6 @@ struct BlacklistHarness {
 FaultToleranceConfig ft_config() {
   FaultToleranceConfig ft;
   ft.enabled = true;
-  ft.blacklist_max_failures = 3;
-  ft.failure_window = 60.0;
-  ft.blacklist_duration = 120.0;
   return ft;
 }
 

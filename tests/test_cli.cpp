@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "app/cli.hpp"
+#include "common/log.hpp"
 #include "common/rng.hpp"
 
 namespace rupam {
@@ -263,6 +264,24 @@ TEST(Cli, UnknownWorkloadFails) {
   opts.run.workload = "NotReal";
   EXPECT_EQ(run_cli(opts, out, err), 2);
   EXPECT_FALSE(err.str().empty());
+}
+
+TEST(Cli, RunTimeFailureExitsTwo) {
+  // HEFT livelocks on PageRank until max_sim_time, losing ~16k executors
+  // on the way; the run-time error must exit 2 with one line, like a
+  // setup error, instead of escaping run_cli.
+  auto opts = parse({"--scheduler", "heft", "--workload", "PR", "--seed", "1",
+                     "--iterations", "1"});
+  ASSERT_TRUE(opts.has_value());
+  std::ostringstream out, err;
+  LogLevel level = Logger::level();
+  Logger::set_level(LogLevel::kError);  // keep the executor-loss warnings out
+  int rc = run_cli(*opts, out, err);
+  Logger::set_level(level);
+  EXPECT_EQ(rc, 2);
+  std::string message = err.str();
+  EXPECT_NE(message.find("max_sim_time"), std::string::npos) << message;
+  EXPECT_EQ(std::count(message.begin(), message.end(), '\n'), 1) << message;
 }
 
 TEST(Cli, RunsSmallSimulation) {

@@ -144,7 +144,7 @@ TEST(Heartbeat, DeliversPeriodicallyFromAllNodes) {
   build_hydra(cluster);
   HeartbeatService hb(cluster, 1.0);
   std::vector<int> beats(cluster.size(), 0);
-  hb.subscribe([&](const NodeMetrics& m) { beats[static_cast<std::size_t>(m.node)]++; });
+  hb.subscribe([&](NodeId node) { beats[static_cast<std::size_t>(node)]++; });
   hb.start();
   sim.run(10.0);
   // Node 0's phase is 0, so it beats at t=0,1,...,10 (11 beats); the rest
@@ -165,7 +165,7 @@ TEST(Heartbeat, StaggeredNotSimultaneous) {
   build_hydra(cluster);
   HeartbeatService hb(cluster, 1.0);
   std::vector<SimTime> times;
-  hb.subscribe([&](const NodeMetrics&) { times.push_back(sim.now()); });
+  hb.subscribe([&](NodeId) { times.push_back(sim.now()); });
   hb.start();
   sim.run(0.999);
   ASSERT_EQ(times.size(), 12u);

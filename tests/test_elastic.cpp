@@ -169,7 +169,7 @@ struct HeartbeatHarness {
   HeartbeatHarness() {
     cluster.add_node(thor_spec());
     cluster.add_node(thor_spec());
-    hb.subscribe([this](const NodeMetrics& m) { beats[m.node].push_back(sim.now()); });
+    hb.subscribe([this](NodeId node) { beats[node].push_back(sim.now()); });
     // Mirror Simulation's membership wiring at unit level.
     cluster.subscribe_membership([this](NodeId id, NodeLifecycle s) {
       if (s == NodeLifecycle::kLive) hb.node_joined(id);
@@ -324,8 +324,6 @@ TEST(ElasticScheduler, DecommissionedNodeIsNeverResurrectedByUnblacklist) {
   SchedulerHarness h;
   FaultToleranceConfig ft;
   ft.enabled = true;
-  ft.blacklist_max_failures = 3;
-  ft.blacklist_duration = 120.0;
   h.sched->configure_fault_tolerance(ft);
 
   for (int i = 0; i < 3; ++i) h.sched->note_node_failure(1);

@@ -40,28 +40,29 @@ TEST(ValidLevels, OnlyAchievableLevelsListed) {
 
 TEST(Speculation, NoThresholdBeforeQuantile) {
   SpeculationRule rule;  // 0.75 quantile
-  std::vector<double> finished(74, 10.0);
-  EXPECT_LT(straggler_threshold(finished, 100, rule), 0.0);
+  std::vector<double> finished(74, 10.0), scratch;
+  EXPECT_LT(straggler_threshold(finished, 100, rule, scratch), 0.0);
   finished.push_back(10.0);
-  EXPECT_GT(straggler_threshold(finished, 100, rule), 0.0);
+  EXPECT_GT(straggler_threshold(finished, 100, rule, scratch), 0.0);
 }
 
 TEST(Speculation, ThresholdIsMultipleOfMedian) {
   SpeculationRule rule;
-  std::vector<double> finished{8.0, 10.0, 12.0};
-  EXPECT_NEAR(straggler_threshold(finished, 4, rule), 15.0, 1e-12);
+  std::vector<double> finished{8.0, 10.0, 12.0}, scratch;
+  EXPECT_NEAR(straggler_threshold(finished, 4, rule, scratch), 15.0, 1e-12);
 }
 
 TEST(Speculation, MinThresholdFloor) {
   SpeculationRule rule;
-  std::vector<double> finished{0.001, 0.001, 0.001};
-  EXPECT_DOUBLE_EQ(straggler_threshold(finished, 3, rule), rule.min_threshold);
+  std::vector<double> finished{0.001, 0.001, 0.001}, scratch;
+  EXPECT_DOUBLE_EQ(straggler_threshold(finished, 3, rule, scratch), rule.min_threshold);
 }
 
 TEST(Speculation, EmptyInputs) {
   SpeculationRule rule;
-  EXPECT_LT(straggler_threshold({}, 10, rule), 0.0);
-  EXPECT_LT(straggler_threshold({1.0}, 0, rule), 0.0);
+  std::vector<double> scratch;
+  EXPECT_LT(straggler_threshold({}, 10, rule, scratch), 0.0);
+  EXPECT_LT(straggler_threshold({1.0}, 0, rule, scratch), 0.0);
 }
 
 TEST(Speculation, IsStraggler) {
@@ -77,10 +78,10 @@ TEST_P(SpeculationScaleTest, ThresholdScalesWithRuntimes) {
   double scale = GetParam();
   SpeculationRule rule;
   std::vector<double> base{10.0, 12.0, 14.0, 16.0};
-  std::vector<double> scaled;
+  std::vector<double> scaled, scratch;
   for (double v : base) scaled.push_back(v * scale);
-  EXPECT_NEAR(straggler_threshold(scaled, 4, rule),
-              scale * straggler_threshold(base, 4, rule), 1e-9);
+  EXPECT_NEAR(straggler_threshold(scaled, 4, rule, scratch),
+              scale * straggler_threshold(base, 4, rule, scratch), 1e-9);
 }
 
 INSTANTIATE_TEST_SUITE_P(Scales, SpeculationScaleTest, ::testing::Values(1.0, 2.0, 5.0, 10.0));

@@ -126,7 +126,7 @@ TEST(Heartbeat, FleetTimersOccupyOneQueueEntry) {
   build_hydra(cluster);  // 12 nodes
   HeartbeatService hb(cluster, 1.0);
   int beats = 0;
-  hb.subscribe([&](const NodeMetrics&) { ++beats; });
+  hb.subscribe([&](NodeId) { ++beats; });
   std::size_t before = sim.pending_events();
   hb.start();
   EXPECT_EQ(sim.pending_events(), before + 1);  // +1, not +cluster.size()

@@ -274,8 +274,8 @@ SilentNodeRun run_with_silent_node(bool fault_tolerance, NodeId node, SimTime fr
                           [&sim, node] { sim.heartbeats().set_dropped(node, false); });
   }
   SilentNodeRun run;
-  sim.heartbeats().subscribe([&](const NodeMetrics& m) {
-    if (m.node == node) run.beats.push_back(sim.sim().now());
+  sim.heartbeats().subscribe([&](NodeId beat) {
+    if (beat == node) run.beats.push_back(sim.sim().now());
   });
   Application app = build_workload(workload_preset("PR"), sim.cluster().node_ids(), 1, 0,
                                    hdfs_placement_weights(sim.cluster()));

@@ -85,7 +85,6 @@ TEST(SparkScheduler, PrefersNodeLocalPlacement) {
 TEST(SparkScheduler, RelaxesLocalityAfterWait) {
   SimulationConfig cfg;
   cfg.scheduler = SchedulerKind::kSpark;
-  cfg.spark.locality_wait = 1.0;
   Simulation sim(cfg);
   // All 40 tasks prefer node 0 (8 cores): pure pinning would serialize
   // into 5 waves; delay scheduling must let other nodes steal.

@@ -16,7 +16,7 @@ class Algorithm1Test : public ::testing::TestWithParam<Algo1Case> {};
 
 TEST_P(Algorithm1Test, ClassifiesBottleneck) {
   TaskCharDb db;
-  TaskManager tm(db, TaskManagerConfig{2.0, 1.0 * kGiB});
+  TaskManager tm(db, 2.0);
   const Algo1Case& c = GetParam();
   EXPECT_EQ(tm.bottleneck(c.compute, c.read, c.write, c.gpu), c.expected);
 }
@@ -41,8 +41,8 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(TaskManager, ResFactorChangesSensitivity) {
   TaskCharDb db;
-  TaskManager strict(db, TaskManagerConfig{4.0, 1.0 * kGiB});
-  TaskManager loose(db, TaskManagerConfig{1.5, 1.0 * kGiB});
+  TaskManager strict(db, 4.0);
+  TaskManager loose(db, 1.5);
   // compute=10, read=4: 10 > 1.5*4 but not > 4*4.
   EXPECT_EQ(loose.bottleneck(10.0, 4.0, 0.0, false), ResourceKind::kCpu);
   EXPECT_EQ(strict.bottleneck(10.0, 4.0, 0.0, false), ResourceKind::kNetwork);
@@ -50,7 +50,7 @@ TEST(TaskManager, ResFactorChangesSensitivity) {
 
 TEST(TaskManager, RejectsBadResFactor) {
   TaskCharDb db;
-  EXPECT_THROW(TaskManager(db, TaskManagerConfig{0.0, 1.0}), std::invalid_argument);
+  EXPECT_THROW(TaskManager(db, 0.0), std::invalid_argument);
 }
 
 TaskSpec spec_named(const std::string& stage_name, int partition, bool map) {
@@ -91,7 +91,7 @@ TEST(TaskManager, KnownTaskClassifiedFromRecord) {
 
 TEST(TaskManager, BigMemoryTasksAlsoJoinMemQueue) {
   TaskCharDb db;
-  TaskManager tm(db, TaskManagerConfig{2.0, 1.0 * kGiB});
+  TaskManager tm(db, 2.0);
   TaskMetrics m;
   m.compute_time = 100.0;
   m.peak_memory = 3.0 * kGiB;
