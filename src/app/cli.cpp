@@ -3,10 +3,10 @@
 #include <algorithm>
 #include <fstream>
 #include <optional>
-#include <sstream>
 #include <string_view>
 #include <type_traits>
 
+#include "common/json_reader.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
@@ -214,15 +214,12 @@ std::optional<CliOptions> parse_cli(const std::vector<std::string>& args, std::o
       run.scheduler = *kind;
     } else if (a == "--pool-policy") {
       if (!need_value(i)) return std::nullopt;
-      const std::string& name = args[++i];
-      if (name == "fifo") {
-        run.pool_policy = PoolPolicy::kFifo;
-      } else if (name == "fair") {
-        run.pool_policy = PoolPolicy::kFair;
-      } else {
-        err << "unknown pool policy '" << name << "'\n";
+      auto policy = pool_policy_from_name(args[++i]);
+      if (!policy) {
+        err << "unknown pool policy '" << args[i] << "'\n";
         return std::nullopt;
       }
+      run.pool_policy = *policy;
     } else if (a == "--seed") {
       if (!need_seed(i, run.seed)) return std::nullopt;
     } else if (a == "--chaos") {
@@ -424,24 +421,20 @@ int write_observability(Simulation& sim, const CliOptions& options, std::ostream
 }
 
 int run_compare_cli(const CliOptions& options, std::ostream& out, std::ostream& err) {
-  auto slurp = [&err](const std::string& path, std::string& into) -> bool {
-    std::ifstream f(path);
-    if (!f) {
-      err << "cannot open " << path << "\n";
-      return false;
-    }
-    std::ostringstream ss;
-    ss << f.rdbuf();
-    into = ss.str();
-    return true;
+  auto slurp = [&err](const std::string& path) {
+    std::optional<std::string> text = read_text_file(path);
+    if (!text) err << "cannot open " << path << "\n";
+    return text;
   };
-  std::string base, test;
-  if (!slurp(options.compare_base, base) || !slurp(options.compare_test, test)) return 2;
+  std::optional<std::string> base = slurp(options.compare_base);
+  if (!base) return 2;
+  std::optional<std::string> test = slurp(options.compare_test);
+  if (!test) return 2;
   ComparisonReport report;
   ComparisonConfig config;
   if (options.compare_tolerance >= 0.0) config.rel_tolerance = options.compare_tolerance;
   try {
-    report = compare_json_text(base, test, config);
+    report = compare_json_text(*base, *test, config);
   } catch (const std::exception& e) {
     err << e.what() << "\n";
     return 2;
@@ -641,15 +634,13 @@ int run_branch_cli(const CliOptions& options, std::ostream& out, std::ostream& e
 }
 
 int run_whatif_cli(const CliOptions& options, std::ostream& out, std::ostream& err) {
-  std::ifstream f(options.whatif);
-  if (!f) {
+  std::optional<std::string> diagnosis = read_text_file(options.whatif);
+  if (!diagnosis) {
     err << "cannot open " << options.whatif << "\n";
     return 2;
   }
-  std::ostringstream buf;
-  buf << f.rdbuf();
   try {
-    std::vector<DiagnosedStraggler> stragglers = parse_diagnosis_stragglers(buf.str());
+    std::vector<DiagnosedStraggler> stragglers = parse_diagnosis_stragglers(*diagnosis);
     RunSpec spec = replay_run_spec(options);
     WhatIfConfig wcfg;
     wcfg.analyze_k = options.analyze_k;

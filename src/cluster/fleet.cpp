@@ -1,6 +1,5 @@
 #include "cluster/fleet.hpp"
 
-#include <fstream>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -14,14 +13,12 @@ namespace rupam {
 
 namespace {
 
-[[noreturn]] void spec_error(const std::string& message) {
-  throw std::runtime_error("fleet spec: " + message);
-}
+constexpr JsonFieldReader kFleetSpec("fleet spec: ");
 
 void check_jitter(const std::string& cls, const char* field, double j) {
   if (j < 0.0 || j >= 1.0) {
-    spec_error("class '" + cls + "': " + field + " must be in [0, 1), got " +
-               std::to_string(j));
+    kFleetSpec.fail("class '" + cls + "': " + field + " must be in [0, 1), got " +
+                    std::to_string(j));
   }
 }
 
@@ -34,44 +31,44 @@ int FleetSpec::total_nodes() const {
 }
 
 void FleetSpec::validate() const {
-  if (name.empty()) spec_error("name must be non-empty");
-  if (classes.empty()) spec_error("at least one node class is required");
+  if (name.empty()) kFleetSpec.fail("name must be non-empty");
+  if (classes.empty()) kFleetSpec.fail("at least one node class is required");
   std::set<std::string> seen;
   for (const NodeClassMix& mix : classes) {
-    if (mix.name.empty()) spec_error("every class needs a name");
+    if (mix.name.empty()) kFleetSpec.fail("every class needs a name");
     if (!seen.insert(mix.name).second) {
-      spec_error("duplicate class name '" + mix.name + "'");
+      kFleetSpec.fail("duplicate class name '" + mix.name + "'");
     }
     if (mix.count <= 0) {
-      spec_error("class '" + mix.name + "': count must be positive");
+      kFleetSpec.fail("class '" + mix.name + "': count must be positive");
     }
     if (mix.base.cores < 1) {
-      spec_error("class '" + mix.name + "': cores must be >= 1");
+      kFleetSpec.fail("class '" + mix.name + "': cores must be >= 1");
     }
     if (mix.base.cpu_ghz <= 0.0 || mix.base.cpu_perf <= 0.0) {
-      spec_error("class '" + mix.name + "': cpu_ghz and cpu_perf must be positive");
+      kFleetSpec.fail("class '" + mix.name + "': cpu_ghz and cpu_perf must be positive");
     }
     if (mix.base.memory <= 0.0) {
-      spec_error("class '" + mix.name + "': memory must be positive");
+      kFleetSpec.fail("class '" + mix.name + "': memory must be positive");
     }
     if (mix.base.net_bandwidth <= 0.0) {
-      spec_error("class '" + mix.name + "': net bandwidth must be positive");
+      kFleetSpec.fail("class '" + mix.name + "': net bandwidth must be positive");
     }
     if (mix.base.disk_read_bw <= 0.0 || mix.base.disk_write_bw <= 0.0) {
-      spec_error("class '" + mix.name + "': disk bandwidth must be positive");
+      kFleetSpec.fail("class '" + mix.name + "': disk bandwidth must be positive");
     }
     if (mix.base.gpus < 0) {
-      spec_error("class '" + mix.name + "': gpus must be >= 0");
+      kFleetSpec.fail("class '" + mix.name + "': gpus must be >= 0");
     }
     if (mix.base.hourly_cost < 0.0) {
-      spec_error("class '" + mix.name + "': hourly_cost must be >= 0");
+      kFleetSpec.fail("class '" + mix.name + "': hourly_cost must be >= 0");
     }
     check_jitter(mix.name, "cpu_jitter", mix.cpu_jitter);
     check_jitter(mix.name, "mem_jitter", mix.mem_jitter);
     check_jitter(mix.name, "net_jitter", mix.net_jitter);
     check_jitter(mix.name, "disk_jitter", mix.disk_jitter);
     if (mix.gpu_fraction > 1.0) {
-      spec_error("class '" + mix.name + "': gpu_fraction must be <= 1");
+      kFleetSpec.fail("class '" + mix.name + "': gpu_fraction must be <= 1");
     }
   }
 }
@@ -166,78 +163,63 @@ FleetSpec scaled_hydra_fleet(int nodes, std::uint64_t seed) {
 
 namespace {
 
-double require_number(const JsonValue& v, const std::string& what) {
-  if (!v.is_number()) spec_error(what + " must be a number");
-  return v.as_number();
-}
-
-int require_int(const JsonValue& v, const std::string& what) {
-  std::optional<int> i = json_integer<int>(v);
-  if (!i) spec_error(what + " must be an integer");
-  return *i;
-}
-
 NodeSpec base_template(const std::string& name) {
   if (name == "thor") return thor_spec();
   if (name == "hulk") return hulk_spec();
   if (name == "stack") return stack_spec();
-  spec_error("unknown base template '" + name + "' (expected thor|hulk|stack)");
+  kFleetSpec.fail("unknown base template '" + name + "' (expected thor|hulk|stack)");
 }
 
 NodeClassMix parse_class(const JsonValue& v) {
-  if (!v.is_object()) spec_error("each entry in \"classes\" must be an object");
   NodeClassMix mix;
   // Object keys iterate in sorted order, so "base" is always applied
   // before any per-field override regardless of file order.
-  for (const auto& [key, val] : v.as_object()) {
+  for (const auto& [key, val] : kFleetSpec.object(v, "each entry in \"classes\"")) {
     if (key == "name") {
-      if (!val.is_string()) spec_error("class name must be a string");
-      mix.name = val.as_string();
+      mix.name = kFleetSpec.string(val, "class name");
     } else if (key == "base") {
-      if (!val.is_string()) spec_error("class base must be a string");
-      mix.base = base_template(val.as_string());
+      mix.base = base_template(kFleetSpec.string(val, "class base"));
     } else if (key == "count") {
-      mix.count = require_int(val, "count");
+      mix.count = kFleetSpec.integer<int>(val, "count");
     } else if (key == "cores") {
-      mix.base.cores = require_int(val, "cores");
+      mix.base.cores = kFleetSpec.integer<int>(val, "cores");
     } else if (key == "cpu_ghz") {
-      mix.base.cpu_ghz = require_number(val, "cpu_ghz");
+      mix.base.cpu_ghz = kFleetSpec.number(val, "cpu_ghz");
     } else if (key == "cpu_perf") {
-      mix.base.cpu_perf = require_number(val, "cpu_perf");
+      mix.base.cpu_perf = kFleetSpec.number(val, "cpu_perf");
     } else if (key == "memory_gb") {
-      mix.base.memory = require_number(val, "memory_gb") * kGiB;
+      mix.base.memory = kFleetSpec.number(val, "memory_gb") * kGiB;
     } else if (key == "net_gbps") {
-      mix.base.net_bandwidth = gbit_per_s(require_number(val, "net_gbps"));
+      mix.base.net_bandwidth = gbit_per_s(kFleetSpec.number(val, "net_gbps"));
     } else if (key == "ssd") {
-      if (!val.is_bool()) spec_error("ssd must be a bool");
-      mix.base.has_ssd = val.as_bool();
+      mix.base.has_ssd = kFleetSpec.boolean(val, "ssd");
     } else if (key == "disk_read_mbps") {
-      mix.base.disk_read_bw = mib_per_s(require_number(val, "disk_read_mbps"));
+      mix.base.disk_read_bw = mib_per_s(kFleetSpec.number(val, "disk_read_mbps"));
     } else if (key == "disk_write_mbps") {
-      mix.base.disk_write_bw = mib_per_s(require_number(val, "disk_write_mbps"));
+      mix.base.disk_write_bw = mib_per_s(kFleetSpec.number(val, "disk_write_mbps"));
     } else if (key == "disk_capacity_gb") {
-      mix.base.disk_capacity = require_number(val, "disk_capacity_gb") * kGiB;
+      mix.base.disk_capacity = kFleetSpec.number(val, "disk_capacity_gb") * kGiB;
     } else if (key == "gpus") {
-      mix.base.gpus = require_int(val, "gpus");
+      mix.base.gpus = kFleetSpec.integer<int>(val, "gpus");
     } else if (key == "gpu_speedup") {
-      mix.base.gpu_speedup = require_number(val, "gpu_speedup");
+      mix.base.gpu_speedup = kFleetSpec.number(val, "gpu_speedup");
     } else if (key == "hourly_cost") {
-      mix.base.hourly_cost = require_number(val, "hourly_cost");
+      mix.base.hourly_cost = kFleetSpec.number(val, "hourly_cost");
     } else if (key == "cpu_jitter") {
-      mix.cpu_jitter = require_number(val, "cpu_jitter");
+      mix.cpu_jitter = kFleetSpec.number(val, "cpu_jitter");
     } else if (key == "mem_jitter") {
-      mix.mem_jitter = require_number(val, "mem_jitter");
+      mix.mem_jitter = kFleetSpec.number(val, "mem_jitter");
     } else if (key == "net_jitter") {
-      mix.net_jitter = require_number(val, "net_jitter");
+      mix.net_jitter = kFleetSpec.number(val, "net_jitter");
     } else if (key == "disk_jitter") {
-      mix.disk_jitter = require_number(val, "disk_jitter");
+      mix.disk_jitter = kFleetSpec.number(val, "disk_jitter");
     } else if (key == "gpu_fraction") {
-      mix.gpu_fraction = require_number(val, "gpu_fraction");
+      mix.gpu_fraction = kFleetSpec.number(val, "gpu_fraction");
     } else {
-      spec_error("unknown class key '" + key + "'");
+      kFleetSpec.fail("unknown class key '" + key + "'");
     }
   }
-  if (mix.name.empty()) spec_error("every class needs a \"name\"");
+  if (mix.name.empty()) kFleetSpec.fail("every class needs a \"name\"");
   // node_class follows the mix name, even for preset-derived classes.
   mix.base.node_class = mix.name;
   return mix;
@@ -246,49 +228,38 @@ NodeClassMix parse_class(const JsonValue& v) {
 }  // namespace
 
 FleetSpec parse_fleet_json(const std::string& text) {
-  JsonValue doc;
-  try {
-    doc = parse_json(text);
-  } catch (const JsonParseError& e) {
-    spec_error(e.what());
-  }
-  return parse_fleet_value(doc);
+  return parse_fleet_value(kFleetSpec.parse(text));
 }
 
 FleetSpec parse_fleet_value(const JsonValue& doc) {
-  if (!doc.is_object()) spec_error("top level must be an object");
   FleetSpec spec;
   bool have_classes = false;
-  for (const auto& [key, val] : doc.as_object()) {
+  for (const auto& [key, val] : kFleetSpec.object(doc, "top level")) {
     if (key == "name") {
-      if (!val.is_string()) spec_error("name must be a string");
-      spec.name = val.as_string();
+      spec.name = kFleetSpec.string(val, "name");
     } else if (key == "seed") {
-      std::optional<std::uint64_t> seed = json_seed(val);
-      if (!seed) spec_error("seed must be an integer in [0, 2^53]");
-      spec.seed = *seed;
+      spec.seed = kFleetSpec.seed(val, "seed");
     } else if (key == "switch_gbps") {
-      spec.switch_bandwidth = gbit_per_s(require_number(val, "switch_gbps"));
+      spec.switch_bandwidth = gbit_per_s(kFleetSpec.number(val, "switch_gbps"));
     } else if (key == "classes") {
-      if (!val.is_array()) spec_error("classes must be an array");
-      for (const JsonValue& c : val.as_array()) spec.classes.push_back(parse_class(c));
+      for (const JsonValue& c : kFleetSpec.array(val, "classes")) {
+        spec.classes.push_back(parse_class(c));
+      }
       have_classes = true;
     } else {
-      spec_error("unknown top-level key '" + key + "'");
+      kFleetSpec.fail("unknown top-level key '" + key + "'");
     }
   }
-  if (!have_classes) spec_error("missing \"classes\" array");
+  if (!have_classes) kFleetSpec.fail("missing \"classes\" array");
   spec.validate();
   return spec;
 }
 
 FleetSpec load_fleet_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("fleet spec: cannot open '" + path + "'");
-  std::ostringstream buf;
-  buf << in.rdbuf();
+  std::optional<std::string> text = read_text_file(path);
+  if (!text) kFleetSpec.fail("cannot open '" + path + "'");
   try {
-    return parse_fleet_json(buf.str());
+    return parse_fleet_json(*text);
   } catch (const std::runtime_error& e) {
     throw std::runtime_error(std::string(e.what()) + " (in '" + path + "')");
   }

@@ -3,7 +3,10 @@
 #include <cctype>
 #include <cmath>
 #include <cstdlib>
+#include <fstream>
 #include <limits>
+#include <sstream>
+#include <type_traits>
 
 #include "common/rng.hpp"
 
@@ -307,5 +310,65 @@ std::optional<T> json_integer(const JsonValue& v) {
 template std::optional<int> json_integer<int>(const JsonValue&);
 template std::optional<long long> json_integer<long long>(const JsonValue&);
 template std::optional<std::uint64_t> json_integer<std::uint64_t>(const JsonValue&);
+
+std::optional<std::string> read_text_file(const std::string& path) {
+  std::ifstream f(path, std::ios::binary);
+  if (!f) return std::nullopt;
+  std::ostringstream buf;
+  buf << f.rdbuf();
+  return buf.str();
+}
+
+void JsonFieldReader::fail(const std::string& message) const {
+  throw std::runtime_error(std::string(prefix_) + message);
+}
+
+JsonValue JsonFieldReader::parse(const std::string& text) const {
+  return nested("", [&] { return parse_json(text); });
+}
+
+double JsonFieldReader::number(const JsonValue& v, const std::string& what) const {
+  if (!v.is_number()) fail(what + " must be a number");
+  return v.as_number();
+}
+
+template <typename T>
+T JsonFieldReader::integer(const JsonValue& v, const std::string& what) const {
+  std::optional<T> i = json_integer<T>(v);
+  if (!i) fail(what + (std::is_unsigned_v<T> ? " must be an integer >= 0" : " must be an integer"));
+  return *i;
+}
+
+template int JsonFieldReader::integer<int>(const JsonValue&, const std::string&) const;
+template long long JsonFieldReader::integer<long long>(const JsonValue&, const std::string&) const;
+template std::uint64_t JsonFieldReader::integer<std::uint64_t>(const JsonValue&,
+                                                               const std::string&) const;
+
+std::uint64_t JsonFieldReader::seed(const JsonValue& v, const std::string& what) const {
+  std::optional<std::uint64_t> seed = json_seed(v);
+  if (!seed) fail(what + " must be an integer in [0, 2^53]");
+  return *seed;
+}
+
+const std::string& JsonFieldReader::string(const JsonValue& v, const std::string& what) const {
+  if (!v.is_string()) fail(what + " must be a string");
+  return v.as_string();
+}
+
+bool JsonFieldReader::boolean(const JsonValue& v, const std::string& what) const {
+  if (!v.is_bool()) fail(what + " must be a bool");
+  return v.as_bool();
+}
+
+const JsonValue::Array& JsonFieldReader::array(const JsonValue& v, const std::string& what) const {
+  if (!v.is_array()) fail(what + " must be an array");
+  return v.as_array();
+}
+
+const JsonValue::Object& JsonFieldReader::object(const JsonValue& v,
+                                                 const std::string& what) const {
+  if (!v.is_object()) fail(what + " must be an object");
+  return v.as_object();
+}
 
 }  // namespace rupam

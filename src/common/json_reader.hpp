@@ -1,4 +1,6 @@
-// Minimal JSON parser for configuration inputs (fleet specs). The repo
+// Reading input from outside the program: the one file read, a minimal
+// JSON parser, and the strict typed field readers every JSON input (run,
+// sweep and fleet specs, checkpoints, diagnoses) goes through. The repo
 // deliberately has no third-party dependencies, so this implements just
 // the JSON value model: objects, arrays, strings, numbers, bool, null.
 // Strict where it matters for config files — trailing garbage, duplicate
@@ -11,6 +13,7 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace rupam {
@@ -85,5 +88,48 @@ std::optional<std::uint64_t> json_seed(const JsonValue& v);
 /// std::uint64_t.
 template <typename T>
 std::optional<T> json_integer(const JsonValue& v);
+
+/// The whole file at `path`; nullopt when it cannot be opened. Callers
+/// word their own "cannot read" error.
+std::optional<std::string> read_text_file(const std::string& path);
+
+/// The strict reads of one input document. Every failure throws
+/// std::runtime_error("<prefix><what> must be ..."), so each parser's
+/// messages come from one place: a reader built with "run spec: " reports
+/// "run spec: tenants must be an integer".
+class JsonFieldReader {
+ public:
+  constexpr explicit JsonFieldReader(std::string_view prefix) : prefix_(prefix) {}
+
+  /// Throws std::runtime_error(prefix + message).
+  [[noreturn]] void fail(const std::string& message) const;
+  /// parse_json with the prefix on its error.
+  JsonValue parse(const std::string& text) const;
+  /// f()'s result; an error f throws is reworded as prefix + context + its
+  /// message, which is how a document reports a nested spec's error.
+  template <typename F>
+  auto nested(const std::string& context, F&& f) const {
+    try {
+      return f();
+    } catch (const std::exception& e) {
+      fail(context + e.what());
+    }
+  }
+
+  double number(const JsonValue& v, const std::string& what) const;
+  /// json_integer<T> at the destination's own width: int for stage, node
+  /// and attempt ids, long long for task ids. Unsigned T also says ">= 0".
+  template <typename T>
+  T integer(const JsonValue& v, const std::string& what) const;
+  /// json_seed: an integer in [0, 2^53].
+  std::uint64_t seed(const JsonValue& v, const std::string& what) const;
+  const std::string& string(const JsonValue& v, const std::string& what) const;
+  bool boolean(const JsonValue& v, const std::string& what) const;
+  const JsonValue::Array& array(const JsonValue& v, const std::string& what) const;
+  const JsonValue::Object& object(const JsonValue& v, const std::string& what) const;
+
+ private:
+  std::string_view prefix_;
+};
 
 }  // namespace rupam

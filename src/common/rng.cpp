@@ -32,6 +32,7 @@ std::optional<T> parse_number(std::string_view text) {
 }
 
 template std::optional<int> parse_number<int>(std::string_view);
+template std::optional<long long> parse_number<long long>(std::string_view);
 template std::optional<double> parse_number<double>(std::string_view);
 
 Rng::Rng(std::uint64_t seed, std::uint64_t stream) : state_(0), inc_((stream << 1u) | 1u) {

@@ -21,10 +21,11 @@ inline constexpr std::uint64_t kMaxSeed = std::uint64_t{1} << 53;
 /// values give nullopt.
 std::optional<std::uint64_t> parse_seed(std::string_view text);
 
-/// The one parser for every other numeric flag: the whole text must be one
-/// decimal number whose value is finite and fits in T. "abc", "2x", "nan",
-/// "inf", "1e999" and, for int, "1.5" or "3000000000" give nullopt.
-/// Defined for int and double.
+/// The one parser for every other number read from text (numeric flags,
+/// the fault and branch grammars): the whole text must be one decimal
+/// number whose value is finite and fits in T. "abc", "2x", "+1", " 1",
+/// "nan", "inf", "1e999" and, for int, "1.5" or "3000000000" give nullopt.
+/// Defined for int, long long and double.
 template <typename T>
 std::optional<T> parse_number(std::string_view text);
 

@@ -1,6 +1,7 @@
 #include "faults/fault_plan.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -20,6 +21,13 @@ std::string_view to_string(FaultKind kind) {
     case FaultKind::kSpotRevoke: return "spot";
   }
   return "?";
+}
+
+std::optional<FaultKind> fault_kind_from_name(std::string_view name) {
+  for (std::size_t i = 0; i < kNumFaultKinds; ++i) {
+    if (to_string(static_cast<FaultKind>(i)) == name) return static_cast<FaultKind>(i);
+  }
+  return std::nullopt;
 }
 
 std::string FaultEvent::describe() const {
@@ -50,6 +58,10 @@ std::string FaultEvent::describe() const {
 
 void FaultPlan::validate(std::size_t num_nodes) const {
   for (const auto& e : events) {
+    // NaN passes every range check below and breaks sort()'s ordering.
+    if (!std::isfinite(e.time) || !std::isfinite(e.duration) || !std::isfinite(e.factor)) {
+      throw std::invalid_argument("FaultPlan: time, duration and factor must be finite");
+    }
     if (e.time < 0.0) throw std::invalid_argument("FaultPlan: negative event time");
     if (e.duration < 0.0) throw std::invalid_argument("FaultPlan: negative duration");
     if (e.node < 0 || static_cast<std::size_t>(e.node) >= num_nodes) {
@@ -94,15 +106,11 @@ std::vector<std::string> split(const std::string& in, char sep) {
   return out;
 }
 
-double parse_number(const std::string& token, const std::string& what) {
-  try {
-    std::size_t pos = 0;
-    double v = std::stod(token, &pos);
-    if (pos != token.size()) throw std::invalid_argument(token);
-    return v;
-  } catch (const std::exception&) {
-    throw std::invalid_argument("fault spec: bad " + what + " '" + token + "'");
-  }
+template <typename T>
+T read_number(const std::string& token, const std::string& what) {
+  std::optional<T> v = parse_number<T>(token);
+  if (!v) throw std::invalid_argument("fault spec: bad " + what + " '" + token + "'");
+  return *v;
 }
 
 }  // namespace
@@ -117,23 +125,11 @@ FaultPlan parse_fault_spec(const std::string& spec) {
     }
     FaultEvent e;
     std::string kind = item.substr(0, at);
-    if (kind == "crash") {
-      e.kind = FaultKind::kCrash;
-    } else if (kind == "recover") {
-      e.kind = FaultKind::kRecover;
-    } else if (kind == "slow") {
-      e.kind = FaultKind::kSlowdown;
-    } else if (kind == "hbdrop") {
-      e.kind = FaultKind::kHeartbeatDrop;
-    } else if (kind == "degrade") {
-      e.kind = FaultKind::kDiskDegrade;
-    } else if (kind == "spot") {
-      e.kind = FaultKind::kSpotRevoke;
-    } else {
-      throw std::invalid_argument("fault spec: unknown kind '" + kind + "'");
-    }
+    std::optional<FaultKind> parsed = fault_kind_from_name(kind);
+    if (!parsed) throw std::invalid_argument("fault spec: unknown kind '" + kind + "'");
+    e.kind = *parsed;
     auto fields = split(item.substr(at + 1), ':');
-    e.time = parse_number(fields[0], "time");
+    e.time = read_number<double>(fields[0], "time");
     bool has_node = false;
     for (std::size_t i = 1; i < fields.size(); ++i) {
       auto eq = fields[i].find('=');
@@ -143,12 +139,12 @@ FaultPlan parse_fault_spec(const std::string& spec) {
       std::string key = fields[i].substr(0, eq);
       std::string value = fields[i].substr(eq + 1);
       if (key == "node") {
-        e.node = static_cast<NodeId>(parse_number(value, "node"));
+        e.node = read_number<NodeId>(value, "node");
         has_node = true;
       } else if (key == "down" || key == "for" || key == "notice") {
-        e.duration = parse_number(value, "duration");
+        e.duration = read_number<double>(value, "duration");
       } else if (key == "factor") {
-        e.factor = parse_number(value, "factor");
+        e.factor = read_number<double>(value, "factor");
       } else if (key == "res") {
         if (value == "cpu") {
           e.resource = ResourceKind::kCpu;

@@ -10,7 +10,9 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/types.hpp"
@@ -27,7 +29,9 @@ enum class FaultKind : std::uint8_t {
 };
 inline constexpr std::size_t kNumFaultKinds = static_cast<std::size_t>(FaultKind::kSpotRevoke) + 1;
 
+/// The grammar's name for each kind ("crash", "slow", ...) and its inverse.
 std::string_view to_string(FaultKind kind);
+std::optional<FaultKind> fault_kind_from_name(std::string_view name);
 
 struct FaultEvent {
   SimTime time = 0.0;
@@ -52,8 +56,8 @@ struct FaultPlan {
 
   bool empty() const { return events.empty(); }
   /// Throws std::invalid_argument on out-of-range nodes, non-positive
-  /// factors, negative times/durations, or a slowdown of an unthrottlable
-  /// resource.
+  /// factors, negative or non-finite times/durations/factors, or a
+  /// slowdown of an unthrottlable resource.
   void validate(std::size_t num_nodes) const;
   /// Stable sort by (time, node, kind) so replay order is deterministic
   /// regardless of authoring order.

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/json_writer.hpp"
+#include "common/rng.hpp"
 #include "faults/fault_plan.hpp"
 #include "obs/analyzer.hpp"
 
@@ -36,24 +37,13 @@ std::pair<std::string, std::string> split_kv(const std::string& field) {
   return {field.substr(0, eq), field.substr(eq + 1)};
 }
 
-long long parse_ll(const std::string& value, const std::string& what) {
-  try {
-    std::size_t pos = 0;
-    long long v = std::stoll(value, &pos);
-    if (pos != value.size()) throw std::invalid_argument(value);
-    return v;
-  } catch (const std::exception&) {
-    branch_error(what + " must be an integer, got '" + value + "'");
-  }
-}
-
-FaultKind fault_kind_from_name(const std::string& name) {
-  if (name == "crash") return FaultKind::kCrash;
-  if (name == "slow") return FaultKind::kSlowdown;
-  if (name == "hbdrop") return FaultKind::kHeartbeatDrop;
-  if (name == "degrade") return FaultKind::kDiskDegrade;
-  if (name == "spot") return FaultKind::kSpotRevoke;
-  branch_error("unknown fault kind '" + name + "' (expected crash|slow|hbdrop|degrade|spot)");
+/// An id at its own width: int for stage, node and attempt, long long for
+/// task.
+template <typename T>
+T parse_id(const std::string& value, const std::string& what) {
+  std::optional<T> v = parse_number<T>(value);
+  if (!v) branch_error(what + " must be an integer, got '" + value + "'");
+  return *v;
 }
 
 BranchSpec parse_node_override(const std::vector<std::string>& fields, const std::string& text) {
@@ -64,16 +54,16 @@ BranchSpec parse_node_override(const std::vector<std::string>& fields, const std
   for (std::size_t i = 1; i < fields.size(); ++i) {
     auto [key, value] = split_kv(fields[i]);
     if (key == "stage") {
-      spec.stage = static_cast<StageId>(parse_ll(value, "stage"));
+      spec.stage = parse_id<StageId>(value, "stage");
       have_stage = true;
     } else if (key == "task") {
-      spec.task = static_cast<TaskId>(parse_ll(value, "task"));
+      spec.task = parse_id<long long>(value, "task");
       have_task = true;
     } else if (key == "node") {
-      spec.node = static_cast<NodeId>(parse_ll(value, "node"));
+      spec.node = parse_id<NodeId>(value, "node");
       have_node = true;
     } else if (key == "attempt") {
-      spec.attempt = static_cast<AttemptId>(parse_ll(value, "attempt"));
+      spec.attempt = parse_id<AttemptId>(value, "attempt");
     } else {
       branch_error("unknown node-override key '" + key + "'");
     }
@@ -93,10 +83,16 @@ BranchSpec parse_suppress(const std::vector<std::string>& fields, const std::str
   for (std::size_t i = 1; i < fields.size(); ++i) {
     auto [key, value] = split_kv(fields[i]);
     if (key == "kind") {
-      spec.fault = fault_kind_from_name(value);
+      // A recovery undoes a fault; the grammar only suppresses faults.
+      std::optional<FaultKind> kind = fault_kind_from_name(value);
+      if (!kind || *kind == FaultKind::kRecover) {
+        branch_error("unknown fault kind '" + value +
+                     "' (expected crash|slow|hbdrop|degrade|spot)");
+      }
+      spec.fault = *kind;
       have_kind = true;
     } else if (key == "node") {
-      spec.fault_node = static_cast<NodeId>(parse_ll(value, "node"));
+      spec.fault_node = parse_id<NodeId>(value, "node");
     } else {
       branch_error("unknown suppress key '" + key + "'");
     }

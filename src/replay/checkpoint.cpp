@@ -1,6 +1,5 @@
 #include "replay/checkpoint.hpp"
 
-#include <fstream>
 #include <sstream>
 #include <stdexcept>
 
@@ -13,27 +12,19 @@ namespace {
 
 constexpr const char* kFormatTag = "rupam-checkpoint-v1";
 
-[[noreturn]] void cp_error(const std::string& message) {
-  throw std::runtime_error("checkpoint: " + message);
-}
-
-long long require_integer(const JsonValue& v, const std::string& what) {
-  std::optional<long long> i = json_integer<long long>(v);
-  if (!i) cp_error(what + " must be an integer");
-  return *i;
-}
+constexpr JsonFieldReader kCheckpoint("checkpoint: ");
 
 DecisionPin parse_pin(const JsonValue& v, std::size_t index) {
   const std::string what = "pins[" + std::to_string(index) + "]";
   if (!v.is_array() || v.as_array().size() != 4) {
-    cp_error(what + " must be a [stage, task, attempt, node] array");
+    kCheckpoint.fail(what + " must be a [stage, task, attempt, node] array");
   }
   const JsonValue::Array& a = v.as_array();
   DecisionPin pin;
-  pin.stage = static_cast<StageId>(require_integer(a[0], what + " stage"));
-  pin.task = static_cast<TaskId>(require_integer(a[1], what + " task"));
-  pin.attempt = static_cast<AttemptId>(require_integer(a[2], what + " attempt"));
-  pin.node = static_cast<NodeId>(require_integer(a[3], what + " node"));
+  pin.stage = kCheckpoint.integer<StageId>(a[0], what + " stage");
+  pin.task = kCheckpoint.integer<long long>(a[1], what + " task");
+  pin.attempt = kCheckpoint.integer<AttemptId>(a[2], what + " attempt");
+  pin.node = kCheckpoint.integer<NodeId>(a[3], what + " node");
   return pin;
 }
 
@@ -73,55 +64,41 @@ std::string checkpoint_to_json(const Checkpoint& cp) {
 }
 
 Checkpoint parse_checkpoint_json(const std::string& text) {
-  JsonValue doc;
-  try {
-    doc = parse_json(text);
-  } catch (const JsonParseError& e) {
-    cp_error(e.what());
-  }
-  if (!doc.is_object()) cp_error("top level must be an object");
+  JsonValue doc = kCheckpoint.parse(text);
   Checkpoint cp;
   bool have_format = false, have_run = false, have_time = false;
-  for (const auto& [key, value] : doc.as_object()) {
+  for (const auto& [key, value] : kCheckpoint.object(doc, "top level")) {
     if (key == "format") {
       if (!value.is_string() || value.as_string() != kFormatTag) {
-        cp_error("format must be \"" + std::string(kFormatTag) + "\"");
+        kCheckpoint.fail("format must be \"" + std::string(kFormatTag) + "\"");
       }
       have_format = true;
     } else if (key == "time") {
-      if (!value.is_number()) cp_error("time must be a number");
-      cp.time = value.as_number();
-      if (cp.time < 0.0) cp_error("time must be >= 0");
+      cp.time = kCheckpoint.number(value, "time");
+      if (cp.time < 0.0) kCheckpoint.fail("time must be >= 0");
       have_time = true;
     } else if (key == "run") {
-      try {
-        cp.run = parse_run_spec_value(value);
-      } catch (const std::exception& e) {
-        cp_error(std::string("run: ") + e.what());
-      }
+      cp.run = kCheckpoint.nested("run: ", [&] { return parse_run_spec_value(value); });
       have_run = true;
     } else if (key == "pins") {
-      if (!value.is_array()) cp_error("pins must be an array");
-      const JsonValue::Array& pins = value.as_array();
+      const JsonValue::Array& pins = kCheckpoint.array(value, "pins");
       cp.pins.reserve(pins.size());
       for (std::size_t i = 0; i < pins.size(); ++i) cp.pins.push_back(parse_pin(pins[i], i));
     } else {
-      cp_error("unknown key '" + key + "'");
+      kCheckpoint.fail("unknown key '" + key + "'");
     }
   }
-  if (!have_format) cp_error("missing \"format\"");
-  if (!have_time) cp_error("missing \"time\"");
-  if (!have_run) cp_error("missing \"run\"");
+  if (!have_format) kCheckpoint.fail("missing \"format\"");
+  if (!have_time) kCheckpoint.fail("missing \"time\"");
+  if (!have_run) kCheckpoint.fail("missing \"run\"");
   return cp;
 }
 
 Checkpoint load_checkpoint_file(const std::string& path) {
-  std::ifstream f(path, std::ios::binary);
-  if (!f) throw std::runtime_error("cannot read checkpoint '" + path + "'");
-  std::ostringstream buf;
-  buf << f.rdbuf();
+  std::optional<std::string> text = read_text_file(path);
+  if (!text) throw std::runtime_error("cannot read checkpoint '" + path + "'");
   try {
-    return parse_checkpoint_json(buf.str());
+    return parse_checkpoint_json(*text);
   } catch (const std::exception& e) {
     throw std::runtime_error(path + ": " + e.what());
   }
@@ -129,7 +106,7 @@ Checkpoint load_checkpoint_file(const std::string& path) {
 
 ReplayRun start_replay_run(const RunSpec& spec, const SimulationConfig& base) {
   if (spec.arrivals > 0.0) {
-    cp_error("multi-tenant runs (arrivals > 0) cannot be checkpointed or branched");
+    kCheckpoint.fail("multi-tenant runs (arrivals > 0) cannot be checkpointed or branched");
   }
   SimulationConfig cfg = make_simulation_config(spec);
   // Observability is output routing, inert to the event sequence — copy
@@ -169,18 +146,19 @@ ReplayRun restore_checkpoint(const Checkpoint& cp, const SimulationConfig& base)
   run.sim->advance_until(cp.time);
   std::vector<DecisionPin> got = pin_prefix(*run.sim->audit(), cp.time);
   if (got.size() != cp.pins.size()) {
-    cp_error("restore diverged: replay made " + std::to_string(got.size()) +
-             " decisions by t=" + std::to_string(cp.time) + ", checkpoint pinned " +
-             std::to_string(cp.pins.size()) +
-             " — the binary no longer reproduces this run");
+    kCheckpoint.fail("restore diverged: replay made " + std::to_string(got.size()) +
+                     " decisions by t=" + std::to_string(cp.time) + ", checkpoint pinned " +
+                     std::to_string(cp.pins.size()) +
+                     " — the binary no longer reproduces this run");
   }
   for (std::size_t i = 0; i < got.size(); ++i) {
     if (!(got[i] == cp.pins[i])) {
-      cp_error("restore diverged at decision " + std::to_string(i) + ": replay launched (stage " +
-               std::to_string(got[i].stage) + ", task " + std::to_string(got[i].task) +
-               ", attempt " + std::to_string(got[i].attempt) + ") on node " +
-               std::to_string(got[i].node) + ", checkpoint pinned node " +
-               std::to_string(cp.pins[i].node));
+      kCheckpoint.fail("restore diverged at decision " + std::to_string(i) +
+                       ": replay launched (stage " + std::to_string(got[i].stage) + ", task " +
+                       std::to_string(got[i].task) + ", attempt " +
+                       std::to_string(got[i].attempt) + ") on node " +
+                       std::to_string(got[i].node) + ", checkpoint pinned node " +
+                       std::to_string(cp.pins[i].node));
     }
   }
   return run;

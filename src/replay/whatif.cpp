@@ -7,55 +7,41 @@
 
 #include "common/json_reader.hpp"
 #include "common/json_writer.hpp"
-#include "sweep/sweep_spec.hpp"
 #include "sweep/work_queue.hpp"
 
 namespace rupam {
 
 namespace {
 
-[[noreturn]] void whatif_error(const std::string& message) {
-  throw std::runtime_error("whatif: " + message);
-}
-
-long long require_integer(const JsonValue& v, const std::string& what) {
-  std::optional<long long> i = json_integer<long long>(v);
-  if (!i) whatif_error(what + " must be an integer");
-  return *i;
-}
+constexpr JsonFieldReader kWhatif("whatif: ");
 
 DiagnosedStraggler parse_straggler(const JsonValue& v, std::size_t index) {
   const std::string what = "stragglers[" + std::to_string(index) + "]";
-  if (!v.is_object()) whatif_error(what + " must be an object");
   DiagnosedStraggler s;
-  for (const auto& [key, value] : v.as_object()) {
+  for (const auto& [key, value] : kWhatif.object(v, what)) {
     if (key == "stage") {
-      s.stage = static_cast<StageId>(require_integer(value, what + ".stage"));
+      s.stage = kWhatif.integer<StageId>(value, what + ".stage");
     } else if (key == "task") {
-      s.task = static_cast<TaskId>(require_integer(value, what + ".task"));
+      s.task = kWhatif.integer<long long>(value, what + ".task");
     } else if (key == "attempt") {
-      s.attempt = static_cast<AttemptId>(require_integer(value, what + ".attempt"));
+      s.attempt = kWhatif.integer<AttemptId>(value, what + ".attempt");
     } else if (key == "node") {
-      s.node = static_cast<NodeId>(require_integer(value, what + ".node"));
+      s.node = kWhatif.integer<NodeId>(value, what + ".node");
     } else if (key == "duration") {
-      if (!value.is_number()) whatif_error(what + ".duration must be a number");
-      s.duration = value.as_number();
+      s.duration = kWhatif.number(value, what + ".duration");
     } else if (key == "stage_median") {
-      if (!value.is_number()) whatif_error(what + ".stage_median must be a number");
-      s.stage_median = value.as_number();
+      s.stage_median = kWhatif.number(value, what + ".stage_median");
     } else if (key == "cause") {
-      if (!value.is_string()) whatif_error(what + ".cause must be a string");
-      s.cause = value.as_string();
+      s.cause = kWhatif.string(value, what + ".cause");
     } else if (key == "detail") {
-      if (!value.is_string()) whatif_error(what + ".detail must be a string");
-      s.detail = value.as_string();
+      s.detail = kWhatif.string(value, what + ".detail");
     } else if (key == "node_class" || key == "ratio") {
       // Present in the document, irrelevant to branch generation.
     } else {
-      whatif_error(what + ": unknown key '" + key + "'");
+      kWhatif.fail(what + ": unknown key '" + key + "'");
     }
   }
-  if (s.cause.empty()) whatif_error(what + " missing \"cause\"");
+  if (s.cause.empty()) kWhatif.fail(what + " missing \"cause\"");
   return s;
 }
 
@@ -111,18 +97,12 @@ std::string blame(const DiagnosedStraggler& s) {
 }  // namespace
 
 std::vector<DiagnosedStraggler> parse_diagnosis_stragglers(const std::string& text) {
-  JsonValue doc;
-  try {
-    doc = parse_json(text);
-  } catch (const JsonParseError& e) {
-    whatif_error(e.what());
-  }
-  if (!doc.is_object()) whatif_error("diagnosis must be an object");
-  const JsonValue* stragglers = doc.find("stragglers");
-  if (stragglers == nullptr) whatif_error("diagnosis has no \"stragglers\" array");
-  if (!stragglers->is_array()) whatif_error("\"stragglers\" must be an array");
+  JsonValue doc = kWhatif.parse(text);
+  const JsonValue::Object& diagnosis = kWhatif.object(doc, "diagnosis");
+  auto stragglers = diagnosis.find("stragglers");
+  if (stragglers == diagnosis.end()) kWhatif.fail("diagnosis has no \"stragglers\" array");
+  const JsonValue::Array& rows = kWhatif.array(stragglers->second, "\"stragglers\"");
   std::vector<DiagnosedStraggler> out;
-  const JsonValue::Array& rows = stragglers->as_array();
   out.reserve(rows.size());
   for (std::size_t i = 0; i < rows.size(); ++i) out.push_back(parse_straggler(rows[i], i));
   return out;

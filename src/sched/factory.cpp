@@ -20,12 +20,23 @@ std::string_view to_string(SchedulerKind kind) {
   return "?";
 }
 
+std::string_view scheduler_cli_name(SchedulerKind kind) {
+  switch (kind) {
+    case SchedulerKind::kSpark: return "spark";
+    case SchedulerKind::kRupam: return "rupam";
+    case SchedulerKind::kStageAware: return "stageaware";
+    case SchedulerKind::kFifo: return "fifo";
+    case SchedulerKind::kHeft: return "heft";
+  }
+  return "?";
+}
+
 std::optional<SchedulerKind> scheduler_kind_from_name(const std::string& name) {
-  if (name == "spark") return SchedulerKind::kSpark;
-  if (name == "rupam") return SchedulerKind::kRupam;
-  if (name == "stageaware") return SchedulerKind::kStageAware;
-  if (name == "fifo") return SchedulerKind::kFifo;
-  if (name == "heft") return SchedulerKind::kHeft;
+  for (SchedulerKind kind : {SchedulerKind::kSpark, SchedulerKind::kRupam,
+                             SchedulerKind::kStageAware, SchedulerKind::kFifo,
+                             SchedulerKind::kHeft}) {
+    if (scheduler_cli_name(kind) == name) return kind;
+  }
   return std::nullopt;
 }
 

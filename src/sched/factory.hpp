@@ -24,6 +24,10 @@ enum class SchedulerKind {
 
 std::string_view to_string(SchedulerKind kind);
 
+/// Lower-case CLI/JSON name ("spark", "rupam", ...) — the round-trip
+/// partner of scheduler_kind_from_name (to_string() is display-cased).
+std::string_view scheduler_cli_name(SchedulerKind kind);
+
 /// Map a CLI name (spark|rupam|stageaware|fifo|heft) to its kind; nullopt
 /// for unknown names.
 std::optional<SchedulerKind> scheduler_kind_from_name(const std::string& name);

@@ -12,6 +12,17 @@ std::string_view to_string(PoolPolicy policy) {
   return "?";
 }
 
+std::string_view pool_policy_name(PoolPolicy policy) {
+  return policy == PoolPolicy::kFair ? "fair" : "fifo";
+}
+
+std::optional<PoolPolicy> pool_policy_from_name(std::string_view name) {
+  for (PoolPolicy policy : {PoolPolicy::kFifo, PoolPolicy::kFair}) {
+    if (pool_policy_name(policy) == name) return policy;
+  }
+  return std::nullopt;
+}
+
 const PoolSpec& PoolConfig::spec(const std::string& name) const {
   static const PoolSpec kDefault{};
   auto it = pools.find(name);

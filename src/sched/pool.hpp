@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -25,6 +26,10 @@ enum class PoolPolicy {
 };
 
 std::string_view to_string(PoolPolicy policy);
+/// The lower-case CLI/JSON name and its inverse; to_string() is the
+/// display form.
+std::string_view pool_policy_name(PoolPolicy policy);
+std::optional<PoolPolicy> pool_policy_from_name(std::string_view name);
 
 /// One pool's fair-share parameters (fairscheduler.xml <pool> entry).
 struct PoolSpec {

@@ -91,7 +91,7 @@ void Simulator::cancel_event(std::uint32_t slot, std::uint64_t generation) {
 }
 
 EventHandle Simulator::schedule_at(SimTime when, Callback fn) {
-  if (when < now_) throw std::invalid_argument("schedule_at: time in the past");
+  if (!(when >= now_)) throw std::invalid_argument("schedule_at: time in the past");
   std::uint32_t slot = acquire_slot();
   Event& ev = arena_[slot];
   ev.time = when;

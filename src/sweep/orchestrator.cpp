@@ -235,7 +235,7 @@ void SweepMatrix::write_json(std::ostream& os) const {
   w.key("replications").value(spec.replications);
   w.key("duration").value(spec.duration);
   w.key("tenants").value(spec.tenants);
-  w.key("pool_policy").value(spec.pool_policy == PoolPolicy::kFair ? "fair" : "fifo");
+  w.key("pool_policy").value(pool_policy_name(spec.pool_policy));
   w.key("total_runs").value(static_cast<unsigned long long>(total_runs()));
   w.key("failed_runs").value(static_cast<unsigned long long>(failed_runs()));
   w.key("cells").begin_array();

@@ -1,6 +1,5 @@
 #include "sweep/sweep_spec.hpp"
 
-#include <fstream>
 #include <sstream>
 #include <stdexcept>
 
@@ -34,56 +33,33 @@ CellCoord SweepSpec::cell_at(std::size_t index) const {
 
 namespace {
 
-[[noreturn]] void spec_error(const std::string& message) {
-  throw std::runtime_error("sweep spec: " + message);
-}
+constexpr JsonFieldReader kSweepSpec("sweep spec: ");
 
 }  // namespace
 
-std::string_view scheduler_cli_name(SchedulerKind kind) {
-  switch (kind) {
-    case SchedulerKind::kSpark: return "spark";
-    case SchedulerKind::kRupam: return "rupam";
-    case SchedulerKind::kStageAware: return "stageaware";
-    case SchedulerKind::kFifo: return "fifo";
-    case SchedulerKind::kHeft: return "heft";
-  }
-  return "?";
-}
-
 void SweepSpec::validate() const {
-  if (replications < 1) spec_error("replications must be >= 1");
-  if (duration <= 0.0) spec_error("duration must be > 0");
-  if (tenants < 1) spec_error("tenants must be >= 1");
-  if (iterations_override < 0) spec_error("iterations must be >= 0");
+  if (replications < 1) kSweepSpec.fail("replications must be >= 1");
+  if (duration <= 0.0) kSweepSpec.fail("duration must be > 0");
+  if (tenants < 1) kSweepSpec.fail("tenants must be >= 1");
+  if (iterations_override < 0) kSweepSpec.fail("iterations must be >= 0");
   for (int n : fleet_sizes) {
     // 12 is the Hydra preset; anything else goes through scaled_hydra_fleet,
     // which needs one node per class.
-    if (n != 12 && n < 3) spec_error("fleet_sizes entries must be 12 or >= 3");
+    if (n != 12 && n < 3) kSweepSpec.fail("fleet_sizes entries must be 12 or >= 3");
   }
   for (double r : arrival_rates) {
-    if (r <= 0.0) spec_error("arrival_rates entries must be > 0");
+    if (r <= 0.0) kSweepSpec.fail("arrival_rates entries must be > 0");
   }
   for (const std::string& plan : fault_plans) {
     if (plan.empty()) continue;
-    try {
-      parse_fault_spec(plan);
-    } catch (const std::exception& e) {
-      spec_error("fault plan '" + plan + "': " + e.what());
-    }
+    kSweepSpec.nested("fault plan '" + plan + "': ", [&] { parse_fault_spec(plan); });
   }
-  for (const std::string& name : mix) {
-    try {
-      workload_preset(name);
-    } catch (const std::exception& e) {
-      spec_error(e.what());
-    }
-  }
+  for (const std::string& name : mix) kSweepSpec.nested("", [&] { workload_preset(name); });
   for (const std::string& mode : elastic_modes) {
     bool autoscale = false, preempt = false;
     if (!parse_elastic_mode(mode, autoscale, preempt)) {
-      spec_error("elastic entry '" + mode +
-                 "' must be \"\", \"autoscale\", \"preempt\", or \"autoscale+preempt\"");
+      kSweepSpec.fail("elastic entry '" + mode +
+                      "' must be \"\", \"autoscale\", \"preempt\", or \"autoscale+preempt\"");
     }
   }
 }
@@ -144,108 +120,68 @@ FleetSpec sweep_fleet_spec(int nodes, std::uint64_t base_seed) {
   return scaled_hydra_fleet(nodes, sweep_mix64(base_seed ^ static_cast<std::uint64_t>(nodes)));
 }
 
-namespace {
-
-double require_number(const JsonValue& v, const std::string& what) {
-  if (!v.is_number()) spec_error(what + " must be a number");
-  return v.as_number();
-}
-
-std::uint64_t require_u64(const JsonValue& v, const std::string& what) {
-  std::optional<std::uint64_t> u = json_integer<std::uint64_t>(v);
-  if (!u) spec_error(what + " must be an integer >= 0");
-  return *u;
-}
-
-int require_int(const JsonValue& v, const std::string& what) {
-  std::optional<int> i = json_integer<int>(v);
-  if (!i) spec_error(what + " must be an integer");
-  return *i;
-}
-
-const std::string& require_string(const JsonValue& v, const std::string& what) {
-  if (!v.is_string()) spec_error(what + " must be a string");
-  return v.as_string();
-}
-
-const JsonValue::Array& require_array(const JsonValue& v, const std::string& what) {
-  if (!v.is_array()) spec_error(what + " must be an array");
-  return v.as_array();
-}
-
-}  // namespace
-
 SweepSpec parse_sweep_json(const std::string& text) {
   JsonValue root = parse_json(text);
-  if (!root.is_object()) spec_error("top level must be an object");
   SweepSpec spec;
-  for (const auto& [key, value] : root.as_object()) {
+  for (const auto& [key, value] : kSweepSpec.object(root, "top level")) {
     if (key == "name") {
-      spec.name = require_string(value, "name");
+      spec.name = kSweepSpec.string(value, "name");
     } else if (key == "base_seed") {
-      std::optional<std::uint64_t> seed = json_seed(value);
-      if (!seed) spec_error("base_seed must be an integer in [0, 2^53]");
-      spec.base_seed = *seed;
+      spec.base_seed = kSweepSpec.seed(value, "base_seed");
     } else if (key == "replications") {
-      spec.replications = require_int(value, "replications");
+      spec.replications = kSweepSpec.integer<int>(value, "replications");
     } else if (key == "schedulers") {
       spec.schedulers.clear();
-      for (const JsonValue& v : require_array(value, "schedulers")) {
-        const std::string& name = require_string(v, "schedulers entry");
+      for (const JsonValue& v : kSweepSpec.array(value, "schedulers")) {
+        const std::string& name = kSweepSpec.string(v, "schedulers entry");
         auto kind = scheduler_kind_from_name(name);
-        if (!kind) spec_error("unknown scheduler '" + name + "'");
+        if (!kind) kSweepSpec.fail("unknown scheduler '" + name + "'");
         spec.schedulers.push_back(*kind);
       }
     } else if (key == "fleet_sizes") {
       spec.fleet_sizes.clear();
-      for (const JsonValue& v : require_array(value, "fleet_sizes")) {
-        spec.fleet_sizes.push_back(require_int(v, "fleet_sizes entry"));
+      for (const JsonValue& v : kSweepSpec.array(value, "fleet_sizes")) {
+        spec.fleet_sizes.push_back(kSweepSpec.integer<int>(v, "fleet_sizes entry"));
       }
     } else if (key == "arrival_rates") {
       spec.arrival_rates.clear();
-      for (const JsonValue& v : require_array(value, "arrival_rates")) {
-        spec.arrival_rates.push_back(require_number(v, "arrival_rates entry"));
+      for (const JsonValue& v : kSweepSpec.array(value, "arrival_rates")) {
+        spec.arrival_rates.push_back(kSweepSpec.number(v, "arrival_rates entry"));
       }
     } else if (key == "fault_plans") {
       spec.fault_plans.clear();
-      for (const JsonValue& v : require_array(value, "fault_plans")) {
-        spec.fault_plans.push_back(require_string(v, "fault_plans entry"));
+      for (const JsonValue& v : kSweepSpec.array(value, "fault_plans")) {
+        spec.fault_plans.push_back(kSweepSpec.string(v, "fault_plans entry"));
       }
     } else if (key == "elastic") {
       spec.elastic_modes.clear();
-      for (const JsonValue& v : require_array(value, "elastic")) {
-        spec.elastic_modes.push_back(require_string(v, "elastic entry"));
+      for (const JsonValue& v : kSweepSpec.array(value, "elastic")) {
+        spec.elastic_modes.push_back(kSweepSpec.string(v, "elastic entry"));
       }
     } else if (key == "duration") {
-      spec.duration = require_number(value, "duration");
+      spec.duration = kSweepSpec.number(value, "duration");
     } else if (key == "tenants") {
-      spec.tenants = require_int(value, "tenants");
+      spec.tenants = kSweepSpec.integer<int>(value, "tenants");
     } else if (key == "pool_policy") {
-      const std::string& name = require_string(value, "pool_policy");
-      if (name == "fifo") {
-        spec.pool_policy = PoolPolicy::kFifo;
-      } else if (name == "fair") {
-        spec.pool_policy = PoolPolicy::kFair;
-      } else {
-        spec_error("unknown pool_policy '" + name + "'");
-      }
+      const std::string& name = kSweepSpec.string(value, "pool_policy");
+      auto policy = pool_policy_from_name(name);
+      if (!policy) kSweepSpec.fail("unknown pool_policy '" + name + "'");
+      spec.pool_policy = *policy;
     } else if (key == "mix") {
       spec.mix.clear();
-      for (const JsonValue& v : require_array(value, "mix")) {
-        spec.mix.push_back(require_string(v, "mix entry"));
+      for (const JsonValue& v : kSweepSpec.array(value, "mix")) {
+        spec.mix.push_back(kSweepSpec.string(v, "mix entry"));
       }
     } else if (key == "iterations") {
-      spec.iterations_override = require_int(value, "iterations");
+      spec.iterations_override = kSweepSpec.integer<int>(value, "iterations");
     } else if (key == "max_apps") {
-      spec.max_apps = static_cast<std::size_t>(require_u64(value, "max_apps"));
+      spec.max_apps = kSweepSpec.integer<std::uint64_t>(value, "max_apps");
     } else if (key == "sample_utilization") {
-      if (!value.is_bool()) spec_error("sample_utilization must be a bool");
-      spec.sample_utilization = value.as_bool();
+      spec.sample_utilization = kSweepSpec.boolean(value, "sample_utilization");
     } else if (key == "analyze") {
-      if (!value.is_bool()) spec_error("analyze must be a bool");
-      spec.analyze = value.as_bool();
+      spec.analyze = kSweepSpec.boolean(value, "analyze");
     } else {
-      spec_error("unknown key '" + key + "'");
+      kSweepSpec.fail("unknown key '" + key + "'");
     }
   }
   spec.validate();
@@ -253,12 +189,10 @@ SweepSpec parse_sweep_json(const std::string& text) {
 }
 
 SweepSpec load_sweep_file(const std::string& path) {
-  std::ifstream f(path);
-  if (!f) throw std::runtime_error("cannot read sweep spec '" + path + "'");
-  std::ostringstream buf;
-  buf << f.rdbuf();
+  std::optional<std::string> text = read_text_file(path);
+  if (!text) throw std::runtime_error("cannot read sweep spec '" + path + "'");
   try {
-    return parse_sweep_json(buf.str());
+    return parse_sweep_json(*text);
   } catch (const std::exception& e) {
     throw std::runtime_error(path + ": " + e.what());
   }
@@ -288,7 +222,7 @@ std::string sweep_to_json(const SweepSpec& spec) {
   w.end_array();
   w.key("duration").value(spec.duration);
   w.key("tenants").value(spec.tenants);
-  w.key("pool_policy").value(spec.pool_policy == PoolPolicy::kFair ? "fair" : "fifo");
+  w.key("pool_policy").value(pool_policy_name(spec.pool_policy));
   w.key("mix").begin_array();
   for (const std::string& m : spec.mix) w.value(m);
   w.end_array();

@@ -14,7 +14,6 @@
 
 #include <cstdint>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "cluster/fleet.hpp"
@@ -79,10 +78,6 @@ struct SweepSpec {
   /// sizes below the generator's minimum, malformed fault plans, ...).
   void validate() const;
 };
-
-/// Lower-case CLI/JSON name ("spark", "rupam", ...) — the round-trip
-/// partner of scheduler_kind_from_name (to_string() is display-cased).
-std::string_view scheduler_cli_name(SchedulerKind kind);
 
 /// splitmix64 finalizer — the mixing primitive behind seed derivation.
 std::uint64_t sweep_mix64(std::uint64_t x);

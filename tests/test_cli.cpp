@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <functional>
 #include <set>
 #include <sstream>
 #include <utility>
@@ -10,6 +11,9 @@
 #include "app/cli.hpp"
 #include "common/log.hpp"
 #include "common/rng.hpp"
+#include "faults/fault_plan.hpp"
+#include "replay/whatif.hpp"
+#include "sweep/sweep_spec.hpp"
 
 namespace rupam {
 namespace {
@@ -158,6 +162,8 @@ TEST(Cli, RejectsBadInput) {
       {"--iterations", "abc"},
       {"--arrivals", "1", "--duration", "inf"},
       {"--faults", "meteor@10:node=1"},
+      {"--faults", "crash@nan:node=1"},
+      {"--branch", "node:stage=+0:task=3:node=2"},
   };
   for (const auto& bad : bad_args) {
     std::ostringstream err;
@@ -227,6 +233,71 @@ TEST(Cli, RunFieldsValidatedByRunSpec) {
   EXPECT_FALSE(parse({"--arrivals", "0"}).has_value());
   EXPECT_FALSE(parse({"--autoscale", "0"}).has_value());
   EXPECT_FALSE(parse({"--chaos", "0"}).has_value());
+}
+
+// One wrong-typed or malformed field per input parser, with the exact
+// message it prints: the shared readers word every error as its parser did.
+TEST(Cli, EveryInputParserKeepsItsMessages) {
+  const std::vector<std::pair<std::function<void()>, std::string>> cases = {
+      {[] { parse_run_spec_json("{"); },
+       "run spec: JSON parse error at offset 1: unexpected end of input"},
+      {[] { parse_run_spec_json("[1]"); }, "run spec: top level must be an object"},
+      {[] { parse_run_spec_json(R"({"tenants": "2"})"); }, "run spec: tenants must be an integer"},
+      {[] { parse_run_spec_json(R"({"seed": -1})"); },
+       "run spec: seed must be an integer in [0, 2^53]"},
+      {[] { parse_run_spec_json(R"({"preempt": 1})"); }, "run spec: preempt must be a bool"},
+      {[] { parse_run_spec_json(R"({"pool_policy": "lottery"})"); },
+       "run spec: unknown pool_policy 'lottery'"},
+      {[] { parse_run_spec_json(R"({"fleet_spec": {"seed": 1.5}})"); },
+       "run spec: fleet_spec: fleet spec: seed must be an integer in [0, 2^53]"},
+      {[] { load_run_spec_file("/nonexistent/run.json"); },
+       "cannot read run spec '/nonexistent/run.json'"},
+      {[] { parse_sweep_json(R"({"max_apps": -1})"); },
+       "sweep spec: max_apps must be an integer >= 0"},
+      {[] { parse_sweep_json(R"({"mix": "GM"})"); }, "sweep spec: mix must be an array"},
+      {[] { parse_sweep_json(R"({"schedulers": [1]})"); },
+       "sweep spec: schedulers entry must be a string"},
+      {[] { parse_sweep_json(R"({"analyze": "yes"})"); }, "sweep spec: analyze must be a bool"},
+      {[] { load_sweep_file("/nonexistent/sweep.json"); },
+       "cannot read sweep spec '/nonexistent/sweep.json'"},
+      {[] { parse_fleet_json(R"({"classes": [{"name": "a", "cores": 1.5}]})"); },
+       "fleet spec: cores must be an integer"},
+      {[] { parse_fleet_json(R"({"classes": [7]})"); },
+       "fleet spec: each entry in \"classes\" must be an object"},
+      {[] { parse_fleet_json(R"({"classes": [{"ssd": 1}]})"); }, "fleet spec: ssd must be a bool"},
+      {[] { load_fleet_file("/nonexistent/fleet.json"); },
+       "fleet spec: cannot open '/nonexistent/fleet.json'"},
+      {[] { parse_checkpoint_json(R"({"time": "1"})"); }, "checkpoint: time must be a number"},
+      {[] { parse_checkpoint_json(R"({"pins": 3})"); }, "checkpoint: pins must be an array"},
+      {[] { parse_checkpoint_json(R"({"pins": [[1, 2.5, 0, 0]]})"); },
+       "checkpoint: pins[0] task must be an integer"},
+      {[] { load_checkpoint_file("/nonexistent/cp.json"); },
+       "cannot read checkpoint '/nonexistent/cp.json'"},
+      {[] { parse_diagnosis_stragglers("[]"); }, "whatif: diagnosis must be an object"},
+      {[] { parse_diagnosis_stragglers(R"({"stragglers": {}})"); },
+       "whatif: \"stragglers\" must be an array"},
+      {[] { parse_diagnosis_stragglers(R"({"stragglers": [1]})"); },
+       "whatif: stragglers[0] must be an object"},
+      {[] { parse_diagnosis_stragglers(R"({"stragglers": [{"cause": "x", "stage": 1.5}]})"); },
+       "whatif: stragglers[0].stage must be an integer"},
+      {[] { parse_diagnosis_stragglers(R"({"stragglers": [{"cause": 3}]})"); },
+       "whatif: stragglers[0].cause must be a string"},
+      {[] { parse_fault_spec("crash@abc:node=1"); }, "fault spec: bad time 'abc'"},
+      {[] { parse_fault_spec("crash@10:node=x"); }, "fault spec: bad node 'x'"},
+      {[] { parse_fault_spec("meteor@10:node=1"); }, "fault spec: unknown kind 'meteor'"},
+      {[] { parse_branch_spec("node:stage=x:task=1:node=0"); },
+       "branch spec: stage must be an integer, got 'x'"},
+      {[] { parse_branch_spec("suppress:kind=recover"); },
+       "branch spec: unknown fault kind 'recover' (expected crash|slow|hbdrop|degrade|spot)"},
+  };
+  for (const auto& [parse_input, message] : cases) {
+    try {
+      parse_input();
+      ADD_FAILURE() << "accepted; want: " << message;
+    } catch (const std::exception& e) {
+      EXPECT_EQ(e.what(), message);
+    }
+  }
 }
 
 TEST(Cli, SeedRejectsNegative) {

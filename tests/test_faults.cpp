@@ -2,6 +2,8 @@
 // for the FaultPlan spec parser and the chaos-plan generator.
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "fault_invariants.hpp"
 #include "faults/fault_plan.hpp"
 #include "workloads/presets.hpp"
@@ -151,6 +153,14 @@ TEST(FaultPlanSpec, RejectsMalformedSpecs) {
   EXPECT_THROW(parse_fault_spec("crash@abc:node=1"), std::invalid_argument);
   EXPECT_THROW(parse_fault_spec("slow@10:node=1:res=gpu"), std::invalid_argument);
   EXPECT_THROW(parse_fault_spec("crash@10:node=1:bogus=3"), std::invalid_argument);
+  // Numbers are read whole and finite, so no event runs at time NaN and
+  // node=1.7 does not become node 1.
+  EXPECT_THROW(parse_fault_spec("crash@nan:node=1"), std::invalid_argument);
+  EXPECT_THROW(parse_fault_spec("crash@inf:node=1"), std::invalid_argument);
+  EXPECT_THROW(parse_fault_spec("crash@10:node=1.7"), std::invalid_argument);
+  EXPECT_THROW(parse_fault_spec("crash@10:node=1:down=inf"), std::invalid_argument);
+  EXPECT_THROW(parse_fault_spec("slow@10:node=1:res=cpu:factor=nan:for=5"), std::invalid_argument);
+  EXPECT_THROW(parse_fault_spec("crash@ 10:node=1"), std::invalid_argument);
 }
 
 TEST(FaultPlanSpec, ValidateRejectsOutOfRangeValues) {
@@ -159,6 +169,15 @@ TEST(FaultPlanSpec, ValidateRejectsOutOfRangeValues) {
   plan = parse_fault_spec("crash@10:node=12");
   EXPECT_THROW(plan.validate(12), std::invalid_argument);  // node out of range
   plan.validate(13);
+  // A NaN passes "< 0" and "(0, 1]" checks, so plans built in code are
+  // checked for finite values too.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (double FaultEvent::*field :
+       {&FaultEvent::time, &FaultEvent::duration, &FaultEvent::factor}) {
+    plan = parse_fault_spec("slow@10:node=1:res=cpu:factor=0.5:for=5");
+    plan.events[0].*field = nan;
+    EXPECT_THROW(plan.validate(12), std::invalid_argument);
+  }
 }
 
 TEST(ChaosPlan, SameSeedSamePlan) {

@@ -307,6 +307,10 @@ TEST(ReplayCheckpoint, ParserRejectsBadDocuments) {
       parse_checkpoint_json(
           R"({"format": "rupam-checkpoint-v1", "time": 1, "run": {}, "pins": [[1e30, 0, 0, 0]]})"),
       std::runtime_error);
+  // Past a stage id's int range: rejected, not wrapped to stage 0.
+  EXPECT_THROW(parse_checkpoint_json(R"({"format": "rupam-checkpoint-v1", "time": 1, "run": {},)"
+                                     R"( "pins": [[4294967296, 0, 0, 0]]})"),
+               std::runtime_error);
 }
 
 TEST(ReplayCheckpoint, SeedAboveTwoToThe53IsRejectedNotRounded) {
@@ -347,6 +351,10 @@ TEST(ReplayBranch, GrammarRejectsMalformedSpecs) {
   EXPECT_THROW(parse_branch_spec("suppress:kind=meteor"), std::runtime_error);
   EXPECT_THROW(parse_branch_spec("suppress:node=1"), std::runtime_error);  // missing kind
   EXPECT_THROW(parse_branch_spec("gibberish"), std::runtime_error);
+  // Ids are read whole: no '+', no blank.
+  EXPECT_THROW(parse_branch_spec("node:stage=+0:task=3:node=2"), std::runtime_error);
+  EXPECT_THROW(parse_branch_spec("node:stage=0:task= 3:node=2"), std::runtime_error);
+  EXPECT_THROW(parse_branch_spec("suppress:kind=crash:node=+1"), std::runtime_error);
 }
 
 TEST(ReplayBranch, InterceptorForcesOneDispatch) {
@@ -460,6 +468,9 @@ TEST(ReplayWhatif, ParserRejectsBadDiagnoses) {
                std::runtime_error);
   EXPECT_THROW(parse_diagnosis_stragglers(R"({"stragglers": [{"stage": 1e30}]})"),
                std::runtime_error);
+  EXPECT_THROW(
+      parse_diagnosis_stragglers(R"({"stragglers": [{"stage": 4294967296, "cause": "x"}]})"),
+      std::runtime_error);
 }
 
 TEST(ReplayWhatif, ProposesPolicyPerCause) {

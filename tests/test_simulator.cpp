@@ -2,6 +2,7 @@
 
 #include <array>
 #include <functional>
+#include <limits>
 #include <vector>
 
 #include "simcore/kernel_stats.hpp"
@@ -51,6 +52,9 @@ TEST(Simulator, RejectsPastAndNegative) {
   sim.run();
   EXPECT_THROW(sim.schedule_at(5.0, [] {}), std::invalid_argument);
   EXPECT_THROW(sim.schedule_after(-1.0, [] {}), std::invalid_argument);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(sim.schedule_at(nan, [] {}), std::invalid_argument);
+  EXPECT_THROW(sim.schedule_after(nan, [] {}), std::invalid_argument);
 }
 
 TEST(Simulator, CancelPreventsExecution) {
