@@ -46,6 +46,12 @@ class SubmissionStream {
   TaskId next_task_ = 0;
 };
 
+/// Most applications a run or sweep spec may expect to draw (rate x
+/// duration, unless a sweep caps them with max_apps): every drawn
+/// application is built before the run starts, so an unbounded horizon
+/// would only end when memory does.
+inline constexpr double kMaxExpectedArrivals = 10000.0;
+
 struct ArrivalConfig {
   /// Mean application arrival rate (apps per simulated second).
   double rate = 0.05;

@@ -3,6 +3,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "app/arrivals.hpp"
 #include "app/simulation.hpp"
 #include "faults/fault_plan.hpp"
 #include "workloads/presets.hpp"
@@ -24,6 +25,11 @@ void RunSpec::validate() const {
   if (arrivals < 0.0) kRunSpec.fail("arrivals must be >= 0");
   if (tenants < 1) kRunSpec.fail("tenants must be >= 1");
   if (duration <= 0.0) kRunSpec.fail("duration must be > 0");
+  if (arrivals * duration > kMaxExpectedArrivals) {
+    kRunSpec.fail("arrivals x duration must be <= " +
+                  std::to_string(static_cast<int>(kMaxExpectedArrivals)) +
+                  " expected applications");
+  }
   if (diurnal < 0.0 || diurnal > 1.0) kRunSpec.fail("diurnal must be in [0, 1]");
   if (diurnal_period <= 0.0) kRunSpec.fail("diurnal_period must be > 0");
   if (autoscale < 0) kRunSpec.fail("autoscale must be >= 0");

@@ -53,22 +53,46 @@ double confidence_interval_95(double stddev, std::size_t n) {
   return t * stddev / std::sqrt(static_cast<double>(n));
 }
 
+namespace {
+
+// The p-th percentile of n values sits between rank `lo` and rank lo + 1,
+// `frac` of the way up; `interpolate` is false when it is rank lo itself.
+struct PercentileRank {
+  std::size_t lo;
+  double frac;
+  bool interpolate;
+};
+
+PercentileRank percentile_rank(std::size_t n, double p) {
+  if (n == 0) throw std::invalid_argument("percentile: empty sample");
+  if (p < 0.0 || p > 100.0) throw std::invalid_argument("percentile: p out of range");
+  double rank = p / 100.0 * static_cast<double>(n - 1);
+  auto lo = static_cast<std::size_t>(rank);
+  double frac = rank - static_cast<double>(lo);
+  return {lo, frac, lo + 1 < n && frac != 0.0};
+}
+
+double interpolate(double lo_val, double hi_val, double frac) {
+  return lo_val * (1.0 - frac) + hi_val * frac;
+}
+
+}  // namespace
+
 double percentile(std::vector<double> values, double p) { return percentile_inplace(values, p); }
 
 double percentile_inplace(std::vector<double>& values, double p) {
-  if (values.empty()) throw std::invalid_argument("percentile: empty sample");
-  if (p < 0.0 || p > 100.0) throw std::invalid_argument("percentile: p out of range");
-  double rank = p / 100.0 * static_cast<double>(values.size() - 1);
-  auto lo = static_cast<std::size_t>(rank);
-  auto hi = std::min(lo + 1, values.size() - 1);
-  double frac = rank - static_cast<double>(lo);
-  auto lo_it = values.begin() + static_cast<std::ptrdiff_t>(lo);
+  PercentileRank r = percentile_rank(values.size(), p);
+  auto lo_it = values.begin() + static_cast<std::ptrdiff_t>(r.lo);
   std::nth_element(values.begin(), lo_it, values.end());
-  double lo_val = *lo_it;
-  if (hi == lo || frac == 0.0) return lo_val;
+  if (!r.interpolate) return *lo_it;
   // The hi rank is the minimum of the suffix nth_element left above lo.
-  double hi_val = *std::min_element(lo_it + 1, values.end());
-  return lo_val * (1.0 - frac) + hi_val * frac;
+  return interpolate(*lo_it, *std::min_element(lo_it + 1, values.end()), r.frac);
+}
+
+double percentile_sorted(const std::vector<double>& sorted, double p) {
+  PercentileRank r = percentile_rank(sorted.size(), p);
+  if (!r.interpolate) return sorted[r.lo];
+  return interpolate(sorted[r.lo], sorted[r.lo + 1], r.frac);
 }
 
 double mean_of(const std::vector<double>& values) {

@@ -44,6 +44,11 @@ double percentile(std::vector<double> values, double p);
 /// copy + O(n log n) sort). Reorders `values` arbitrarily.
 double percentile_inplace(std::vector<double>& values, double p);
 
+/// Same statistic over a sample already in ascending order, in O(1): it
+/// reads the one or two ranks it interpolates. Equal bit for bit to
+/// percentile_inplace over any ordering of the same values.
+double percentile_sorted(const std::vector<double>& sorted, double p);
+
 double mean_of(const std::vector<double>& values);
 double stddev_of(const std::vector<double>& values);
 

@@ -7,7 +7,6 @@
 
 #include "cluster/heartbeat.hpp"
 #include "common/log.hpp"
-#include "common/stats.hpp"
 #include "sched/speculation.hpp"
 
 namespace rupam {
@@ -501,6 +500,9 @@ bool SchedulerBase::launch_task(StageState& stage, TaskState& task, NodeId node,
   if (handle == nullptr) return false;
 
   task.live.push_back(Attempt{attempt_id, node, opts.use_gpu, kind, handle});
+  if (task.live.size() == 1) {
+    stage.lone_launch_bound = std::min(stage.lone_launch_bound, handle->launch_time());
+  }
   note_attempt_started(node, kind, stage);
   ++launches_;
   ++launches_by_locality_[launch_slot(opts.locality, speculative)];
@@ -619,7 +621,7 @@ void SchedulerBase::handle_success(StageId stage_id, std::size_t task_index, Att
           std::string(to_string(metrics.locality)), metrics.run_time());
   }
   completed_.push_back(metrics);
-  stage.finished_runtimes.push_back(metrics.run_time());
+  insert_finished_runtime(stage.finished_runtimes, metrics.run_time());
   --stage.remaining;
   task_succeeded(stage, task, metrics);
   if (on_partition_success_) {
@@ -650,6 +652,12 @@ void SchedulerBase::handle_failure(StageId stage_id, std::size_t task_index, Att
   }
   std::erase_if(task.live, [attempt](const Attempt& a) { return a.id == attempt; });
   if (task.finished) return;
+  if (task.live.size() == 1) {
+    // The survivor may be older than the bound: RUPAM's GPU race copy is
+    // not a recorded speculative copy, so its primary rejoins the set.
+    stage.lone_launch_bound =
+        std::min(stage.lone_launch_bound, task.live.front().exec->launch_time());
+  }
 
   TaskMetrics failure;
   failure.task = task.spec.id;
@@ -810,26 +818,27 @@ const std::vector<std::pair<StageId, std::size_t>>& SchedulerBase::find_speculat
   speculatable_scratch_.clear();
   if (!speculation_.enabled) return speculatable_scratch_;
   const SpeculationRule rule;
+  const SimTime now = sim().now();
   overdue_scratch_.clear();
   for (auto& [stage_id, stage] : stages_) {
-    if (stage.threshold_finished != stage.finished_runtimes.size() ||
-        stage.threshold_tasks != stage.tasks.size()) {
-      stage.straggler_threshold = straggler_threshold(stage.finished_runtimes,
-                                                      stage.tasks.size(), rule, runtime_scratch_);
-      stage.threshold_finished = stage.finished_runtimes.size();
-      stage.threshold_tasks = stage.tasks.size();
-    }
-    SimTime threshold = stage.straggler_threshold;
+    SimTime threshold = straggler_threshold(stage.finished_runtimes, stage.tasks.size(), rule);
     if (threshold < 0.0) continue;
+    // Exact skip: the walk's `now - launch > threshold` is monotone in the
+    // launch time, so if the bound fails it, every candidate fails it.
+    if (!(now - stage.lone_launch_bound > threshold)) continue;
+    SimTime oldest = Simulator::kForever;
     for (std::size_t i = 0; i < stage.tasks.size(); ++i) {
       TaskState& task = stage.tasks[i];
       if (task.finished || task.live.size() != 1) continue;
       if (speculated_.count(task.spec.id) > 0) continue;
-      SimTime elapsed = sim().now() - task.live.front().exec->launch_time();
+      SimTime launched = task.live.front().exec->launch_time();
+      oldest = std::min(oldest, launched);
+      SimTime elapsed = now - launched;
       if (is_straggler(elapsed, threshold)) {
         overdue_scratch_.push_back({elapsed / threshold, {stage_id, i}});
       }
     }
+    stage.lone_launch_bound = oldest;
   }
   // Most-overdue first: the worst stragglers get the next copy slots.
   std::sort(overdue_scratch_.begin(), overdue_scratch_.end(),

@@ -236,13 +236,17 @@ class SchedulerBase {
     SimTime submit_time = 0.0;
     std::vector<TaskState> tasks;
     std::size_t remaining = 0;
-    /// Only grows (one entry per successful task), so the straggler
-    /// threshold below is recomputed only when its size or the task count
-    /// moved since the cached value was taken.
+    /// One runtime per successful task, in ascending order
+    /// (insert_finished_runtime), so the straggler threshold is an O(1)
+    /// read of the median.
     std::vector<double> finished_runtimes;
-    SimTime straggler_threshold = -1.0;
-    std::size_t threshold_finished = SIZE_MAX;
-    std::size_t threshold_tasks = SIZE_MAX;
+    /// Lower bound on the launch time of the tasks the straggler scan can
+    /// return: unfinished, exactly one live attempt, no speculative copy
+    /// recorded. Lowered when a task joins that set (a launch from zero
+    /// live attempts, a failure that leaves one survivor); a scan that
+    /// walks the stage resets it to the exact minimum. Leaving the set
+    /// needs no update: a stale bound is only looser. kForever = empty.
+    SimTime lone_launch_bound = Simulator::kForever;
     /// Indices with pending && !finished, ascending. Tasks in retry
     /// backoff stay in the set (filtered at query time by launchable()).
     std::set<std::size_t> pending_index;
@@ -410,7 +414,8 @@ class SchedulerBase {
   void request_dispatch();
 
   /// Tasks eligible for a speculative copy right now: (stage, task index).
-  /// Reference into member scratch, valid until the next call.
+  /// Reference into member scratch, valid until the next call. A stage
+  /// whose lone_launch_bound is not past its threshold costs O(1).
   const std::vector<std::pair<StageId, std::size_t>>& find_speculatable();
   /// Records that a speculative copy was launched (stats + dedup).
   void note_speculative_launch(TaskId task);
@@ -504,7 +509,6 @@ class SchedulerBase {
   std::vector<StageState*> stage_order_scratch_;
   std::vector<std::pair<StageId, std::size_t>> speculatable_scratch_;
   std::vector<std::pair<double, std::pair<StageId, std::size_t>>> overdue_scratch_;
-  std::vector<double> runtime_scratch_;
   // Preemption-scan scratch (same shape: dense by PoolId).
   std::vector<PoolId> active_pools_scratch_;
   std::vector<double> pool_target_scratch_;

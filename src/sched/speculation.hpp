@@ -20,14 +20,16 @@ struct SpeculationRule {
   SimTime min_threshold = 0.1;
 };
 
+/// Adds one finished task's runtime to a stage's list, keeping it in the
+/// ascending order straggler_threshold reads.
+void insert_finished_runtime(std::vector<double>& finished_runtimes, SimTime runtime);
+
 /// Returns a straggler runtime threshold, or a negative value when the
-/// stage has not yet finished enough tasks to judge. The median is taken in
-/// a caller-owned scratch buffer, so a hot caller (the per-round
-/// speculation scan) allocates nothing once the scratch capacity has
-/// warmed up. `scratch` is clobbered.
+/// stage has not yet finished enough tasks to judge. `finished_runtimes`
+/// must be ascending (built by insert_finished_runtime), so the median is
+/// an O(1) read.
 SimTime straggler_threshold(const std::vector<double>& finished_runtimes,
-                            std::size_t total_tasks, const SpeculationRule& rule,
-                            std::vector<double>& scratch);
+                            std::size_t total_tasks, const SpeculationRule& rule);
 
 bool is_straggler(SimTime elapsed, SimTime threshold);
 

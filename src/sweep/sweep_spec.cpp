@@ -3,6 +3,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "app/arrivals.hpp"
 #include "common/json_reader.hpp"
 #include "common/json_writer.hpp"
 #include "faults/fault_plan.hpp"
@@ -49,6 +50,11 @@ void SweepSpec::validate() const {
   }
   for (double r : arrival_rates) {
     if (r <= 0.0) kSweepSpec.fail("arrival_rates entries must be > 0");
+    if (max_apps == 0 && r * duration > kMaxExpectedArrivals) {
+      kSweepSpec.fail("arrival_rates x duration must be <= " +
+                      std::to_string(static_cast<int>(kMaxExpectedArrivals)) +
+                      " expected applications unless max_apps caps them");
+    }
   }
   for (const std::string& plan : fault_plans) {
     if (plan.empty()) continue;

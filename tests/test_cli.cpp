@@ -161,6 +161,7 @@ TEST(Cli, RejectsBadInput) {
       {"--seed", "abc"},
       {"--iterations", "abc"},
       {"--arrivals", "1", "--duration", "inf"},
+      {"--arrivals", "1", "--duration", "1e9"},
       {"--faults", "meteor@10:node=1"},
       {"--faults", "crash@nan:node=1"},
       {"--branch", "node:stage=+0:task=3:node=2"},

@@ -133,6 +133,8 @@ TEST(SweepSpec, ParserRejectsUnknownKeysAndBadValues) {
   EXPECT_THROW(parse_sweep_json(R"({"max_apps": 1e30})"), std::runtime_error);
   EXPECT_THROW(parse_sweep_json(R"({"max_apps": -1})"), std::runtime_error);
   EXPECT_THROW(parse_sweep_json(R"({"duration": 1e999})"), std::runtime_error);
+  EXPECT_THROW(parse_sweep_json(R"({"arrival_rates": [1], "duration": 1e9})"), std::runtime_error);
+  EXPECT_NO_THROW(parse_sweep_json(R"({"arrival_rates": [1], "duration": 1e9, "max_apps": 10})"));
   EXPECT_THROW(parse_sweep_json(R"({"replications": 0})"), std::runtime_error);
   EXPECT_THROW(parse_sweep_json(R"([1, 2])"), std::runtime_error);
 }
