@@ -5,6 +5,10 @@
 // memory-oblivious EFT placement livelocks on PR's cache-heavy iterations
 // (pre-existing, tracked in ROADMAP.md); every scheduler completes TC.
 //
+// Rounds run only when a task or slot changes, so most of them launch and
+// per-round means shift with what a round does; dispatch ns per launched
+// attempt is reported beside them.
+//
 // Each scheduler runs the workload twice in separate Simulations: a pilot
 // run counts dispatch rounds, then an identical measured run gates heap
 // allocations over the second half of those rounds — by then every scratch
@@ -125,8 +129,8 @@ int main(int argc, char** argv) {
 
   bench::JsonReport json("sched_overhead");
   TextTable table({"Scheduler", "Dispatch rounds", "Launches", "Dispatch mean (ns)",
-                   "Scan allocs", "Launch allocs/round", "Heap maint (ns/round)",
-                   "Heartbeat (ns)"});
+                   "Dispatch ns/launch", "Scan allocs", "Launch allocs/round",
+                   "Heap maint (ns/round)", "Heartbeat (ns)"});
   bool scan_alloc_free = true;
   for (SchedulerProfile& p : profiles) {
     json.record_kernel(p.kernel);
@@ -139,13 +143,17 @@ int main(int argc, char** argv) {
     double heap_per_round = dispatch.count == 0 ? 0.0
                                                 : static_cast<double>(heap.total_ns) /
                                                       static_cast<double>(dispatch.count);
+    double per_launch = p.launches == 0 ? 0.0
+                                        : static_cast<double>(dispatch.total_ns) /
+                                              static_cast<double>(p.launches);
     table.add_row({std::string(to_string(p.kind)), std::to_string(dispatch.count),
                    std::to_string(p.launches), format_fixed(dispatch.mean_ns(), 0),
-                   std::to_string(allocs.scan_allocs),
+                   format_fixed(per_launch, 0), std::to_string(allocs.scan_allocs),
                    format_fixed(allocs.launch_allocs_per_round(), 2),
                    format_fixed(heap_per_round, 0), format_fixed(hb.mean_ns(), 0)});
     std::string prefix(to_string(p.kind));
     json.add(prefix + "_dispatch_mean_ns", dispatch.mean_ns());
+    json.add(prefix + "_dispatch_ns_per_launch", per_launch);
     json.add(prefix + "_dispatch_rounds", static_cast<double>(dispatch.count));
     json.add(prefix + "_dispatch_total_ms", static_cast<double>(dispatch.total_ns) / 1e6);
     json.add(prefix + "_heap_maintenance_ns_per_round", heap_per_round);

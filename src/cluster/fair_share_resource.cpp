@@ -82,10 +82,12 @@ void FairShareResource::set_capacity_scale(double scale) {
 void FairShareResource::cancel(ClaimId id) {
   auto it = claims_.find(id);
   if (it == claims_.end()) return;
+  std::size_t before = claims_.size();
   integrate_progress();
   eta_index_.erase({it->second.eta_key, id});
   claims_.erase(it);
   reschedule();
+  if (on_release_) on_release_(before);
 }
 
 void FairShareResource::reschedule() {
@@ -114,6 +116,7 @@ void FairShareResource::reschedule() {
 }
 
 void FairShareResource::on_completion_event() {
+  std::size_t before = claims_.size();
   integrate_progress();
   double base = share_rate();
   std::vector<CompletionFn> finished;
@@ -134,6 +137,7 @@ void FairShareResource::on_completion_event() {
   for (auto& fn : finished) {
     if (fn) fn();
   }
+  if (on_release_ && !finished.empty()) on_release_(before);
 }
 
 double FairShareResource::utilization() const {

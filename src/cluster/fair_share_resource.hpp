@@ -31,6 +31,9 @@ class FairShareResource {
  public:
   using ClaimId = std::uint64_t;
   using CompletionFn = std::function<void()>;
+  /// Called after claims leave (completion or cancel), once per event,
+  /// with the active() count before they left.
+  using ReleaseHook = std::function<void(std::size_t active_before)>;
 
   /// `capacity` is total units/s; `per_claim_cap` limits what one claim can
   /// draw (one core for CPU; typically == capacity for NIC/disk).
@@ -55,6 +58,10 @@ class FairShareResource {
   /// rate — this is the fault injector's transient-slowdown lever.
   void set_capacity_scale(double scale);
   double capacity_scale() const { return capacity_scale_; }
+
+  /// Install (or clear, with null) the release hook. Admission gates on
+  /// active() use it to learn when a count falls below its limit.
+  void set_release_hook(ReleaseHook hook) { on_release_ = std::move(hook); }
 
   /// Number of in-flight claims.
   std::size_t active() const { return claims_.size(); }
@@ -107,6 +114,7 @@ class FairShareResource {
   SimTime last_update_ = 0.0;
   double drained_ = 0.0;
   double busy_seconds_ = 0.0;
+  ReleaseHook on_release_;
   EventHandle pending_event_;
   SimTime pending_time_ = -1.0;  // absolute time of the pending completion
 };

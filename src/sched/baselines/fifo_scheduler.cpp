@@ -6,9 +6,8 @@ void FifoScheduler::try_dispatch() {
   if (stages_.empty()) return;
   std::size_t n = cluster().size();
   // Nothing waits for a slot: a pass would visit every ready node and
-  // launch nothing, so skip it and take the one rotation step it takes.
+  // launch nothing, so skip it.
   bool progressed = pending_tasks() > 0;
-  if (!progressed) ++rotation_;
   while (progressed) {
     progressed = false;
     const std::vector<StageState*>& ordered = schedulable_stages();

@@ -70,11 +70,12 @@ double HeftScheduler::upward_rank(StageId stage) const {
   return it != rank_.end() ? it->second : 0.0;
 }
 
-NodeId HeftScheduler::best_free_node(const TaskSpec& task) {
+NodeId HeftScheduler::best_free_node(const TaskSpec& task, const TaskState* copy_of) {
   NodeId best = kInvalidNode;
   double best_cost = std::numeric_limits<double>::infinity();
   for_each_ready_node(0, [&](NodeId id, Executor& exec) {
     if (exec.free_slots() <= 0) return true;
+    if (copy_of != nullptr && copy_of->has_attempt_on(id)) return true;
     double cost = exec_cost(task, cluster().node(id).spec());
     // Ring order visits ascending NodeId from 0, so strict < breaks cost
     // ties toward the lowest id — the same order the audit ranking uses.
@@ -135,14 +136,15 @@ void HeftScheduler::try_dispatch() {
       }
     }
   }
-  // Stock speculative execution: copies go to the cheapest free node.
+  // Stock speculative execution: copies go to the cheapest free node that
+  // does not already run the task.
   for (auto [stage_id, task_index] : find_speculatable()) {
     auto it = stages_.find(stage_id);
     if (it == stages_.end()) continue;
     StageState& stage = it->second;
     TaskState& task = stage.tasks[task_index];
-    NodeId node = best_free_node(task.spec);
-    if (node == kInvalidNode || task.has_attempt_on(node)) continue;
+    NodeId node = best_free_node(task.spec, &task);
+    if (node == kInvalidNode) continue;
     if (audit_enabled()) {
       Explain e;
       e.reason = "heft_speculative";

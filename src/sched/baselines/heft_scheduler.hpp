@@ -56,9 +56,10 @@ class HeftScheduler : public SchedulerBase {
 
  private:
   double avg_stage_cost(const Stage& stage) const;
-  /// Best free node for `task` by exec_cost, ties to the lowest NodeId;
-  /// kInvalidNode when no free slot exists.
-  NodeId best_free_node(const TaskSpec& task);
+  /// Best free node for `task` by exec_cost, ties to the lowest NodeId,
+  /// skipping the nodes that already run an attempt of `copy_of`;
+  /// kInvalidNode when no such node has a free slot.
+  NodeId best_free_node(const TaskSpec& task, const TaskState* copy_of = nullptr);
 
   std::map<StageId, double> rank_;
   /// Rank-order scratch: rank is resolved once per stage per round, and

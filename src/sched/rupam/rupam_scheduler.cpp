@@ -27,6 +27,15 @@ constexpr int kMaxNetTasks = 12;
 // a few mismatched-resource tasks, e.g. GPU work).
 constexpr double kMaxTasksPerCore = 1.0;
 constexpr int kOvercommitSlack = 8;
+// Node-health gates: a node whose disk (either direction) or NIC holds
+// this many in-flight claims takes no further work of any kind.
+constexpr std::size_t kDiskGateSsd = 48;
+constexpr std::size_t kDiskGateHdd = 16;
+constexpr std::size_t kNetGate = 32;
+
+std::size_t disk_gate(const Node& node) {
+  return node.spec().has_ssd ? kDiskGateSsd : kDiskGateHdd;
+}
 
 }  // namespace
 
@@ -34,7 +43,30 @@ RupamScheduler::RupamScheduler(SchedulerEnv env, RupamConfig config)
     : SchedulerBase(std::move(env)), config_(config), tm_(db_, config.res_factor) {
   for (NodeId id : cluster().node_ids()) {
     if (cluster().node(id).gpus().total() > 0) gpu_nodes_.push_back(id);
+    watch_io_gates(id);
   }
+}
+
+RupamScheduler::~RupamScheduler() {
+  for (NodeId id : cluster().node_ids()) {
+    Node& node = cluster().node(id);
+    for (FairShareResource* r : {&node.disk_read(), &node.disk_write(), &node.net()}) {
+      r->set_release_hook(nullptr);
+    }
+  }
+}
+
+void RupamScheduler::watch_io_gates(NodeId id) {
+  if (!config_.overcommit) return;  // slot semantics: the gates are never read
+  Node& node = cluster().node(id);
+  auto watch = [this](FairShareResource& r, std::size_t gate) {
+    r.set_release_hook([this, &r, gate](std::size_t before) {
+      if (before >= gate && r.active() < gate) request_dispatch();
+    });
+  };
+  watch(node.disk_read(), disk_gate(node));
+  watch(node.disk_write(), disk_gate(node));
+  watch(node.net(), kNetGate);
 }
 
 void RupamScheduler::on_heartbeat(NodeId node) {
@@ -54,6 +86,7 @@ void RupamScheduler::node_membership_changed(NodeId node, NodeLifecycle state) {
         !std::binary_search(gpu_nodes_.begin(), gpu_nodes_.end(), node)) {
       gpu_nodes_.insert(std::upper_bound(gpu_nodes_.begin(), gpu_nodes_.end(), node), node);
     }
+    watch_io_gates(node);
   } else if (state == NodeLifecycle::kDecommissioned) {
     gpu_nodes_.erase(std::remove(gpu_nodes_.begin(), gpu_nodes_.end(), node),
                      gpu_nodes_.end());
@@ -124,10 +157,11 @@ bool RupamScheduler::node_available(const NodeMetrics& metrics, ResourceKind kin
   // kind — HDDs lose aggregate throughput under deep queues, so piling on
   // is strictly counterproductive. This is the "avoid resource
   // contention" behaviour of §III-B applied at admission time.
+  // These counts move at phase transitions, not with slots, so
+  // watch_io_gates asks for a round when one falls below its gate.
   auto disk_active = std::max(node.disk_read().active(), node.disk_write().active());
-  std::size_t disk_gate = node.spec().has_ssd ? 48 : 16;
-  if (disk_active >= disk_gate) return false;
-  if (node.net().active() >= 32) return false;
+  if (disk_active >= disk_gate(node)) return false;
+  if (node.net().active() >= kNetGate) return false;
   // Admission counts what the dispatcher has *committed* per resource
   // queue, not instantaneous phase occupancy: a CPU-bound task in its
   // shuffle-read phase still owns its future CPU slot. Over-commit comes

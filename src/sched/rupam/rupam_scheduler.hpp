@@ -67,6 +67,7 @@ struct RupamConfig {
 class RupamScheduler : public SchedulerBase {
  public:
   RupamScheduler(SchedulerEnv env, RupamConfig config = {});
+  ~RupamScheduler() override;
 
   std::string name() const override { return "RUPAM"; }
 
@@ -113,6 +114,10 @@ class RupamScheduler : public SchedulerBase {
     TaskState* task = nullptr;
   };
 
+  /// Request a round whenever one of `node`'s disk or NIC counts falls
+  /// below its admission gate: those counts change at phase transitions,
+  /// not when slots free up.
+  void watch_io_gates(NodeId node);
   /// Can `node` take one more task whose bottleneck is `kind`?
   bool node_available(const NodeMetrics& metrics, ResourceKind kind) const;
   /// node_available over `node`'s RM row; false for a node past its

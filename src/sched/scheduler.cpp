@@ -13,10 +13,8 @@ namespace rupam {
 
 namespace {
 
-// Run constants (DESIGN.md §4). Period of the straggler check
-// (spark.speculation.interval).
-constexpr SimTime kSpeculationInterval = 1.0;
-// A node is dead after this many heartbeat periods without a beat.
+// Run constants (DESIGN.md §4). A node is dead after this many heartbeat
+// periods without a beat.
 constexpr int kMissedHeartbeatsDead = 3;
 // spark.blacklist.*: this many failed attempts on one node inside the
 // sliding window blacklist it for the duration (timed un-blacklist).
@@ -64,7 +62,7 @@ SchedulerBase::SchedulerBase(SchedulerEnv env)
 SchedulerBase::~SchedulerBase() {
   env_.cluster->unsubscribe_membership(membership_token_);
   for (Executor* e : env_.executors) e->cache().set_change_listener(nullptr);
-  speculation_timer_.cancel();
+  wake_timer_.cancel();
   fault_tolerance_timer_.cancel();
   preemption_timer_.cancel();
 }
@@ -293,10 +291,6 @@ void SchedulerBase::submit(const TaskSet& task_set) {
   trace(TraceEventType::kStageSubmitted, task_set.stage, -1, 0, kInvalidNode,
         task_set.stage_name);
   stage_submitted(it->second);
-  if (speculation_.enabled && !speculation_timer_.pending()) {
-    speculation_timer_ =
-        sim().schedule_after(kSpeculationInterval, [this] { speculation_tick(); });
-  }
   if (fault_tolerance_.enabled && !fault_tolerance_timer_.pending()) {
     fault_tolerance_timer_ =
         sim().schedule_after(fault_tolerance_.check_interval, [this] { fault_tolerance_tick(); });
@@ -309,12 +303,23 @@ void SchedulerBase::submit(const TaskSet& task_set) {
 }
 
 void SchedulerBase::on_heartbeat(NodeId node) {
-  if (fault_tolerance_.enabled && liveness_.heartbeat(node, sim().now())) {
-    trace(TraceEventType::kNodeRecovered, -1, -1, 0, node, "heartbeats resumed");
-    RUPAM_INFO(sim().now(), name(), ": node ", node, " recovered (heartbeats resumed)");
-    note_node_maybe_free(node);
+  if (fault_tolerance_.enabled) {
+    // A beat opens a node only by reviving it or by ending a silence that
+    // heartbeat_overdue closed it for.
+    bool overdue = liveness_.overdue(node, sim().now());
+    if (liveness_.heartbeat(node, sim().now())) {
+      trace(TraceEventType::kNodeRecovered, -1, -1, 0, node, "heartbeats resumed");
+      RUPAM_INFO(sim().now(), name(), ": node ", node, " recovered (heartbeats resumed)");
+      note_node_maybe_free(node);
+      request_dispatch();
+    } else if (overdue) {
+      request_dispatch();
+    }
   }
-  request_dispatch();
+  if (wakeup_oracle_ && !dispatch_requested_) {
+    request_dispatch();
+    heartbeat_only_ = true;  // until a real request joins the round
+  }
 }
 
 void SchedulerBase::fault_tolerance_tick() {
@@ -364,6 +369,9 @@ void SchedulerBase::note_node_failure(NodeId node) {
   }
   if (!other_usable) return;
   blacklisted_until_[node] = now + kBlacklistDuration;
+  // node_usable reads the clock: the node reopens at that instant, before
+  // the next fault-tolerance tick un-blacklists it.
+  wake_at(now + kBlacklistDuration);
   ++blacklist_count_;
   trace(TraceEventType::kNodeBlacklisted, -1, -1, 0, node,
         std::to_string(times.size()) + " failures in window");
@@ -433,29 +441,72 @@ void SchedulerBase::trace(TraceEventType type, StageId stage, TaskId task, Attem
 }
 
 void SchedulerBase::request_dispatch() {
+  heartbeat_only_ = false;
   if (dispatch_requested_) return;
   dispatch_requested_ = true;
-  sim().schedule_after(0.0, [this] {
-    dispatch_requested_ = false;
-    ++dispatch_work_.rounds;
-    if (profiler_ != nullptr && profiler_->counting_allocs()) {
-      // Allocation accounting (bench-only: a replaced operator new feeds
-      // the counter). Rounds that launch nothing are the steady state the
-      // zero-allocation gate covers; launch rounds allocate the attempt's
-      // execution state by design.
-      std::uint64_t allocs_before = profiler_->read_allocs();
-      std::size_t launches_before = launches_;
-      {
-        OverheadProfiler::Scope profile(profiler_, ProfileSection::kDispatch);
-        try_dispatch();
-      }
-      profiler_->note_dispatch_allocs(launches_ != launches_before,
-                                      profiler_->read_allocs() - allocs_before);
-    } else {
+  sim().schedule_after(0.0, [this] { run_round(); });
+}
+
+void SchedulerBase::run_round() {
+  dispatch_requested_ = false;
+  bool heartbeat_only = heartbeat_only_;
+  heartbeat_only_ = false;
+  ++dispatch_work_.rounds;
+  std::size_t launches_before = launches_;
+  if (profiler_ != nullptr && profiler_->counting_allocs()) {
+    // Allocation accounting (bench-only: a replaced operator new feeds
+    // the counter). Rounds that launch nothing are the steady state the
+    // zero-allocation gate covers; launch rounds allocate the attempt's
+    // execution state by design.
+    std::uint64_t allocs_before = profiler_->read_allocs();
+    {
       OverheadProfiler::Scope profile(profiler_, ProfileSection::kDispatch);
       try_dispatch();
     }
-  });
+    profiler_->note_dispatch_allocs(launches_ != launches_before,
+                                    profiler_->read_allocs() - allocs_before);
+  } else {
+    OverheadProfiler::Scope profile(profiler_, ProfileSection::kDispatch);
+    try_dispatch();
+  }
+  if (heartbeat_only) missed_wakeups_ += launches_ - launches_before;
+  rearm_relaxation();
+}
+
+void SchedulerBase::wake_at(SimTime t) {
+  wakeups_.insert(t);
+  arm_wakeup();
+}
+
+void SchedulerBase::arm_wakeup() {
+  if (wakeups_.empty()) return;
+  SimTime first = *wakeups_.begin();
+  if (wake_timer_.pending() && wake_armed_at_ <= first) return;
+  wake_timer_.cancel();
+  wake_armed_at_ = first;
+  wake_timer_ = sim().schedule_at(first, [this] { on_wakeup(); });
+}
+
+void SchedulerBase::on_wakeup() {
+  SimTime now = sim().now();
+  bool due = false;
+  while (!wakeups_.empty() && *wakeups_.begin() <= now) {
+    if (*wakeups_.begin() == relaxation_wake_) relaxation_wake_ = Simulator::kForever;
+    wakeups_.erase(wakeups_.begin());
+    due = true;
+  }
+  if (due) request_dispatch();
+  arm_wakeup();
+}
+
+void SchedulerBase::rearm_relaxation() {
+  SimTime next = std::min(next_straggler_crossing(), next_relaxation());
+  if (next == relaxation_wake_) return;
+  if (relaxation_wake_ < Simulator::kForever) {
+    wakeups_.erase(wakeups_.find(relaxation_wake_));
+  }
+  relaxation_wake_ = next;
+  if (next < Simulator::kForever) wake_at(next);
 }
 
 bool SchedulerBase::launch_task(StageState& stage, TaskState& task, NodeId node, bool use_gpu,
@@ -679,17 +730,12 @@ void SchedulerBase::handle_failure(StageId stage_id, std::size_t task_index, Att
   // node) must not be re-stuffed into the same wave instantly.
   task.not_before =
       sim().now() + std::min(30.0, std::exp2(static_cast<double>(task.failures)));
+  if (task.pending) wake_at(task.not_before);
   if (fault_tolerance_.enabled && failed_node != kInvalidNode) {
     note_node_failure(failed_node);
   }
   task_failed(stage, task, reason);
   request_dispatch();
-}
-
-void SchedulerBase::speculation_tick() {
-  if (!stages_.empty()) request_dispatch();
-  speculation_timer_ =
-      sim().schedule_after(kSpeculationInterval, [this] { speculation_tick(); });
 }
 
 std::size_t SchedulerBase::pending_tasks() const {
@@ -829,8 +875,7 @@ const std::vector<std::pair<StageId, std::size_t>>& SchedulerBase::find_speculat
     SimTime oldest = Simulator::kForever;
     for (std::size_t i = 0; i < stage.tasks.size(); ++i) {
       TaskState& task = stage.tasks[i];
-      if (task.finished || task.live.size() != 1) continue;
-      if (speculated_.count(task.spec.id) > 0) continue;
+      if (!straggler_candidate(task)) continue;
       SimTime launched = task.live.front().exec->launch_time();
       oldest = std::min(oldest, launched);
       SimTime elapsed = now - launched;
@@ -846,6 +891,45 @@ const std::vector<std::pair<StageId, std::size_t>>& SchedulerBase::find_speculat
   speculatable_scratch_.reserve(overdue_scratch_.size());
   for (const auto& [ratio, ref] : overdue_scratch_) speculatable_scratch_.push_back(ref);
   return speculatable_scratch_;
+}
+
+SimTime SchedulerBase::next_straggler_crossing() {
+  if (!speculation_.enabled) return Simulator::kForever;
+  const SpeculationRule rule;
+  const SimTime now = sim().now();
+  SimTime next = Simulator::kForever;
+  auto crossing = [&](SimTime launched, SimTime threshold) {
+    return first_instant(launched + threshold,
+                         [&](SimTime t) { return is_straggler(t - launched, threshold); });
+  };
+  for (auto& [stage_id, stage] : stages_) {
+    if (stage.lone_launch_bound == Simulator::kForever) continue;
+    SimTime threshold = straggler_threshold(stage.finished_runtimes, stage.tasks.size(), rule);
+    if (threshold < 0.0) continue;
+    if (!is_straggler(now - stage.lone_launch_bound, threshold)) {
+      // No candidate is overdue yet, and none crosses before the bound.
+      next = std::min(next, crossing(stage.lone_launch_bound, threshold));
+      continue;
+    }
+    // Some candidate may already be overdue (the rounds offer it a copy
+    // whenever a slot frees): walk for the earliest one that is not, and
+    // tighten the bound to the exact minimum as find_speculatable does.
+    SimTime oldest = Simulator::kForever;
+    for (const TaskState& task : stage.tasks) {
+      if (!straggler_candidate(task)) continue;
+      SimTime launched = task.live.front().exec->launch_time();
+      oldest = std::min(oldest, launched);
+      if (!is_straggler(now - launched, threshold)) {
+        next = std::min(next, crossing(launched, threshold));
+      }
+    }
+    stage.lone_launch_bound = oldest;
+  }
+  return next;
+}
+
+bool SchedulerBase::straggler_candidate(const TaskState& task) const {
+  return !task.finished && task.live.size() == 1 && speculated_.count(task.spec.id) == 0;
 }
 
 void SchedulerBase::note_speculative_launch(TaskId task) {

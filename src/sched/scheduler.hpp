@@ -3,12 +3,20 @@
 // loser semantics for speculative copies, and straggler detection.
 //
 // Subclasses implement try_dispatch(): examine cluster state, pick tasks,
-// call launch_task(). Dispatch is requested (coalesced into a single event
-// at the current simulation time) whenever anything changes: stage
-// submission, task completion/failure, heartbeat, executor restart.
+// call launch_task() until nothing more fits. A round is requested
+// (coalesced into a single event at the current simulation time) only when
+// something it reads can have changed: a task becomes pending (submit,
+// resubmit, failure, relocation, preemption), a slot frees (success,
+// failure, kill) or a node becomes usable (executor ready, join, revival,
+// un-blacklist). A heartbeat requests one only when it revives a node or
+// ends an overdue silence. Conditions that relax with time get an exact
+// wake-up instead of being polled: the end of a retry backoff, blacklist
+// expiry, the next straggler crossing and (Spark) the next
+// delay-scheduling level.
 #pragma once
 
 #include <array>
+#include <cmath>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -40,9 +48,9 @@ struct SchedulerEnv {
   std::vector<Executor*> executors;
 };
 
-/// Spark's speculative execution (spark.speculation). The check period is
-/// a run constant (scheduler.cpp) and stragglers are judged by
-/// SpeculationRule's defaults (sched/speculation.hpp).
+/// Spark's speculative execution (spark.speculation). Stragglers are
+/// judged by SpeculationRule's defaults (sched/speculation.hpp); a round
+/// runs at the instant the next one crosses its stage's threshold.
 struct SpeculationConfig {
   bool enabled = true;
 };
@@ -147,6 +155,14 @@ class SchedulerBase {
   }
   /// try_dispatch rounds executed.
   std::size_t dispatch_rounds() const { return dispatch_work_.rounds; }
+
+  /// Missed-wake-up oracle, a test seam: with it on, every heartbeat also
+  /// requests a round, marked heartbeat-only unless a real request joins
+  /// it, and each launch in a heartbeat-only round counts as a miss. Rounds
+  /// launch until nothing more fits, so a miss is a change that opened a
+  /// launch without requesting a round or setting a wake-up.
+  void set_wakeup_oracle(bool on) { wakeup_oracle_ = on; }
+  std::size_t missed_wakeups() const { return missed_wakeups_; }
 
   /// Revive finished tasks whose map outputs were lost to a node crash; if
   /// the stage already drained, the partial stage is submitted afresh.
@@ -362,7 +378,8 @@ class SchedulerBase {
   /// at `start`, until `visit` returns false. Nodes whose executor is down
   /// or slot-full are lazily dropped from the candidate set (they re-enter
   /// via note_node_maybe_free); unusable (dead/blacklisted) nodes are
-  /// skipped but kept, since un-blacklisting is time-based, not evented.
+  /// skipped but kept, since they become usable again (revival, blacklist
+  /// expiry) without a slot freeing.
   /// Equivalent to the pre-index `ids[(i + rotation) % n]` sweep
   /// restricted to nodes that pass the free/alive checks. A template so
   /// the per-round visitor lambda never lands in a heap-backed
@@ -412,6 +429,22 @@ class SchedulerBase {
 
   /// Coalesced dispatch request.
   void request_dispatch();
+  /// Subclass hook, read after every round: the earliest future instant at
+  /// which a condition the round read relaxes with time alone (kForever:
+  /// none). Spark returns its next delay-scheduling level change.
+  virtual SimTime next_relaxation() const { return Simulator::kForever; }
+  /// The earliest time at which the monotone predicate `crossed` holds,
+  /// searched from `guess`, the instant in exact arithmetic (rounding can
+  /// put the real one a few ulps either side).
+  template <class Crossed>
+  static SimTime first_instant(SimTime guess, Crossed&& crossed) {
+    while (!crossed(guess)) guess = std::nextafter(guess, Simulator::kForever);
+    for (SimTime prev = std::nextafter(guess, -Simulator::kForever); crossed(prev);
+         prev = std::nextafter(prev, -Simulator::kForever)) {
+      guess = prev;
+    }
+    return guess;
+  }
 
   /// Tasks eligible for a speculative copy right now: (stage, task index).
   /// Reference into member scratch, valid until the next call. A stage
@@ -437,7 +470,21 @@ class SchedulerBase {
                       const TaskMetrics& metrics);
   void handle_failure(StageId stage_id, std::size_t task_index, AttemptId attempt,
                       const std::string& reason);
-  void speculation_tick();
+  void run_round();
+  /// Request a round at time `t` (> now): the wake-up queue keeps the
+  /// pending instants and arms one kernel event at the earliest.
+  void wake_at(SimTime t);
+  void arm_wakeup();
+  void on_wakeup();
+  /// After a round: move the one recomputed wake-up (straggler crossing,
+  /// next_relaxation) to its new instant.
+  void rearm_relaxation();
+  /// The earliest future instant a single-attempt, un-copied task passes
+  /// its stage's straggler threshold (kForever: none).
+  SimTime next_straggler_crossing();
+  /// What the straggler scan can return: unfinished, exactly one live
+  /// attempt, no speculative copy recorded.
+  bool straggler_candidate(const TaskState& task) const;
   void fault_tolerance_tick();
   void preemption_tick();
   /// Base-class reconciliation for a cluster lifecycle transition; runs
@@ -522,7 +569,17 @@ class SchedulerBase {
   std::size_t relocations_ = 0;
   std::size_t preemptions_ = 0;
   bool dispatch_requested_ = false;
-  EventHandle speculation_timer_;
+  /// Oracle state: the requested round has only a heartbeat behind it.
+  bool wakeup_oracle_ = false;
+  bool heartbeat_only_ = false;
+  std::size_t missed_wakeups_ = 0;
+  /// The wake-up queue: pending instants, one kernel event at the earliest
+  /// (a stale, earlier event just re-arms when it fires).
+  std::multiset<SimTime> wakeups_;
+  EventHandle wake_timer_;
+  SimTime wake_armed_at_ = Simulator::kForever;
+  /// The queue's entry for rearm_relaxation (kForever: none).
+  SimTime relaxation_wake_ = Simulator::kForever;
   EventHandle fault_tolerance_timer_;
   EventHandle preemption_timer_;
   /// PoolId → time it fell below fair share; < 0 = not starved (cleared

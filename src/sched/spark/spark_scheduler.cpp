@@ -86,14 +86,35 @@ void SparkScheduler::cache_block_changed(NodeId node, const std::string& key, bo
   }
 }
 
-Locality SparkScheduler::allowed_level(const StageState& stage, const StageIdx& idx) const {
-  // Walk the stage's achievable levels; each level is granted
-  // kLocalityWait seconds since the last launch before relaxing.
+std::size_t SparkScheduler::level_hops(const StageState& stage, SimTime now) {
+  // Each level is granted kLocalityWait seconds since the last launch
+  // before relaxing.
   SimTime reference = std::max(stage.submit_time, stage.last_launch);
-  SimTime waited = sim().now() - reference;
-  auto hops = static_cast<std::size_t>(waited / kLocalityWait);
-  std::size_t i = std::min(hops, idx.levels.size() - 1);
+  return static_cast<std::size_t>((now - reference) / kLocalityWait);
+}
+
+Locality SparkScheduler::allowed_level(const StageState& stage, const StageIdx& idx) const {
+  // Walk the stage's achievable levels.
+  std::size_t i = std::min(level_hops(stage, sim().now()), idx.levels.size() - 1);
   return idx.levels[i];
+}
+
+SimTime SparkScheduler::next_relaxation() const {
+  // A stage still waiting below its last level relaxes at the first
+  // instant its hop count grows; nothing else in a round moves with time.
+  SimTime now = sim().now();
+  SimTime next = Simulator::kForever;
+  for (const auto& [sid, stage] : stages_) {
+    if (stage.pending_index.empty()) continue;
+    auto it = index_.find(sid);
+    if (it == index_.end()) continue;
+    std::size_t hops = level_hops(stage, now);
+    if (hops + 1 >= it->second.levels.size()) continue;
+    SimTime reference = std::max(stage.submit_time, stage.last_launch);
+    next = std::min(next, first_instant(reference + static_cast<double>(hops + 1) * kLocalityWait,
+                                        [&](SimTime t) { return level_hops(stage, t) > hops; }));
+  }
+  return next;
 }
 
 SparkScheduler::Candidate SparkScheduler::indexed_pick(StageState& stage, StageIdx& idx,
@@ -146,9 +167,8 @@ void SparkScheduler::try_dispatch() {
   if (stages_.empty()) return;
   std::size_t n = cluster().size();
   // Nothing waits for a slot: an offer pass would visit every ready node
-  // and launch nothing, so skip it and take the one rotation step it takes.
+  // and launch nothing, so skip it.
   bool progressed = pending_tasks() > 0;
-  if (!progressed) ++offer_rotation_;
   while (progressed) {
     progressed = false;
     // Re-rank tasksets each offer round: under FAIR the launches of the

@@ -37,6 +37,7 @@ class SparkScheduler : public SchedulerBase {
   void stage_removed(StageState& stage) override;
   void task_pending_changed(StageState& stage, std::size_t index, bool pending) override;
   void cache_block_changed(NodeId node, const std::string& key, bool present) override;
+  SimTime next_relaxation() const override;
 
  private:
   struct Candidate {
@@ -69,6 +70,9 @@ class SparkScheduler : public SchedulerBase {
   /// Best pending task of one stage for `node` at `allowed` or better:
   /// cache-local bucket first, then preferred bucket, then any pending.
   Candidate indexed_pick(StageState& stage, StageIdx& idx, NodeId node, Locality allowed);
+  /// Whole kLocalityWait periods `stage` has waited at `now` since its
+  /// last launch (or its submission).
+  static std::size_t level_hops(const StageState& stage, SimTime now);
   Locality allowed_level(const StageState& stage, const StageIdx& idx) const;
   bool launch_speculative_copies();
 

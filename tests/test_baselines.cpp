@@ -1,11 +1,12 @@
-// Baseline schedulers: the stage-granular heterogeneity-aware proxy and
-// the oblivious FIFO lower bound.
+// Baseline schedulers: the stage-granular heterogeneity-aware proxy, the
+// oblivious FIFO lower bound and HEFT's speculative copies.
 #include <gtest/gtest.h>
 
 #include "app/simulation.hpp"
 #include "cluster/presets.hpp"
 #include "sched/baselines/capability_scheduler.hpp"
 #include "sched/baselines/fifo_scheduler.hpp"
+#include "sched/speculation.hpp"
 #include "workloads/presets.hpp"
 
 namespace rupam {
@@ -88,6 +89,45 @@ TEST(CapabilityScheduler, PrefersFastCpuNodesForComputeStage) {
     on_thor += sim.cluster().node(m.node).spec().node_class == "thor";
   }
   EXPECT_GE(on_thor, 6);
+}
+
+// HEFT's speculative copy goes to the cheapest free node that does not
+// already run the task. All four tasks land on thor, the cheapest node for
+// compute, which keeps free slots; when the long one crosses its stage's
+// straggler threshold, its copy must go to hulk in that same round rather
+// than wait for thor to fill up.
+TEST(HeftScheduler, StragglerCopySkipsItsOwnCheapestNode) {
+  SimulationConfig cfg;
+  cfg.scheduler = SchedulerKind::kHeft;
+  cfg.nodes = {thor_spec(), hulk_spec()};
+  cfg.enable_trace = true;
+  Simulation sim(cfg);
+  Application app = small_app(4, 1.0);
+  app.jobs[0].stages[0].tasks.tasks[3].compute = 50.0;
+  sim.run(app);
+
+  std::vector<const TraceEvent*> launches, copies;
+  const TraceEvent* straggler = nullptr;
+  for (const TraceEvent& e : sim.trace()->events()) {
+    if (e.type == TraceEventType::kTaskLaunched) launches.push_back(&e);
+    if (e.type == TraceEventType::kTaskLaunched && e.task == 3) straggler = &e;
+    if (e.type == TraceEventType::kSpeculativeLaunched) copies.push_back(&e);
+  }
+  ASSERT_EQ(launches.size(), 4u);
+  ASSERT_NE(straggler, nullptr);
+  for (const TraceEvent* e : launches) EXPECT_EQ(e->node, 0) << "task " << e->task;
+  ASSERT_EQ(copies.size(), 1u);
+  EXPECT_EQ(copies[0]->task, 3);
+  EXPECT_EQ(copies[0]->node, 1);
+  // The copy starts in the round the straggler crosses the threshold:
+  // 1.5x the median of the three short runtimes after its launch.
+  std::vector<double> runtimes;
+  for (const TaskMetrics& m : sim.scheduler().completed()) {
+    if (m.task != 3) insert_finished_runtime(runtimes, m.run_time());
+  }
+  ASSERT_EQ(runtimes.size(), 3u);
+  SimTime crossing = straggler->time + straggler_threshold(runtimes, 4, SpeculationRule{});
+  EXPECT_NEAR(copies[0]->time, crossing, 1e-9);
 }
 
 TEST(Baselines, LadderOrderingOnSkewedIterativeWork) {

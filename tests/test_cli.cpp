@@ -368,7 +368,8 @@ TEST(Cli, RunsSmallSimulation) {
 
 // ------------------------------------------------------------------ pins
 // Stdout of flag-driven runs, captured before the CLI parsed its flags
-// straight into RunSpec. Each run takes well under a second.
+// straight into RunSpec (the first two re-captured when dispatch rounds
+// stopped following heartbeats). Each run takes well under a second.
 
 std::string run_flags(std::initializer_list<const char*> args) {
   std::ostringstream out, err;
@@ -383,11 +384,11 @@ TEST(CliPins, RepetitionsWithCrashAndSampling) {
   EXPECT_EQ(run_flags({"--workload", "GM", "--scheduler", "spark", "--repetitions", "3",
                        "--iterations", "1", "--faults", "crash@30:node=2:down=20", "--sample"}),
             "Gramian Matrix under Spark (3 runs)\n"
-            "makespan: 103.8 s +- 49.1 (95% CI)\n"
+            "makespan: 103.4 s +- 49.8 (95% CI)\n"
             "locality: PROCESS=0 NODE=284 RACK=0 ANY=110\n"
             "failures=0 oom_kills=0 executor_losses=3 relocations=0\n"
             "faults_injected=3 blacklists=0 recomputed_partitions=22\n"
-            "avg cpu=20.7% avg mem=5.1 GB\n");
+            "avg cpu=20.8% avg mem=5.1 GB\n");
 }
 
 TEST(CliPins, MultiTenantElasticChaos) {
@@ -397,8 +398,8 @@ TEST(CliPins, MultiTenantElasticChaos) {
             "5 applications (5 jobs) under RUPAM, FAIR pools (arrivals=0.05/s, tenants=2, "
             "duration=60s)\n"
             "makespan: 187.5 s\n"
-            "JCT: mean=126.6s p50=141.2s p95=152.8s p99=154.3s max=154.7s queueing=0.0s\n"
-            "pool tenant0: jobs=3 mean=123.4s p95=144.8s queueing=0.0s\n"
+            "JCT: mean=126.5s p50=141.1s p95=152.8s p99=154.3s max=154.7s queueing=0.0s\n"
+            "pool tenant0: jobs=3 mean=123.3s p95=144.8s queueing=0.0s\n"
             "pool tenant1: jobs=2 mean=131.4s p95=152.3s queueing=0.0s\n"
             "recomputed_partitions=24\n"
             "spot_revocations=1\n"

@@ -210,11 +210,12 @@ TEST(FleetE2E, TwoHundredNodeSmokeAllSchedulers) {
   }
 }
 
-// Most dispatch rounds at fleet scale are heartbeat rounds with nothing to
-// place. FIFO and Spark must skip the ready-node walk in those, so their
-// node visits per round stay near zero instead of growing with the fleet
-// (a walk per idle round averages ~200 visits on this fleet).
-TEST(FleetE2E, IdleRoundsVisitNoNodes) {
+// A round walks only the nodes that may have a free slot and drops the
+// full ones it meets, so FIFO and Spark pay a few node visits per launched
+// attempt however large the fleet: 2.0 and 2.5 here, where a wave is two
+// tasks per node and the pass that ends a round revisits the free nodes
+// (a walk over every node per round would cost ~200 visits per launch).
+TEST(FleetE2E, NodeVisitsPerLaunchBounded) {
   FleetSpec spec = scaled_hydra_fleet(200, 1);
   std::vector<NodeSpec> nodes = generate_fleet(spec);
   WorkloadPreset preset = workload_preset("TeraSort");
@@ -232,16 +233,17 @@ TEST(FleetE2E, IdleRoundsVisitNoNodes) {
                        /*iterations_override=*/0, hdfs_placement_weights(sim.cluster()));
     sim.run(app);
     const auto& work = sim.scheduler().dispatch_work();
-    ASSERT_GT(work.rounds, 0u) << sim.scheduler().name();
-    EXPECT_LE(work.node_visits, work.rounds)
+    std::size_t launches = sim.scheduler().launches();
+    ASSERT_GT(launches, 0u) << sim.scheduler().name();
+    EXPECT_LE(work.node_visits, 3 * launches)
         << sim.scheduler().name() << ": node_visits=" << work.node_visits
-        << " rounds=" << work.rounds;
+        << " launches=" << launches;
   }
 }
 
-// Fleet-scale identity pins, captured before the idle-round skip, the
-// per-round RUPAM ranking and StageAware's one-pass minimum: those paths
-// must change cost, never a placement. The golden traces run only the
+// Fleet-scale identity pins, re-captured when dispatch rounds stopped
+// following heartbeats: later dispatch paths must change cost, never a
+// placement. The golden traces run only the
 // 12-node Hydra cluster, which never reaches the ties a 200-node fleet
 // of near-identical nodes produces.
 TEST(FleetE2E, FleetScaleOutcomesMatchPins) {
@@ -253,16 +255,16 @@ TEST(FleetE2E, FleetScaleOutcomesMatchPins) {
     std::size_t events;
   };
   const Pin pins[] = {
-      {SchedulerKind::kSpark, true, 0x1.08475617ed351p+5, 500, 15301},
-      {SchedulerKind::kRupam, true, 0x1.83e9a08b49cd1p+5, 409, 21450},
-      {SchedulerKind::kStageAware, true, 0x1.16c917a283e0ep+5, 409, 15985},
-      {SchedulerKind::kFifo, true, 0x1.1ea9190df7c7dp+5, 500, 16429},
-      {SchedulerKind::kHeft, true, 0x1.1180075903fb4p+5, 408, 15716},
-      {SchedulerKind::kSpark, false, 0x1.4eb30f00e8f9fp+5, 400, 18735},
-      {SchedulerKind::kRupam, false, 0x1.83e9a08b49cd1p+5, 400, 21395},
-      {SchedulerKind::kStageAware, false, 0x1.16c917a283e0ep+5, 400, 15939},
-      {SchedulerKind::kFifo, false, 0x1.6e1978926ccbap+5, 400, 20305},
-      {SchedulerKind::kHeft, false, 0x1.1180075903fb4p+5, 400, 15675},
+      {SchedulerKind::kSpark, true, 0x1.0a4c4062d6071p+5, 500, 8715},
+      {SchedulerKind::kRupam, true, 0x1.83e9a08b49cd1p+5, 409, 11717},
+      {SchedulerKind::kStageAware, true, 0x1.16c917a283e0ep+5, 409, 8987},
+      {SchedulerKind::kFifo, true, 0x1.0657857767fc4p+5, 500, 8616},
+      {SchedulerKind::kHeft, true, 0x1.1180075903fb4p+5, 408, 8850},
+      {SchedulerKind::kSpark, false, 0x1.523a187f4e924p+5, 400, 10456},
+      {SchedulerKind::kRupam, false, 0x1.83e9a08b49cd1p+5, 400, 11698},
+      {SchedulerKind::kStageAware, false, 0x1.16c917a283e0ep+5, 400, 8970},
+      {SchedulerKind::kFifo, false, 0x1.475cb6cd38f35p+5, 400, 10185},
+      {SchedulerKind::kHeft, false, 0x1.1180075903fb4p+5, 400, 8838},
   };
   FleetSpec spec = scaled_hydra_fleet(200, 1);
   std::vector<NodeSpec> nodes = generate_fleet(spec);

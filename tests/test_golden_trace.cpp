@@ -1,6 +1,6 @@
-// Golden-trace regression: the multi-tenant refactor must not change one
-// byte of any fault-free single-application run. The fixtures under
-// tests/golden/ were captured from the pre-refactor scheduler with
+// Golden-trace regression: a refactor must not change one byte of any
+// fault-free single-application run. The fixtures under tests/golden/ were
+// captured (last when dispatch rounds stopped following heartbeats) with
 //   rupam_sim --workload PR --scheduler <s> --iterations 2 --seed 1
 // so any drift in event ordering, policy sorting, or id assignment shows
 // up as a trace diff here. The metrics fixtures pin the --metrics-out
@@ -48,7 +48,7 @@ TEST_P(GoldenTraceTest, SingleAppTraceByteIdentical) {
   std::string expected = read_file(golden_path);
   std::string actual = read_file(trace_path);
   ASSERT_FALSE(expected.empty());
-  EXPECT_EQ(actual, expected) << "trace drifted from the pre-refactor golden capture";
+  EXPECT_EQ(actual, expected) << "trace drifted from the golden capture";
   std::remove(trace_path.c_str());
 }
 
