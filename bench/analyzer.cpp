@@ -7,9 +7,13 @@
 //               within 1e-9, and at least one straggler is attributed to
 //               the slow node class (the machine-readable form of the
 //               paper's motivating observation).
-//  * overhead — analyze_run wall time must stay <= 5% of the simulation's
-//               own wall time on the same run (the analyzer is a post-run
-//               pass; it must never dominate the experiment).
+//  * overhead — analyze_run's wall time on a Hydra-scale run, at reference
+//               speed (bench_common's SpeedProbe, sampled between repeats),
+//               must stay within its budget: the value measured when the
+//               gate was set, plus CI's 35% wall-clock tolerance. Its share
+//               of the simulation's own wall is printed, not gated: that
+//               ratio divides host timings of different code, and a faster
+//               simulator alone moves it.
 //  * golden   — the scheduling-event trace CSV of a run with analysis
 //               enabled is byte-identical to the same seed with analysis
 //               off: artifact collection only copies ids, it never
@@ -21,17 +25,24 @@
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "app/simulation.hpp"
 #include "bench_common.hpp"
 #include "cluster/presets.hpp"
+#include "common/stats.hpp"
 #include "metrics/event_trace.hpp"
 #include "obs/analyzer.hpp"
 #include "workloads/presets.hpp"
 
 namespace {
 
-constexpr double kMaxAnalyzerShare = 0.05;  // of sim wall
+// analyze_run on the Hydra PR run: median 0.82 ms at reference speed (p10
+// of the repeats) over 10 runs of the commit before this gate, Release, on
+// a shared 4-vCPU VM (0.74-0.90 ms). 35% on top is CI's wall-clock
+// tolerance.
+constexpr double kAnalyzerBudgetRefMs = 0.82 * 1.35;
+constexpr int kAnalyzerRepeats = 15;
 constexpr double kJctTolerance = 1e-9;
 
 rupam::SimulationConfig fig3_config(bool analysis) {
@@ -151,9 +162,19 @@ int main() {
     sim.run(app);
     double hydra_sim_ms = wall_ms_since(t0);
 
-    auto t1 = std::chrono::steady_clock::now();
-    RunDiagnosis diag = analyze_run(sim.run_artifacts());
-    double hydra_analyzer_ms = wall_ms_since(t1);
+    // Repeats interleaved with probe samples; the low percentile of each
+    // drops the repeats a burst of host contention hit.
+    bench::SpeedProbe probe;
+    std::vector<double> analyzer_ms;
+    RunDiagnosis diag;
+    for (int i = 0; i < kAnalyzerRepeats; ++i) {
+      probe.sample();
+      auto t1 = std::chrono::steady_clock::now();
+      diag = analyze_run(sim.run_artifacts());
+      analyzer_ms.push_back(wall_ms_since(t1));
+    }
+    double hydra_analyzer_ms = percentile(analyzer_ms, 10.0);
+    double analyzer_ref_ms = hydra_analyzer_ms * probe.factor();
     json.record_kernel(sim.sim().stats());
 
     double share = hydra_sim_ms > 0.0 ? hydra_analyzer_ms / hydra_sim_ms : 0.0;
@@ -161,12 +182,17 @@ int main() {
     json.add("sim_wall_ms", hydra_sim_ms);
     json.add("analyzer_wall_ms", hydra_analyzer_ms);
     json.add("analyzer_share_of_sim", share);
+    json.add("probe_p10_ms", probe.speed_ms());
+    json.add("analyzer_ref_ms", analyzer_ref_ms);
     std::cout << "overhead: analyze_run " << format_fixed(hydra_analyzer_ms, 2)
               << " ms vs sim " << format_fixed(hydra_sim_ms, 1) << " ms on Hydra ("
-              << bench::pct(share) << ")\n";
-    if (share > kMaxAnalyzerShare) {
-      std::cerr << "FAIL: analyzer wall " << bench::pct(share) << " of sim wall > "
-                << bench::pct(kMaxAnalyzerShare) << "\n";
+              << bench::pct(share) << "); " << format_fixed(analyzer_ref_ms, 3)
+              << " ms at reference speed (probe p10 " << format_fixed(probe.speed_ms(), 1)
+              << " ms), budget " << format_fixed(kAnalyzerBudgetRefMs, 3) << " ms\n";
+    if (analyzer_ref_ms > kAnalyzerBudgetRefMs) {
+      std::cerr << "FAIL: analyze_run " << format_fixed(analyzer_ref_ms, 3)
+                << " ms at reference speed > budget " << format_fixed(kAnalyzerBudgetRefMs, 3)
+                << " ms\n";
       ++failures;
     }
   }
@@ -192,8 +218,9 @@ int main() {
 
   json.write();
   if (failures > 0) return 1;
-  std::cout << "\nReading: the diagnosis is exact (categories tile each JCT), cheap (a\n"
-               "few percent of the run it explains) and inert (recording artifacts\n"
-               "schedules nothing, so flags-off traces stay golden).\n";
+  std::cout << "\nReading: the diagnosis is exact (categories tile each JCT), cheap (about\n"
+               "a millisecond at reference speed for a Hydra PR run) and inert\n"
+               "(recording artifacts schedules nothing, so flags-off traces stay\n"
+               "golden).\n";
   return 0;
 }

@@ -2,9 +2,15 @@
 
 #include <sys/resource.h>
 
+#include <algorithm>
+#include <chrono>
+#include <cstdint>
 #include <fstream>
+#include <map>
+#include <memory>
 
 #include "common/json_writer.hpp"
+#include "common/stats.hpp"
 
 namespace rupam::bench {
 
@@ -24,6 +30,53 @@ double peak_rss_mib() {
   // ru_maxrss is KiB on Linux.
   return static_cast<double>(usage.ru_maxrss) / 1024.0;
 }
+
+namespace {
+// Keeps the probe's result observable, so the kernel is not optimized away.
+volatile std::uint64_t g_probe_sink = 0;
+}  // namespace
+
+void SpeedProbe::sample() {
+  auto t0 = std::chrono::steady_clock::now();
+  std::uint64_t x = 88172645463325252ull;  // xorshift64
+  auto next = [&x] {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    return x;
+  };
+  std::map<std::uint32_t, std::uint64_t> tree;
+  std::vector<std::uint64_t> heap;
+  std::vector<std::unique_ptr<std::uint64_t>> boxes;
+  std::uint64_t acc = 0;
+  for (int i = 0; i < 20000; ++i) {
+    tree[static_cast<std::uint32_t>(next() % 65536)] += static_cast<std::uint64_t>(i);
+    heap.push_back(next());
+    std::push_heap(heap.begin(), heap.end());
+    boxes.push_back(std::make_unique<std::uint64_t>(next()));
+  }
+  for (int i = 0; i < 40000; ++i) {
+    auto it = tree.lower_bound(static_cast<std::uint32_t>(next() % 65536));
+    if (it != tree.end()) {
+      acc += it->second;
+      tree.erase(it);
+    }
+    tree.emplace(static_cast<std::uint32_t>(next() % 65536), static_cast<std::uint64_t>(i));
+    std::pop_heap(heap.begin(), heap.end());
+    acc += heap.back();
+    heap.back() = next();
+    std::push_heap(heap.begin(), heap.end());
+    boxes[next() % boxes.size()] = std::make_unique<std::uint64_t>(acc);
+  }
+  std::vector<double> values(50000);
+  for (double& v : values) v = static_cast<double>(next() % 1000003);
+  std::sort(values.begin(), values.end());
+  g_probe_sink = acc + static_cast<std::uint64_t>(values[values.size() / 2]);
+  samples_.push_back(
+      std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0).count());
+}
+
+double SpeedProbe::speed_ms() const { return percentile(samples_, 10.0); }
 
 JsonReport::JsonReport(std::string name) : path_("BENCH_" + std::move(name) + ".json") {}
 

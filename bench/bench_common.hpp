@@ -20,6 +20,26 @@ std::string pct(double fraction);
 /// unavailable.
 double peak_rss_mib();
 
+/// Host speed, for wall-clock budgets that mean the same on every host:
+/// time a fixed probe kernel (map, heap, sort and allocation work that no
+/// simulator change touches) between the measured operations, never beside
+/// them, and scale each host time by kReferenceMs / the 10th-percentile
+/// probe time. The low percentile ignores bursts of contention and follows
+/// slow drift. perfbench's SpeedProbe uses the same kernel and reference.
+class SpeedProbe {
+ public:
+  static constexpr double kReferenceMs = 20.0;
+  /// Time one run of the probe kernel.
+  void sample();
+  /// 10th-percentile probe time so far, in ms.
+  double speed_ms() const;
+  /// Multiply a raw host time by this to get it at reference speed.
+  double factor() const { return samples_.empty() ? 1.0 : kReferenceMs / speed_ms(); }
+
+ private:
+  std::vector<double> samples_;
+};
+
 /// Machine-readable sidecar next to a bench's stdout tables: a flat
 /// key→value JSON object written to BENCH_<name>.json in the working
 /// directory, so CI and plotting scripts don't have to scrape tables.

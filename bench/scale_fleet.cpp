@@ -7,8 +7,8 @@
 // paper's "Spark is slower" — the wrong failure mode for a dispatch-cost
 // bench.
 //
-// Every one of the N nodes heartbeats once a second, but a beat asks for
-// no dispatch round: rounds follow task and slot changes, so they track
+// Heartbeats are a computed grid, not events (none is delivered without
+// faults), and rounds follow task and slot changes, so both track
 // launches, not N. The table reports what dispatch costs: node visits per
 // launched attempt (nodes offered to placement logic) and task checks.
 //

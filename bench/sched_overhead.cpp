@@ -130,7 +130,7 @@ int main(int argc, char** argv) {
   bench::JsonReport json("sched_overhead");
   TextTable table({"Scheduler", "Dispatch rounds", "Launches", "Dispatch mean (ns)",
                    "Dispatch ns/launch", "Scan allocs", "Launch allocs/round",
-                   "Heap maint (ns/round)", "Heartbeat (ns)"});
+                   "Heap maint (ns/round)", "Beats", "Heartbeat (ns)"});
   bool scan_alloc_free = true;
   for (SchedulerProfile& p : profiles) {
     json.record_kernel(p.kernel);
@@ -150,7 +150,8 @@ int main(int argc, char** argv) {
                    std::to_string(p.launches), format_fixed(dispatch.mean_ns(), 0),
                    format_fixed(per_launch, 0), std::to_string(allocs.scan_allocs),
                    format_fixed(allocs.launch_allocs_per_round(), 2),
-                   format_fixed(heap_per_round, 0), format_fixed(hb.mean_ns(), 0)});
+                   format_fixed(heap_per_round, 0), std::to_string(hb.count),
+                   format_fixed(hb.mean_ns(), 0)});
     std::string prefix(to_string(p.kind));
     json.add(prefix + "_dispatch_mean_ns", dispatch.mean_ns());
     json.add(prefix + "_dispatch_ns_per_launch", per_launch);
@@ -158,6 +159,9 @@ int main(int argc, char** argv) {
     json.add(prefix + "_dispatch_total_ms", static_cast<double>(dispatch.total_ns) / 1e6);
     json.add(prefix + "_heap_maintenance_ns_per_round", heap_per_round);
     json.add(prefix + "_heartbeat_mean_ns", hb.mean_ns());
+    // Delivered beats: the mean above reads 0 when none is delivered,
+    // which is not a speed-up.
+    json.add(prefix + "_heartbeats", static_cast<double>(hb.count));
     json.add(prefix + "_enqueue_mean_ns", enq.mean_ns());
     json.add(prefix + "_makespan_s", p.makespan);
     json.add(prefix + "_scan_rounds", static_cast<double>(allocs.scan_rounds));

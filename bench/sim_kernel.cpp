@@ -10,8 +10,6 @@
 //  * steady   — the same churn after warmup with allocation counters reset;
 //               gate: near-zero heap allocations per executed event (event
 //               arena reuses slots, callbacks stay in the SBO buffer).
-//  * periodic — a PeriodicTaskSet with N members must occupy exactly ONE
-//               kernel queue entry (vs N self-rescheduling timers).
 //  * e2e      — an end-to-end generated-fleet TeraSort run (scale_fleet's
 //               config) pinning kernel wall time and events/sec at fleet
 //               scale in BENCH_sim_kernel.json.
@@ -33,7 +31,6 @@
 #include "bench_common.hpp"
 #include "cluster/fleet.hpp"
 #include "simcore/kernel_stats.hpp"
-#include "simcore/periodic.hpp"
 #include "simcore/simulator.hpp"
 #include "workloads/presets.hpp"
 
@@ -320,30 +317,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  // --- periodic: N member timers, one queue entry -----------------------
-  {
-    Simulator sim;
-    PeriodicTaskSet timers(sim, 1.0);
-    std::size_t beats = 0;
-    const std::size_t members = static_cast<std::size_t>(fleet_nodes);
-    for (std::size_t i = 0; i < members; ++i) {
-      timers.add(static_cast<double>(i) / static_cast<double>(members), [&beats] { ++beats; });
-    }
-    timers.start();
-    sim.run(10.0);
-    json.record_kernel(sim.stats());
-    json.add("periodic_members", static_cast<double>(members));
-    json.add("periodic_queue_entries", static_cast<double>(timers.queue_entries()));
-    json.add("periodic_beats", static_cast<double>(beats));
-    std::cout << "periodic: " << members << " member timers in " << timers.queue_entries()
-              << " queue entry (" << beats << " firings over 10 periods)\n";
-    if (timers.queue_entries() != 1) {
-      std::cerr << "FAIL: periodic task set occupies " << timers.queue_entries()
-                << " queue entries (want 1)\n";
-      ++failures;
-    }
-  }
-
   // --- e2e: generated fleet, kernel wall time ---------------------------
   {
     FleetSpec spec = fleet_nodes == 12 ? hydra_fleet_spec()
@@ -379,9 +352,9 @@ int main(int argc, char** argv) {
 
   json.write();
   if (failures > 0) return 1;
-  std::cout << "\nReading: true cancel keeps the heap free of tombstones under churn, the\n"
-               "arena + inline callbacks keep steady state allocation-free, and periodic\n"
-               "timers cost one queue entry per set — events/sec is the throughput metric\n"
-               "that bounds every fleet-scale experiment above this layer.\n";
+  std::cout << "\nReading: true cancel keeps the heap free of tombstones under churn, and\n"
+               "the arena + inline callbacks keep steady state allocation-free —\n"
+               "events/sec is the throughput metric that bounds every fleet-scale\n"
+               "experiment above this layer.\n";
   return 0;
 }

@@ -42,10 +42,12 @@ Simulation::Simulation(SimulationConfig config) : config_(std::move(config)) {
   Rng rng(config_.seed, 0x2545f4914f6cdd1dULL);
   for (NodeId id : cluster_->node_ids()) add_executor(id, rng.split());
 
+  heartbeats_ = std::make_unique<HeartbeatService>(*cluster_, kHeartbeatPeriod);
   SchedulerEnv env;
   env.sim = &sim_;
   env.cluster = cluster_.get();
   for (auto& e : executors_) env.executors.push_back(e.get());
+  env.heartbeats = heartbeats_.get();
 
   scheduler_ = make_scheduler(config_.scheduler, std::move(env), config_.rupam);
   rupam_ = dynamic_cast<RupamScheduler*>(scheduler_.get());
@@ -53,7 +55,6 @@ Simulation::Simulation(SimulationConfig config) : config_(std::move(config)) {
   scheduler_->configure_pools(config_.pools);
   scheduler_->configure_preemption(config_.preemption);
 
-  heartbeats_ = std::make_unique<HeartbeatService>(*cluster_, kHeartbeatPeriod);
   heartbeats_->subscribe([this](NodeId node) {
     OverheadProfiler::Scope scope(profiler_, ProfileSection::kHeartbeat);
     scheduler_->on_heartbeat(node);
@@ -201,9 +202,9 @@ void Simulation::handle_membership(NodeId node, NodeLifecycle state) {
       break;
     case NodeLifecycle::kDecommissioned: {
       // Kill the executor (running attempts fail through the usual lost
-      // path), invalidate its map outputs, retire its heartbeat slot and
-      // sampler row. All idempotent — the fault injector may have done
-      // some of this already.
+      // path), invalidate its map outputs, take it off the heartbeat grid
+      // and retire its sampler row. All idempotent — the fault injector may
+      // have done some of this already.
       auto idx = static_cast<std::size_t>(node);
       if (idx < executors_.size()) executors_[idx]->crash();
       if (dag_) dag_->on_node_lost(node);

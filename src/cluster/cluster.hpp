@@ -65,7 +65,7 @@ class Cluster {
   /// Permanently remove a node from membership: offline, never schedulable
   /// again. Idempotent. Subscribers are responsible for the fallout
   /// (killing the executor, resubmitting lost map outputs, retiring the
-  /// heartbeat wheel entry).
+  /// node off the heartbeat grid).
   void decommission(NodeId id);
 
   NodeLifecycle lifecycle(NodeId id) const;

@@ -24,7 +24,6 @@ class NodeLivenessTracker {
   explicit NodeLivenessTracker(LivenessConfig config = {});
 
   void configure(LivenessConfig config);
-  const LivenessConfig& config() const { return config_; }
 
   /// Record a heartbeat from `node`. Returns true if the node was dead and
   /// this beat revived it.
@@ -40,7 +39,6 @@ class NodeLivenessTracker {
   /// sweep(now). False for an untracked node.
   bool overdue(NodeId node, SimTime now) const;
   std::size_t tracked() const { return nodes_.size(); }
-  void clear() { nodes_.clear(); }
   /// Stop tracking a node entirely (decommissioned: it is neither dead nor
   /// alive, it is gone). Future sweeps never report it.
   void forget(NodeId node) { nodes_.erase(node); }

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "exec/executor.hpp"
+
 namespace rupam {
 
 double NodeMetrics::capability(ResourceKind kind) const {
@@ -52,13 +54,14 @@ Node::Node(Simulator& sim, NodeId id, NodeSpec spec, Bytes net_cap)
                   spec_.has_ssd ? 0.005 : 0.05),
       gpus_(spec_.gpus) {}
 
-void Node::add_memory_reporter(std::function<Bytes()> reporter) {
-  memory_reporters_.push_back(std::move(reporter));
+void Node::set_online(bool online) {
+  online_ = online;
+  if (online_listener_) online_listener_(online);
 }
 
 Bytes Node::memory_in_use() const {
   Bytes used = kOsReserved;
-  for (const auto& reporter : memory_reporters_) used += reporter();
+  if (executor_ != nullptr) used += executor_->heap_used();
   return used;
 }
 

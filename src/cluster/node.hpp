@@ -2,13 +2,11 @@
 //
 // Rate resources are FairShareResource instances, so contention between
 // concurrently running task phases emerges from the event model. Memory is
-// tracked by the executors hosted on the node; the node aggregates their
-// usage for its metrics snapshot (RUPAM Table I, left side).
+// tracked by the executor hosted on the node; the node reads its usage for
+// its metrics snapshot (RUPAM Table I, left side).
 #pragma once
 
 #include <functional>
-#include <memory>
-#include <vector>
 
 #include "cluster/fair_share_resource.hpp"
 #include "cluster/gpu_pool.hpp"
@@ -46,6 +44,8 @@ struct NodeMetrics {
   double utilization(ResourceKind kind) const;
 };
 
+class Executor;
+
 class Node {
  public:
   /// `net_cap` lets the shared switch limit the achievable NIC rate below
@@ -58,7 +58,9 @@ class Node {
   /// Crash/recover lever for the fault injector: an offline node emits no
   /// heartbeats (its executor is downed separately). Default online.
   bool online() const { return online_; }
-  void set_online(bool online) { online_ = online; }
+  void set_online(bool online);
+  /// The one observer of online flips: the heartbeat grid.
+  void set_online_listener(std::function<void(bool)> fn) { online_listener_ = std::move(fn); }
 
   FairShareResource& cpu() { return cpu_; }
   FairShareResource& net() { return net_; }
@@ -68,9 +70,8 @@ class Node {
   const FairShareResource& cpu() const { return cpu_; }
   const FairShareResource& net() const { return net_; }
 
-  /// Executors call this to expose their live memory usage; the node sums
-  /// all reporters when computing free memory.
-  void add_memory_reporter(std::function<Bytes()> reporter);
+  /// Its one executor registers here; memory in use is its heap + the OS's.
+  void attach_executor(const Executor* executor) { executor_ = executor; }
   Bytes memory_in_use() const;
   Bytes free_memory() const;
 
@@ -96,7 +97,8 @@ class Node {
   FairShareResource disk_read_;
   FairShareResource disk_write_;
   GpuPool gpus_;
-  std::vector<std::function<Bytes()>> memory_reporters_;
+  const Executor* executor_ = nullptr;
+  std::function<void(bool)> online_listener_;
 };
 
 }  // namespace rupam

@@ -17,8 +17,10 @@ Executor::Executor(Simulator& sim, Node& node, ExecutorId id, ExecutorConfig con
       exec_memory_(config.heap),
       cache_(config.heap * config.storage_fraction),
       gc_(config.gc) {
-  node_.add_memory_reporter([this] { return heap_used(); });
+  node_.attach_executor(this);
 }
+
+Executor::~Executor() { node_.attach_executor(nullptr); }
 
 int Executor::free_slots() const {
   if (!alive_) return 0;
@@ -32,7 +34,7 @@ std::shared_ptr<TaskExecution> Executor::launch(const TaskSpec& spec, LaunchOpti
   auto exec = std::make_shared<TaskExecution>(*this, spec, opts, std::move(on_finish),
                                               std::move(on_fail));
   running_.push_back(exec);
-  exec->start();
+  exec->start();  // reserves memory: usage_changed() sees the new attempt
   return exec;
 }
 
@@ -50,9 +52,11 @@ void Executor::reserve_memory(Bytes amount) {
   // JVMs do not admission-check: allocation proceeds and pressure is
   // resolved afterwards (OOM or process death), as in the paper's §III-C3.
   exec_memory_.force_reserve(amount);
+  usage_changed();
   check_memory_pressure();
 }
 
+// Always followed by detach(), which reports the change.
 void Executor::release_memory(Bytes amount) { exec_memory_.release(amount); }
 
 void Executor::check_memory_pressure() {
@@ -101,6 +105,7 @@ void Executor::terminate(const std::string& reason) {
     if (exec->running()) exec->kill(reason, /*notify=*/true);
   }
   cache_.clear();
+  usage_changed();
   pressure_timer_.cancel();
   if (on_lost_) on_lost_(id_);
 }
@@ -136,6 +141,7 @@ void Executor::detach(TaskExecution* exec) {
   auto it = std::find_if(running_.begin(), running_.end(),
                          [exec](const auto& p) { return p.get() == exec; });
   if (it != running_.end()) running_.erase(it);
+  usage_changed();
 }
 
 // ----------------------------------------------------------- TaskExecution
@@ -360,6 +366,7 @@ void TaskExecution::finish_compute(SimTime started) {
   Bytes evicted = 0.0;
   if (!spec_.cache_output_key.empty() && spec_.cache_output_bytes > 0.0) {
     evicted += executor_.cache().put(spec_.cache_output_key, spec_.cache_output_bytes);
+    executor_.usage_changed();
   }
   if (input_cache_miss_ && spec_.input_bytes > 0.0) {
     // Read-through re-caching (Spark recomputes an evicted persisted
@@ -367,6 +374,7 @@ void TaskExecution::finish_compute(SimTime started) {
     // PROCESS_LOCAL, but under heap pressure this is exactly the LRU
     // churn the paper blames for default Spark's GC overhead on LR.
     evicted += executor_.cache().put(spec_.input_cache_key, spec_.input_bytes);
+    executor_.usage_changed();
   }
   if (evicted > 0.0) {
     executor_.check_memory_pressure();

@@ -135,8 +135,13 @@ class Executor {
  public:
   using LostFn = std::function<void(ExecutorId)>;
   using ReadyFn = std::function<void(ExecutorId)>;
+  using UsageFn = std::function<void()>;
 
+  /// Registers with `node` as its one executor (the node reads heap_used()).
   Executor(Simulator& sim, Node& node, ExecutorId id, ExecutorConfig config, Rng rng);
+  ~Executor();
+  Executor(const Executor&) = delete;
+  Executor& operator=(const Executor&) = delete;
 
   ExecutorId id() const { return id_; }
   Node& node() { return node_; }
@@ -165,6 +170,8 @@ class Executor {
 
   void set_lost_handler(LostFn fn) { on_lost_ = std::move(fn); }
   void set_ready_handler(ReadyFn fn) { on_ready_ = std::move(fn); }
+  /// Fired after every change to heap_used() or running_tasks().
+  void set_usage_handler(UsageFn fn) { on_usage_ = std::move(fn); }
   /// "Does any peer executor hold cached block K?" A local miss with a
   /// peer hit is a remote block fetch (no recompute); a cluster-wide miss
   /// means the partition was evicted and must be recomputed + re-cached.
@@ -203,6 +210,7 @@ class Executor {
   void lose_executor();
   void restart();
   void detach(TaskExecution* exec);
+  void usage_changed() { if (on_usage_) on_usage_(); }
 
   Simulator& sim_;
   Node& node_;
@@ -217,6 +225,7 @@ class Executor {
   EventHandle pressure_timer_;
   LostFn on_lost_;
   ReadyFn on_ready_;
+  UsageFn on_usage_;
   std::function<bool(const std::string&)> peer_cache_probe_;
   SpanTrace* span_trace_ = nullptr;
   std::size_t oom_kills_ = 0;

@@ -11,7 +11,7 @@ namespace rupam {
 namespace {
 
 // Run constants (DESIGN.md §4). Free-memory level below which a heartbeat
-// flags a memory straggler.
+// flags a memory straggler (with at least two tasks on the node).
 constexpr Bytes kLowMemoryWatermark = 768.0 * kMiB;
 // Safety margin the memory guard keeps free beyond a task's footprint.
 constexpr Bytes kMemoryGuardHeadroom = 768.0 * kMiB;
@@ -44,6 +44,7 @@ RupamScheduler::RupamScheduler(SchedulerEnv env, RupamConfig config)
   for (NodeId id : cluster().node_ids()) {
     if (cluster().node(id).gpus().total() > 0) gpu_nodes_.push_back(id);
     watch_io_gates(id);
+    watch_memory(id);
   }
 }
 
@@ -53,6 +54,7 @@ RupamScheduler::~RupamScheduler() {
     for (FairShareResource* r : {&node.disk_read(), &node.disk_write(), &node.net()}) {
       r->set_release_hook(nullptr);
     }
+    if (Executor* exec = executor(id)) exec->set_usage_handler(nullptr);
   }
 }
 
@@ -67,6 +69,21 @@ void RupamScheduler::watch_io_gates(NodeId id) {
   watch(node.disk_read(), disk_gate(node));
   watch(node.disk_write(), disk_gate(node));
   watch(node.net(), kNetGate);
+}
+
+void RupamScheduler::watch_memory(NodeId id) {
+  Executor* exec = executor(id);
+  HeartbeatService* beats = env_.heartbeats;
+  if (!config_.memory_straggler || beats == nullptr || exec == nullptr) return;
+  memory_watched_.resize(cluster().size());
+  exec->set_usage_handler([this, id, beats] {
+    // Without memory pressure a beat does nothing here, so the grid need
+    // not deliver it.
+    bool could_act = memory_pressure(id);
+    if (memory_watched_[static_cast<std::size_t>(id)] == could_act) return;
+    memory_watched_[static_cast<std::size_t>(id)] = could_act;
+    could_act ? beats->watch(id) : beats->unwatch(id);
+  });
 }
 
 void RupamScheduler::on_heartbeat(NodeId node) {
@@ -87,6 +104,7 @@ void RupamScheduler::node_membership_changed(NodeId node, NodeLifecycle state) {
       gpu_nodes_.insert(std::upper_bound(gpu_nodes_.begin(), gpu_nodes_.end(), node), node);
     }
     watch_io_gates(node);
+    watch_memory(node);
   } else if (state == NodeLifecycle::kDecommissioned) {
     gpu_nodes_.erase(std::remove(gpu_nodes_.begin(), gpu_nodes_.end(), node),
                      gpu_nodes_.end());
@@ -498,11 +516,14 @@ void RupamScheduler::try_dispatch() {
   }
 }
 
-void RupamScheduler::check_memory_straggler(NodeId node) {
-  if (!config_.memory_straggler) return;
-  if (cluster().node(node).free_memory() >= kLowMemoryWatermark) return;
+bool RupamScheduler::memory_pressure(NodeId node) const {
   Executor* exec = executor(node);
-  if (exec == nullptr || exec->running_tasks() < 2) return;
+  return config_.memory_straggler && exec != nullptr && exec->running_tasks() >= 2 &&
+         cluster().node(node).free_memory() < kLowMemoryWatermark;
+}
+
+void RupamScheduler::check_memory_straggler(NodeId node) {
+  if (!memory_pressure(node)) return;
   // Rate-limit per node: relocation is a remedial action, not a policy —
   // killing the top consumer every heartbeat would thrash.
   auto it = last_relocation_.find(node);

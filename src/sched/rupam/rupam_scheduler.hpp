@@ -9,9 +9,11 @@
 // Plus the §III-C mechanisms: utilization-based over-commit (a node is
 // available as long as the offered resource has headroom, not when a core
 // slot frees), memory-straggler relocation, and the CPU↔GPU dual-run race.
-// Node liveness is the base scheduler's one tracker: the walk skips a node
-// past its heartbeat deadline (SchedulerBase::heartbeat_overdue) even
-// before the periodic sweep declares it dead.
+// The memory-straggler check runs at a node's heartbeat, which the grid
+// delivers only while the node is under memory pressure. Node liveness is
+// the base scheduler's one tracker: the walk skips a node past its
+// heartbeat deadline (SchedulerBase::heartbeat_overdue) even before the
+// periodic sweep declares it dead.
 //
 // Dispatch is indexed: per-resource admission reads the base scheduler's
 // live-attempt counters (O(1) per node instead of a scan over every
@@ -118,6 +120,8 @@ class RupamScheduler : public SchedulerBase {
   /// below its admission gate: those counts change at phase transitions,
   /// not when slots free up.
   void watch_io_gates(NodeId node);
+  /// Watch `node`'s beats exactly while it is under memory_pressure().
+  void watch_memory(NodeId node);
   /// Can `node` take one more task whose bottleneck is `kind`?
   bool node_available(const NodeMetrics& metrics, ResourceKind kind) const;
   /// node_available over `node`'s RM row; false for a node past its
@@ -145,9 +149,10 @@ class RupamScheduler : public SchedulerBase {
   /// Cheap pre-check: could any kind-visit possibly launch something?
   bool dispatch_possible() const;
   bool any_idle_gpu() const;
-  /// Relocate the largest memory consumer off `node` when its free memory
-  /// is below the low watermark at its heartbeat.
+  /// At `node`'s beat: relocate its top memory consumer under memory_pressure().
   void check_memory_straggler(NodeId node);
+  /// Free memory below the low watermark with at least two tasks running.
+  bool memory_pressure(NodeId node) const;
   DispatcherPolicy dispatcher_policy() const;
   void seed_monitor();
 
@@ -160,6 +165,7 @@ class RupamScheduler : public SchedulerBase {
   std::vector<NodeId> gpu_nodes_;  // nodes that physically carry devices
   std::set<TaskId> relocating_;  // guards repeated straggler kills per wave
   std::map<NodeId, SimTime> last_relocation_;  // per-node relocation rate limit
+  std::vector<bool> memory_watched_;  // by NodeId: beats watched for the check
 
   // Dispatch-path scratch, reused across rounds: capacity settles at the
   // workload's high-water mark, after which kind-visits never allocate.

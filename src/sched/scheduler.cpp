@@ -5,7 +5,6 @@
 #include <stdexcept>
 #include <tuple>
 
-#include "cluster/heartbeat.hpp"
 #include "common/log.hpp"
 #include "sched/speculation.hpp"
 
@@ -135,7 +134,15 @@ bool SchedulerBase::node_usable(NodeId node) const {
 }
 
 bool SchedulerBase::heartbeat_overdue(NodeId node) const {
-  return fault_tolerance_.enabled && liveness_.overdue(node, sim().now());
+  if (!fault_tolerance_.enabled) return false;
+  hear(node);
+  return liveness_.overdue(node, sim().now());
+}
+
+void SchedulerBase::hear(NodeId node) const {
+  if (env_.heartbeats == nullptr || liveness_.dead(node)) return;
+  std::optional<SimTime> last = env_.heartbeats->last_beat(node);
+  if (last) liveness_.heartbeat(node, *last);
 }
 
 bool SchedulerBase::node_blacklisted(NodeId node) const {
@@ -305,7 +312,8 @@ void SchedulerBase::submit(const TaskSet& task_set) {
 void SchedulerBase::on_heartbeat(NodeId node) {
   if (fault_tolerance_.enabled) {
     // A beat opens a node only by reviving it or by ending a silence that
-    // heartbeat_overdue closed it for.
+    // heartbeat_overdue closed it for: the grid delivers that beat.
+    hear(node);
     bool overdue = liveness_.overdue(node, sim().now());
     if (liveness_.heartbeat(node, sim().now())) {
       trace(TraceEventType::kNodeRecovered, -1, -1, 0, node, "heartbeats resumed");
@@ -324,6 +332,7 @@ void SchedulerBase::on_heartbeat(NodeId node) {
 
 void SchedulerBase::fault_tolerance_tick() {
   SimTime now = sim().now();
+  for (std::size_t i = 0; i < cluster().size(); ++i) hear(static_cast<NodeId>(i));
   for (NodeId node : liveness_.sweep(now)) {
     trace(TraceEventType::kNodeDead, -1, -1, 0, node, "missed heartbeats");
     RUPAM_WARN(now, name(), ": node ", node, " declared dead (missed heartbeats)");

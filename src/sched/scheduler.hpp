@@ -8,8 +8,8 @@
 // something it reads can have changed: a task becomes pending (submit,
 // resubmit, failure, relocation, preemption), a slot frees (success,
 // failure, kill) or a node becomes usable (executor ready, join, revival,
-// un-blacklist). A heartbeat requests one only when it revives a node or
-// ends an overdue silence. Conditions that relax with time get an exact
+// un-blacklist). A delivered heartbeat requests one only when it revives a
+// node or ends an overdue silence. Conditions that relax with time get an exact
 // wake-up instead of being polled: the end of a retry backoff, blacklist
 // expiry, the next straggler crossing and (Spark) the next
 // delay-scheduling level.
@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "cluster/cluster.hpp"
+#include "cluster/heartbeat.hpp"
 #include "cluster/liveness.hpp"
 #include "common/symbol.hpp"
 #include "dag/job.hpp"
@@ -46,6 +47,8 @@ struct SchedulerEnv {
   Cluster* cluster = nullptr;
   /// One executor per node, indexed by NodeId.
   std::vector<Executor*> executors;
+  /// The heartbeat grid liveness reads last beats from (optional).
+  HeartbeatService* heartbeats = nullptr;
 };
 
 /// Spark's speculative execution (spark.speculation). Stragglers are
@@ -106,7 +109,7 @@ class SchedulerBase {
 
   /// Entry point from the DAG scheduler.
   void submit(const TaskSet& task_set);
-  /// Entry point from the heartbeat service: `node` just beat.
+  /// Entry point from the heartbeat service: a delivered beat of `node`.
   virtual void on_heartbeat(NodeId node);
 
   void set_partition_success_handler(PartitionSuccessFn fn) {
@@ -156,12 +159,15 @@ class SchedulerBase {
   /// try_dispatch rounds executed.
   std::size_t dispatch_rounds() const { return dispatch_work_.rounds; }
 
-  /// Missed-wake-up oracle, a test seam: with it on, every heartbeat also
-  /// requests a round, marked heartbeat-only unless a real request joins
-  /// it, and each launch in a heartbeat-only round counts as a miss. Rounds
-  /// launch until nothing more fits, so a miss is a change that opened a
-  /// launch without requesting a round or setting a wake-up.
-  void set_wakeup_oracle(bool on) { wakeup_oracle_ = on; }
+  /// Missed-wake-up oracle, a test seam: with it on, the grid delivers
+  /// every beat and each requests a round, marked heartbeat-only unless a
+  /// real request joins it; each launch in such a round counts as a miss.
+  /// Rounds launch until nothing more fits, so a miss is a change that
+  /// opened a launch without requesting a round or setting a wake-up.
+  void set_wakeup_oracle(bool on) {
+    wakeup_oracle_ = on;
+    if (env_.heartbeats != nullptr) env_.heartbeats->watch_all(on);
+  }
   std::size_t missed_wakeups() const { return missed_wakeups_; }
 
   /// Revive finished tasks whose map outputs were lost to a node crash; if
@@ -486,6 +492,8 @@ class SchedulerBase {
   /// attempt, no speculative copy recorded.
   bool straggler_candidate(const TaskState& task) const;
   void fault_tolerance_tick();
+  /// Bring the tracker to the grid's last beat (a dead node: only by a beat).
+  void hear(NodeId node) const;
   void preemption_tick();
   /// Base-class reconciliation for a cluster lifecycle transition; runs
   /// before the node_membership_changed subclass hook.
@@ -587,7 +595,8 @@ class SchedulerBase {
   std::vector<SimTime> starved_since_;
   /// Cluster membership subscription (unsubscribed in the destructor).
   std::size_t membership_token_ = 0;
-  NodeLivenessTracker liveness_;
+  /// Its last beats cache the grid's, refreshed by hear() where read.
+  mutable NodeLivenessTracker liveness_;
   std::map<NodeId, std::vector<SimTime>> recent_failures_;
   std::map<NodeId, SimTime> blacklisted_until_;
   std::size_t blacklist_count_ = 0;

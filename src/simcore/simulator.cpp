@@ -90,12 +90,19 @@ void Simulator::cancel_event(std::uint32_t slot, std::uint64_t generation) {
   ++stats_.events_cancelled;
 }
 
-EventHandle Simulator::schedule_at(SimTime when, Callback fn) {
+EventHandle Simulator::schedule_at(SimTime when, Callback fn) { return post(when, fn, stamp()); }
+
+EventHandle Simulator::schedule_at(SimTime when, Callback fn, Stamp at) {
+  if (!(at.posted <= now_)) throw std::invalid_argument("schedule_at: posted in the future");
+  return post(when, fn, at);
+}
+
+EventHandle Simulator::post(SimTime when, Callback& fn, Stamp at) {
   if (!(when >= now_)) throw std::invalid_argument("schedule_at: time in the past");
   std::uint32_t slot = acquire_slot();
   Event& ev = arena_[slot];
   ev.time = when;
-  ev.seq = next_seq_++;
+  ev.stamp = at;
   ev.fn = std::move(fn);
   if (ev.fn.heap_allocated()) ++stats_.callback_heap_allocs;
   heap_push(slot);
@@ -105,7 +112,7 @@ EventHandle Simulator::schedule_at(SimTime when, Callback fn) {
 
 EventHandle Simulator::schedule_after(SimTime delay, Callback fn) {
   if (delay < 0.0) throw std::invalid_argument("schedule_after: negative delay");
-  return schedule_at(now_ + delay, std::move(fn));
+  return post(now_ + delay, fn, stamp());
 }
 
 bool Simulator::step() {
@@ -113,6 +120,7 @@ bool Simulator::step() {
   std::uint32_t slot = heap_[0];
   Event& ev = arena_[slot];
   now_ = ev.time;
+  running_ = ev.stamp;
   Callback fn = std::move(ev.fn);
   heap_remove(0);
   release_slot(slot);

@@ -2,9 +2,10 @@
 //
 // Components schedule callbacks at absolute or relative simulated times and
 // may cancel them (resource models reschedule completion events whenever the
-// set of contending claims changes). Event ordering is (time, insertion
-// sequence), so same-time events run in FIFO order and runs are fully
-// deterministic.
+// set of contending claims changes). Event ordering is (time, posting time,
+// insertion sequence), so same-time events run in the order they were
+// scheduled and runs are fully deterministic. A back-dated event takes the
+// place of one scheduled earlier (the heartbeat grid's delivered beats).
 //
 // Hot-path layout: event records live in a slot-reusing arena (steady-state
 // scheduling allocates nothing), an indexed binary heap of slot indices
@@ -15,6 +16,7 @@
 // InlineFunction, so common capture sizes never touch the allocator.
 #pragma once
 
+#include <compare>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -50,6 +52,12 @@ class EventHandle {
 class Simulator {
  public:
   using Callback = InlineFunction;
+  /// An event's place among those at its time: posting time, then sequence.
+  struct Stamp {
+    SimTime posted = 0.0;
+    std::uint64_t seq = 0;
+    auto operator<=>(const Stamp&) const = default;
+  };
 
   Simulator() = default;
   Simulator(const Simulator&) = delete;
@@ -59,6 +67,11 @@ class Simulator {
 
   /// Schedule `fn` at absolute simulated time `when` (>= now()).
   EventHandle schedule_at(SimTime when, Callback fn);
+  /// Back-dated: among the events at `when`, `fn` runs at place `at`
+  /// (at.posted <= now(); at.seq unique among pending events).
+  EventHandle schedule_at(SimTime when, Callback fn, Stamp at);
+  /// The place an event scheduled now would take (consumes a sequence).
+  Stamp stamp() { return {now_, next_seq_++}; }
   /// Schedule `fn` `delay` seconds from now (delay >= 0).
   EventHandle schedule_after(SimTime delay, Callback fn);
 
@@ -71,6 +84,8 @@ class Simulator {
   /// True when no live events remain (cancelled events are removed
   /// immediately, so this is exact).
   bool empty() const { return heap_.empty(); }
+  /// The running event's place (between steps: the last one run).
+  const Stamp& running() const { return running_; }
   /// Time of the next event to fire, or kForever when the queue is empty.
   /// Between step() calls the simulation is quiescent, so this is the
   /// replay layer's event-boundary probe: advancing while
@@ -98,7 +113,7 @@ class Simulator {
 
   struct Event {
     SimTime time = 0.0;
-    std::uint64_t seq = 0;
+    Stamp stamp;
     /// Bumped whenever the slot is released; handles whose generation no
     /// longer matches are stale (event fired, was cancelled, or slot reused).
     std::uint64_t generation = 0;
@@ -111,9 +126,11 @@ class Simulator {
     const Event& ea = arena_[a];
     const Event& eb = arena_[b];
     if (ea.time != eb.time) return ea.time < eb.time;
-    return ea.seq < eb.seq;
+    // For undated events this is insertion order: now() never decreases.
+    return ea.stamp < eb.stamp;
   }
 
+  EventHandle post(SimTime when, Callback& fn, Stamp at);
   void heap_sift_up(std::size_t pos);
   void heap_sift_down(std::size_t pos);
   void heap_push(std::uint32_t slot);
@@ -128,9 +145,10 @@ class Simulator {
   void cancel_event(std::uint32_t slot, std::uint64_t generation);
 
   std::vector<Event> arena_;          // slot-reusing event records
-  std::vector<std::uint32_t> heap_;   // binary heap of slots, (time, seq) order
+  std::vector<std::uint32_t> heap_;   // binary heap of slots, (time, stamp) order
   std::uint32_t free_head_ = kNullIndex;
   SimTime now_ = 0.0;
+  Stamp running_;
   std::uint64_t next_seq_ = 0;
   std::size_t executed_ = 0;
   std::size_t peak_pending_ = 0;

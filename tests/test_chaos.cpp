@@ -3,8 +3,11 @@
 // byte-identical event trace.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
 #include <sstream>
 
+#include "common/log.hpp"
 #include "fault_invariants.hpp"
 #include "workloads/presets.hpp"
 
@@ -75,6 +78,48 @@ TEST(ChaosDeterminism, DifferentChaosSeedsDiverge) {
   std::string a = chaos_trace_csv(SchedulerKind::kRupam, 11);
   std::string b = chaos_trace_csv(SchedulerKind::kRupam, 12);
   EXPECT_NE(a, b);
+}
+
+// Liveness pins: every node_dead and node_recovered row of Hydra LR under
+// --chaos 1..20 and all five schedulers, as "scheduler,chaos,kind,node,
+// time" with the time exact (hex float). tests/golden/chaos_liveness_LR.csv
+// was captured while every heartbeat was still a kernel event, so it pins
+// the grid's liveness (last beat, revival at the first audible instant,
+// deaths at the sweep) to the beats it replaced.
+TEST(ChaosDeterminism, LivenessRowsMatchPins) {
+  LogLevel saved = Logger::level();
+  Logger::set_level(LogLevel::kError);
+  std::ostringstream rows;
+  for (SchedulerKind kind : {SchedulerKind::kSpark, SchedulerKind::kRupam,
+                             SchedulerKind::kStageAware, SchedulerKind::kFifo,
+                             SchedulerKind::kHeft}) {
+    for (std::uint64_t chaos = 1; chaos <= 20; ++chaos) {
+      SimulationConfig cfg;
+      cfg.scheduler = kind;
+      cfg.chaos_seed = chaos;
+      cfg.enable_trace = true;
+      Simulation sim(cfg);
+      Application app = build_workload(workload_preset("LR"), sim.cluster().node_ids(), 1, 0,
+                                       hdfs_placement_weights(sim.cluster()));
+      sim.run(app);
+      for (const TraceEvent& e : sim.trace()->events()) {
+        if (e.type != TraceEventType::kNodeDead && e.type != TraceEventType::kNodeRecovered) {
+          continue;
+        }
+        char time[40];
+        std::snprintf(time, sizeof time, "%a", e.time);
+        rows << to_string(kind) << "," << chaos << ","
+             << (e.type == TraceEventType::kNodeDead ? "dead" : "recovered") << "," << e.node
+             << "," << time << "\n";
+      }
+    }
+  }
+  Logger::set_level(saved);
+  std::ifstream f(std::string(RUPAM_TEST_DATA_DIR) + "/golden/chaos_liveness_LR.csv");
+  ASSERT_TRUE(f.is_open());
+  std::ostringstream expected;
+  expected << f.rdbuf();
+  EXPECT_EQ(rows.str(), expected.str());
 }
 
 }  // namespace

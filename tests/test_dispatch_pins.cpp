@@ -7,9 +7,10 @@
 // toggle, FAIR pools, and StageAware's capability ranking with speculation
 // on. The values were re-captured when dispatch rounds stopped following
 // heartbeats (a launch now happens when it becomes possible, not at the
-// next beat); every fast path since must keep them: a makespan must match
-// to the last bit (hex float), and launches, executed events and GPU races
-// exactly. A failure prints the actual values in the same
+// next beat), and the executed-event counts again when beats became a
+// computed grid (a beat no listener can act on is no event); every fast
+// path since must keep them: a makespan must match to the last bit (hex
+// float), and launches, executed events and GPU races exactly. A failure prints the actual values in the same
 // form, so a deliberate behaviour change can re-pin in one step.
 #include <gtest/gtest.h>
 
@@ -77,10 +78,10 @@ TEST(DispatchPins, RupamWorkloads) {
     Outcome outcome;
   };
   const Pin pins[] = {
-      {"GM", {0x1.35230c3cd33b1p+6, 434, 1518, 290}},
-      {"LR", {0x1.0b38061d2a2ebp+9, 2362, 15134, 0}},
-      {"KMeans", {0x1.2a50bda3ad593p+10, 2784, 21156, 990}},
-      {"PR", {0x1.0e790713e3f44p+8, 985, 7216, 0}},
+      {"GM", {0x1.35230c3cd33b1p+6, 434, 590, 290}},
+      {"LR", {0x1.0b38061d2a2ebp+9, 2362, 8720, 0}},
+      {"KMeans", {0x1.2a50bda3ad593p+10, 2784, 6836, 990}},
+      {"PR", {0x1.0e790713e3f44p+8, 985, 3973, 0}},
   };
   for (const Pin& pin : pins) {
     expect_pinned(std::string("RUPAM ") + pin.workload,
@@ -96,10 +97,10 @@ TEST(DispatchPins, RupamAblations) {
   };
   const Pin pins[] = {
       {"opt_executor_lock", &RupamConfig::opt_executor_lock,
-       {0x1.3b815aa7bd0bcp+9, 2479, 16589, 0}},
-      {"memory_guard", &RupamConfig::memory_guard, {0x1.2ad8d49473947p+9, 2361, 15882, 0}},
-      {"gpu_cpu_race", &RupamConfig::gpu_cpu_race, {0x1.0b38061d2a2ebp+9, 2362, 15134, 0}},
-      {"overcommit", &RupamConfig::overcommit, {0x1.45d0e341f7e76p+9, 2372, 16588, 0}},
+       {0x1.3b815aa7bd0bcp+9, 2479, 9016, 0}},
+      {"memory_guard", &RupamConfig::memory_guard, {0x1.2ad8d49473947p+9, 2361, 8709, 0}},
+      {"gpu_cpu_race", &RupamConfig::gpu_cpu_race, {0x1.0b38061d2a2ebp+9, 2362, 8720, 0}},
+      {"overcommit", &RupamConfig::overcommit, {0x1.45d0e341f7e76p+9, 2372, 8768, 0}},
   };
   for (const Pin& pin : pins) {
     Outcome actual = run_hydra(SchedulerKind::kRupam, "LR", [&](SimulationConfig& cfg) {
@@ -126,7 +127,7 @@ TEST(DispatchPins, RupamFairTwoTenantStream) {
   ASSERT_GE(stream.size(), 2u);
   TenantRunReport report = sim.run(stream);
   expect_pinned("RUPAM FAIR stream", outcome_of(sim, report.makespan),
-                {0x1.c06d30299769fp+7, 2530, 14706, 0});
+                {0x1.c06d30299769fp+7, 2530, 12015, 0});
 }
 
 TEST(DispatchPins, StageAwareWorkloads) {
@@ -135,8 +136,8 @@ TEST(DispatchPins, StageAwareWorkloads) {
     Outcome outcome;
   };
   const Pin pins[] = {
-      {"GM", {0x1.3abba5eadee43p+6, 147, 1495, 0}},
-      {"KMeans", {0x1.1b6b679998105p+12, 1650, 61030, 0}},
+      {"GM", {0x1.3abba5eadee43p+6, 147, 550, 0}},
+      {"KMeans", {0x1.1b6b679998105p+12, 1650, 6613, 0}},
   };
   for (const Pin& pin : pins) {
     expect_pinned(std::string("StageAware ") + pin.workload,

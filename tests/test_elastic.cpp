@@ -2,7 +2,7 @@
 // live → draining → decommissioned), spot revocation, the pending-pressure
 // autoscaler, fair-share preemption, diurnal arrivals, and — most
 // importantly — the convergence of every subscribed layer (scheduler
-// indexes, heartbeat wheel, liveness, sampler) when nodes join or leave
+// indexes, heartbeat grid, liveness, sampler) when nodes join or leave
 // mid-run. Every suite here is named Elastic* so CI can select the whole
 // layer with `ctest -R '^Elastic'`.
 #include <gtest/gtest.h>
@@ -158,7 +158,7 @@ TEST(ElasticLifecycle, ProvisionedCostCoversMembershipWindows) {
   EXPECT_NEAR(cluster.provisioned_cost(7200.0), 2.5, 1e-9);
 }
 
-// ---------------------------------------------------- heartbeat wheel --
+// ----------------------------------------------------- heartbeat grid --
 
 struct HeartbeatHarness {
   Simulator sim;
@@ -181,6 +181,7 @@ struct HeartbeatHarness {
 TEST(ElasticHeartbeat, JoinerBeatsAfterBootWithoutShiftingOthers) {
   HeartbeatHarness h;
   h.hb.start();
+  h.hb.watch_all(true);  // deliver every instant, joiners included
   h.sim.run(5.5);
   std::size_t before = h.beats[0].size();
   ASSERT_GE(before, 5u);
@@ -188,34 +189,41 @@ TEST(ElasticHeartbeat, JoinerBeatsAfterBootWithoutShiftingOthers) {
 
   NodeId joined = h.cluster.provision_node(hulk_spec(), /*boot_delay=*/2.0);
   h.sim.run(7.4);
-  // Still provisioning (offline): no wheel entry, no beats.
+  // Still provisioning (offline): not on the grid, no beats.
+  EXPECT_FALSE(h.hb.beating(joined));
+  EXPECT_FALSE(h.hb.last_beat(joined).has_value());
   EXPECT_TRUE(h.beats.find(joined) == h.beats.end());
   h.sim.run(12.5);
   EXPECT_TRUE(h.hb.beating(joined));
   ASSERT_FALSE(h.beats[joined].empty());
   EXPECT_GE(h.beats[joined].front(), 7.5);  // first beat after going live
+  EXPECT_EQ(h.hb.last_beat(joined), h.beats[joined].back());
 
   // The incumbent nodes' cadence is untouched by the join: still exactly
   // one beat per period.
   EXPECT_EQ(h.beats[0].size(), before + 7);
-  // All wheel entries share one kernel queue slot.
-  EXPECT_EQ(h.hb.queue_entries(), 1u);
+  // One pending delivery per watched node on the grid.
+  EXPECT_EQ(h.hb.queue_entries(), 3u);
 }
 
-// Satellite: a decommissioned node's wheel entry is retired for good — no
-// ghost beats, not even silent cycles that would keep the slot occupied.
+// A decommissioned node leaves the grid for good: no ghost beats, and no
+// last beat for the liveness tracker to read.
 TEST(ElasticHeartbeat, RetiredNodeNeverBeatsAgain) {
   HeartbeatHarness h;
   h.hb.start();
+  h.hb.watch_all(true);
   h.sim.run(4.5);
   std::size_t before = h.beats[1].size();
   ASSERT_GT(before, 0u);
+  EXPECT_TRUE(h.hb.last_beat(1).has_value());
 
   h.cluster.decommission(1);
   EXPECT_FALSE(h.hb.beating(1));
+  EXPECT_FALSE(h.hb.last_beat(1).has_value());
   h.sim.run(20.0);
   EXPECT_EQ(h.beats[1].size(), before) << "ghost beats from a decommissioned node";
   EXPECT_TRUE(h.hb.beating(0));
+  EXPECT_EQ(h.hb.queue_entries(), 1u);
   // node_left is idempotent and safe on already-retired ids.
   h.hb.node_left(1);
   EXPECT_FALSE(h.hb.beating(1));
@@ -674,9 +682,9 @@ TEST(ElasticConvergence, MidRunKillAndJoinConvergeAcrossAllLayers) {
   EXPECT_TRUE(at13.revoked_usable);
 
   // t=20: the spot reclaim completed (t=18) and every layer let it go —
-  // scheduler indexes, heartbeat wheel, sampler, executor.
+  // scheduler indexes, heartbeat grid, sampler, executor.
   EXPECT_FALSE(at20.revoked_member);
-  EXPECT_FALSE(at20.revoked_beating) << "ghost heartbeat-wheel entry";
+  EXPECT_FALSE(at20.revoked_beating) << "ghost heartbeat-grid entry";
   EXPECT_FALSE(at20.revoked_sampled);
   EXPECT_FALSE(at20.revoked_usable);
   EXPECT_FALSE(at20.revoked_exec_alive);

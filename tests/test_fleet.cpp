@@ -242,8 +242,8 @@ TEST(FleetE2E, NodeVisitsPerLaunchBounded) {
 }
 
 // Fleet-scale identity pins, re-captured when dispatch rounds stopped
-// following heartbeats: later dispatch paths must change cost, never a
-// placement. The golden traces run only the
+// following heartbeats (event counts again when beats became a computed
+// grid): later dispatch paths must change cost, never a placement. The golden traces run only the
 // 12-node Hydra cluster, which never reaches the ties a 200-node fleet
 // of near-identical nodes produces.
 TEST(FleetE2E, FleetScaleOutcomesMatchPins) {
@@ -255,16 +255,16 @@ TEST(FleetE2E, FleetScaleOutcomesMatchPins) {
     std::size_t events;
   };
   const Pin pins[] = {
-      {SchedulerKind::kSpark, true, 0x1.0a4c4062d6071p+5, 500, 8715},
-      {SchedulerKind::kRupam, true, 0x1.83e9a08b49cd1p+5, 409, 11717},
-      {SchedulerKind::kStageAware, true, 0x1.16c917a283e0ep+5, 409, 8987},
-      {SchedulerKind::kFifo, true, 0x1.0657857767fc4p+5, 500, 8616},
-      {SchedulerKind::kHeft, true, 0x1.1180075903fb4p+5, 408, 8850},
-      {SchedulerKind::kSpark, false, 0x1.523a187f4e924p+5, 400, 10456},
-      {SchedulerKind::kRupam, false, 0x1.83e9a08b49cd1p+5, 400, 11698},
-      {SchedulerKind::kStageAware, false, 0x1.16c917a283e0ep+5, 400, 8970},
-      {SchedulerKind::kFifo, false, 0x1.475cb6cd38f35p+5, 400, 10185},
-      {SchedulerKind::kHeft, false, 0x1.1180075903fb4p+5, 400, 8838},
+      {SchedulerKind::kSpark, true, 0x1.0a4c4062d6071p+5, 500, 2057},
+      {SchedulerKind::kRupam, true, 0x1.83e9a08b49cd1p+5, 409, 2019},
+      {SchedulerKind::kStageAware, true, 0x1.16c917a283e0ep+5, 409, 2017},
+      {SchedulerKind::kFifo, true, 0x1.0657857767fc4p+5, 500, 2057},
+      {SchedulerKind::kHeft, true, 0x1.1180075903fb4p+5, 408, 2012},
+      {SchedulerKind::kSpark, false, 0x1.523a187f4e924p+5, 400, 2000},
+      {SchedulerKind::kRupam, false, 0x1.83e9a08b49cd1p+5, 400, 2000},
+      {SchedulerKind::kStageAware, false, 0x1.16c917a283e0ep+5, 400, 2000},
+      {SchedulerKind::kFifo, false, 0x1.475cb6cd38f35p+5, 400, 2000},
+      {SchedulerKind::kHeft, false, 0x1.1180075903fb4p+5, 400, 2000},
   };
   FleetSpec spec = scaled_hydra_fleet(200, 1);
   std::vector<NodeSpec> nodes = generate_fleet(spec);

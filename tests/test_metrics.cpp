@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include "cluster/presets.hpp"
+#include "common/rng.hpp"
+#include "exec/executor.hpp"
 #include "metrics/breakdown.hpp"
 #include "metrics/locality_counter.hpp"
 #include "metrics/utilization_sampler.hpp"
@@ -96,11 +98,12 @@ TEST(UtilizationSampler, MemorySeriesTracksReporters) {
   Simulator sim;
   Cluster cluster(sim);
   NodeId id = cluster.add_node(thor_spec());
-  Bytes used = 0.0;
-  cluster.node(id).add_memory_reporter([&used] { return used; });
+  ExecutorConfig cfg;
+  cfg.storage_fraction = 0.6;  // room for the 8 GiB block
+  Executor exec(sim, cluster.node(id), id, cfg, Rng(1));
   UtilizationSampler sampler(cluster, 1.0);
   sampler.start();
-  sim.schedule_at(5.0, [&] { used = 8.0 * kGiB; });
+  sim.schedule_at(5.0, [&] { exec.cache().put("block", 8.0 * kGiB); });
   sim.run(10.5);
   EXPECT_LT(sampler.memory_used(id).points().front().value, 2.0 * kGiB);
   EXPECT_GT(sampler.memory_used(id).points().back().value, 8.0 * kGiB);

@@ -244,14 +244,16 @@ TEST(RupamScheduler, DbClearedBetweenFreshSimulations) {
 }
 
 /// One RUPAM run of PR on Hydra in which `node`'s heartbeats are swallowed
-/// over [from, from + span): the node's beat times and the times of every
-/// launch that landed on it. With `fault_tolerance` the silence comes from
-/// an hbdrop fault plan (which turns fault tolerance on) and the liveness
-/// sweep runs only every 5 s, so it lags the missed-heartbeat deadline;
-/// without, the heartbeat service drops the beats directly and fault
-/// tolerance stays off.
+/// over [from, from + span): the silence as the heartbeat grid saw it (its
+/// last beat before, its first instant after) and the times of every
+/// launch that landed on the node. With `fault_tolerance` the silence comes
+/// from an hbdrop fault plan (which turns fault tolerance on) and the
+/// liveness sweep runs only every 5 s, so it lags the missed-heartbeat
+/// deadline; without, the heartbeat service drops the beats directly and
+/// fault tolerance stays off.
 struct SilentNodeRun {
-  std::vector<SimTime> beats;
+  SimTime last = -1.0;
+  SimTime resumed = -1.0;
   std::vector<SimTime> launches;
 };
 
@@ -274,8 +276,13 @@ SilentNodeRun run_with_silent_node(bool fault_tolerance, NodeId node, SimTime fr
                           [&sim, node] { sim.heartbeats().set_dropped(node, false); });
   }
   SilentNodeRun run;
-  sim.heartbeats().subscribe([&](NodeId beat) {
-    if (beat == node) run.beats.push_back(sim.sim().now());
+  // Read the silence from the grid: its last beat as the silence ends (the
+  // beat at from + span is still to come then), and one period later.
+  sim.sim().schedule_at(from + span, [&] {
+    run.last = sim.heartbeats().last_beat(node).value_or(-1.0);
+  });
+  sim.sim().schedule_at(from + span + 0.5 * kHeartbeatPeriod, [&] {
+    run.resumed = sim.heartbeats().last_beat(node).value_or(-1.0);
   });
   Application app = build_workload(workload_preset("PR"), sim.cluster().node_ids(), 1, 0,
                                    hdfs_placement_weights(sim.cluster()));
@@ -298,18 +305,12 @@ TEST(RupamScheduler, SilentNodeGetsNoWorkWhileOverdue) {
   for (bool fault_tolerance : {true, false}) {
     SCOPED_TRACE(fault_tolerance ? "fault tolerance on" : "fault tolerance off");
     SilentNodeRun run = run_with_silent_node(fault_tolerance, node, from, span);
-    // The one gap in the node's beats is the silence: last beat before it,
-    // first beat after it.
-    SimTime last = -1.0;
-    SimTime resumed = -1.0;
-    for (std::size_t i = 1; i < run.beats.size(); ++i) {
-      if (run.beats[i] - run.beats[i - 1] > deadline) {
-        ASSERT_LT(last, 0.0) << "more than one silence";
-        last = run.beats[i - 1];
-        resumed = run.beats[i];
-      }
-    }
-    ASSERT_GE(last, 0.0) << "no silence in the node's beats";
+    // Node 0's instants are the integers: the drop at 20 swallows the beat
+    // at 20, the one at 28 is heard again.
+    const SimTime last = run.last;
+    const SimTime resumed = run.resumed;
+    ASSERT_EQ(last, from - 1.0);
+    ASSERT_EQ(resumed, from + span);
     std::size_t while_overdue = 0;
     std::size_t after_resume = 0;
     for (SimTime t : run.launches) {
