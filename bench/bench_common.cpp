@@ -3,7 +3,9 @@
 #include <sys/resource.h>
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <fstream>
 #include <map>
@@ -81,15 +83,13 @@ double SpeedProbe::speed_ms() const { return percentile(samples_, 10.0); }
 JsonReport::JsonReport(std::string name) : path_("BENCH_" + std::move(name) + ".json") {}
 
 void JsonReport::add(const std::string& key, double value) {
-  entries_.emplace_back(key, json_number(value));
+  char buf[32];
+  std::to_chars_result end = std::to_chars(buf, buf + sizeof(buf), value);
+  entries_.emplace_back(key, std::isfinite(value) ? std::string(buf, end.ptr) : "0");
 }
 
 void JsonReport::add(const std::string& key, const std::string& value) {
   entries_.emplace_back(key, json_quote(value));
-}
-
-void JsonReport::add_bool(const std::string& key, bool value) {
-  entries_.emplace_back(key, value ? "true" : "false");
 }
 
 void JsonReport::record_kernel(const KernelStats& stats) { kernel_ += stats; }

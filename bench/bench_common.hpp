@@ -1,4 +1,4 @@
-// Shared helpers for the paper bench and the host-side cost benches.
+// Shared helpers for bench/paper and bench/perf.
 #pragma once
 
 #include <iostream>
@@ -47,10 +47,10 @@ class JsonReport {
  public:
   explicit JsonReport(std::string name);
 
+  /// Written as the shortest text that reads back as the same double, so a
+  /// count copied into a checked-in baseline compares exactly.
   void add(const std::string& key, double value);
   void add(const std::string& key, const std::string& value);
-  /// Literal JSON booleans (true/false), not 0/1 numbers.
-  void add_bool(const std::string& key, bool value);
   /// Accumulate the kernel counters of a measured Simulation into the
   /// report footer. KernelStats is per-Simulator, so benches record each
   /// run they measure; the footer sums exactly those runs (not unrelated

@@ -75,7 +75,7 @@ std::vector<NodeId> build_fleet(Cluster& cluster, const FleetSpec& spec);
 FleetSpec hydra_fleet_spec();
 
 /// Hydra's 6:4:2 class ratio scaled to `nodes` total nodes with mild
-/// intra-class jitter — the workhorse of bench/scale_fleet.
+/// intra-class jitter — the workhorse of bench/perf's fleet section.
 FleetSpec scaled_hydra_fleet(int nodes, std::uint64_t seed);
 
 /// Parse a JSON fleet spec (schema in DESIGN.md §9). Unknown keys and

@@ -95,7 +95,7 @@ struct JobDiagnosis {
   SimTime submitted = 0.0;
   SimTime finished = 0.0;
   double jct = 0.0;
-  /// Sums to `jct` within 1e-9 (gated by bench/analyzer.cpp).
+  /// Sums to `jct` within 1e-9 (pinned by tests/test_analyzer.cpp).
   PhaseAttribution critical_path;
   std::vector<CriticalPathStep> path;
 };

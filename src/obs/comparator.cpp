@@ -96,12 +96,11 @@ std::string_view to_string(Verdict verdict) {
 }
 
 bool metric_is_comparable(std::string_view key) {
-  // Identity / configuration values, not performance metrics. Hardware
-  // shape (core count, starvation flag) is machine identity: two runs on
-  // different runners legitimately differ there.
+  // Identity / configuration values, not performance metrics. The core
+  // count is machine identity: two runs on different runners legitimately
+  // differ there.
   for (std::string_view skip : {"seed", "replication", "threads", "iterations", "n_nodes",
-                                "apps", "jobs_total", "hardware_concurrency",
-                                "core_starved"}) {
+                                "apps", "jobs_total", "hardware_concurrency"}) {
     if (contains(key, skip)) return false;
   }
   return true;
@@ -121,28 +120,6 @@ ComparisonReport compare_runs(const JsonValue& base, const JsonValue& test,
                               const ComparisonConfig& config) {
   MetricMap base_metrics = flatten(base);
   MetricMap test_metrics = flatten(test);
-
-  // Scaling verdicts (speedup, per-core efficiency) are meaningless when
-  // either run executed on a core-starved machine — drop them from both
-  // sides so a shared CI runner cannot fail a baseline captured on a full
-  // machine (or vice versa).
-  auto core_starved = [](const JsonValue& doc) {
-    if (!doc.is_object()) return false;
-    const JsonValue* v = doc.find("core_starved");
-    if (v == nullptr) return false;
-    return (v->is_bool() && v->as_bool()) || (v->is_number() && v->as_number() != 0.0);
-  };
-  if (core_starved(base) || core_starved(test)) {
-    auto scaling = [](const std::string& key) {
-      return contains(key, "speedup") || contains(key, "efficiency");
-    };
-    for (auto it = base_metrics.begin(); it != base_metrics.end();) {
-      it = scaling(it->first) ? base_metrics.erase(it) : std::next(it);
-    }
-    for (auto it = test_metrics.begin(); it != test_metrics.end();) {
-      it = scaling(it->first) ? test_metrics.erase(it) : std::next(it);
-    }
-  }
 
   ComparisonReport report;
   for (const auto& [key, b] : base_metrics) {

@@ -1,9 +1,9 @@
 // Overhead profiler — host wall-clock (steady_clock) timing of the
 // scheduler's own decision path, separate from simulated time. Reproduces
-// the paper's "negligible scheduling overhead" claim: bench/sched_overhead
-// runs every scheduler under the same workload and reports nanoseconds per
-// dispatch round, RUPAM's heap maintenance per dispatch round, and the
-// heartbeat and enqueue means from these stats.
+// the paper's "moderate scheduler delay" claim: bench/perf's sched section
+// runs every scheduler under the same workload and reports dispatch
+// nanoseconds per launch and per round and enqueue nanoseconds per taskset
+// from these stats.
 //
 // Scopes are null-safe RAII: with no profiler attached the hot path pays
 // a single pointer test and no clock reads.

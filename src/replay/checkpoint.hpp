@@ -13,7 +13,7 @@
 // divergence means the binary no longer reproduces the checkpointed run
 // (code drift, wrong build) and restore throws rather than silently
 // continuing a different run. Format in DESIGN.md §14; byte-identity of
-// restore-then-finish vs. a straight run is gated by bench/replay.cpp.
+// restore-then-finish vs. a straight run is pinned by tests/test_replay.cpp.
 //
 // Checkpoints cover single-application runs (arrivals == 0) — the only
 // mode the replay layer branches.

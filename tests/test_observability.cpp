@@ -15,6 +15,7 @@
 #include "app/simulation.hpp"
 #include "cluster/presets.hpp"
 #include "faults/fault_plan.hpp"
+#include "metrics/event_trace.hpp"
 #include "obs/metrics_registry.hpp"
 #include "obs/overhead.hpp"
 #include "workloads/presets.hpp"
@@ -493,6 +494,36 @@ TEST(SpanTrace, DisabledByDefaultAndNeverPerturbsResult) {
   SimTime t_obs = instrumented.run(two_stage_app());
   // Instrumentation must not change the simulated outcome at all.
   EXPECT_DOUBLE_EQ(t_plain, t_obs);
+
+  // Nor does analysis, which only copies ids: the Fig 3 scenario (PageRank
+  // under Spark on the slow/fast pair) gives a byte-identical event trace
+  // with it on and off.
+  auto fig3_trace = [](bool analysis) {
+    SimulationConfig cfg;
+    cfg.scheduler = SchedulerKind::kSpark;
+    cfg.switch_bandwidth = gbit_per_s(10.0);
+    {
+      Simulator probe_sim;
+      Cluster probe(probe_sim, gbit_per_s(10.0));
+      build_motivation_pair(probe);
+      for (NodeId id : probe.node_ids()) cfg.nodes.push_back(probe.node(id).spec());
+    }
+    cfg.enable_trace = true;
+    cfg.enable_analysis = analysis;
+    cfg.enable_spans = analysis;
+    cfg.enable_audit = analysis;
+    Simulation sim(cfg);
+    WorkloadParams params;
+    params.input_gb = 2.0;
+    params.iterations = 5;
+    params.seed = 1;
+    params.placement_weights = hdfs_placement_weights(sim.cluster());
+    sim.run(make_pagerank(sim.cluster().node_ids(), params));
+    std::ostringstream csv;
+    sim.trace()->write_csv(csv);
+    return csv.str();
+  };
+  EXPECT_EQ(fig3_trace(/*analysis=*/true), fig3_trace(/*analysis=*/false));
 }
 
 // -------------------------------------------------------------- Profiler

@@ -17,6 +17,7 @@
 #include "common/json_reader.hpp"
 #include "common/rng.hpp"
 #include "metrics/event_trace.hpp"
+#include "obs/analyzer.hpp"
 #include "replay/branch.hpp"
 #include "replay/checkpoint.hpp"
 #include "replay/whatif.hpp"
@@ -528,6 +529,34 @@ TEST(ReplayWhatif, AdvisorIsDeterministicAcrossThreadCounts) {
   write_whatif_json(advise_whatif(spec, stragglers, serial), a);
   write_whatif_json(advise_whatif(spec, stragglers, parallel), b);
   EXPECT_EQ(a.str(), b.str());
+}
+
+// Over the run's own diagnosis the advisor rediscovers the paper's fix: the
+// top finding swaps SQL-on-the-pair to RUPAM, saves p95 JCT and cites the
+// slow node class, and a node override for the blamed dispatch is a
+// candidate.
+TEST(ReplayWhatif, AdvisorRanksRupamFirstOnTheRunsOwnDiagnosis) {
+  RunSpec spec = sql_on_pair();
+  SimulationConfig obs;
+  obs.enable_analysis = true;
+  obs.enable_spans = true;
+  obs.enable_trace = true;
+  ReplayRun run = start_replay_run(spec, obs);
+  run.sim->finish();
+  std::ostringstream diagnosis;
+  write_diagnosis_json(analyze_run(run.sim->run_artifacts()), diagnosis);
+  WhatIfConfig cfg;
+  cfg.threads = 2;
+  WhatIfReport report = advise_whatif(spec, parse_diagnosis_stragglers(diagnosis.str()), cfg);
+  ASSERT_FALSE(report.findings.empty());
+  const WhatIfFinding& top = report.findings.front();
+  EXPECT_EQ(top.branch.label, "scheduler=rupam");
+  EXPECT_GT(top.p95_jct_saving, 0.0);
+  EXPECT_NE(top.motivation.find("slow_node_class"), std::string::npos) << top.motivation;
+  EXPECT_TRUE(std::any_of(report.findings.begin(), report.findings.end(),
+                          [](const WhatIfFinding& f) {
+                            return f.branch.kind == BranchKind::kNodeOverride;
+                          }));
 }
 
 // --------------------------------------------------------------------------

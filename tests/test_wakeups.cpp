@@ -111,8 +111,8 @@ TEST(WakeupOracle, FleetTeraSortMissesNothing) {
   }
 }
 
-// bench/elastic_fleet's elastic variant: FAIR pools, autoscaled burst
-// nodes joining and draining, fair-share preemption.
+// The elastic-fleet scenario (ElasticEndToEnd in test_elastic.cpp): FAIR
+// pools, autoscaled burst nodes joining and draining, fair-share preemption.
 TEST(WakeupOracle, ElasticFleetMissesNothing) {
   QuietLog quiet;
   SimulationConfig cfg;
