@@ -40,9 +40,6 @@ struct CliOptions {
   std::string compare_test;
   std::string compare_out;      // comparison JSON path; empty = table only
   bool compare_strict = false;  // exit 1 when any metric regressed
-  /// Relative significance floor for --compare (ComparisonConfig default
-  /// when unset). Wall-clock benches on shared runners want a loose one.
-  double compare_tolerance = -1.0;  // < 0: use the comparator default
   /// Sweep mode: path to a JSON SweepSpec (see sweep/sweep_spec.hpp);
   /// non-empty runs the whole grid on a worker pool and writes one JSON
   /// result matrix, ignoring `run`.
@@ -68,31 +65,18 @@ struct CliOptions {
   bool help = false;
 };
 
-/// Parse argv. Returns std::nullopt and writes one line to `err` on
-/// invalid input. Flags check their own syntax; the finished `run` then
-/// goes through RunSpec::validate, the same check --config files and
-/// checkpoints pass. Recognized flags:
-///   --config RUN.json
-///   --workload NAME --scheduler spark|rupam|stageaware|fifo|heft --fleet PATH
-///   --iterations N --repetitions N --seed N --sample
-///   --trace-csv PATH --trace-chrome PATH --trace-perfetto PATH
-///   --metrics-out PATH --explain PATH --analyze PATH --analyze-k K
-///   --report-out PATH
-///   --compare BASE TEST --compare-out PATH --compare-strict
-///   --compare-tolerance F
-///   --faults SPEC --chaos SEED
-///   --arrivals RATE --tenants N --pool-policy fifo|fair --duration T
-///   --diurnal AMP --diurnal-period T
-///   --autoscale MAX --spot-plan SPEC --preempt
-///   --sweep SPEC.json --sweep-threads N --sweep-out PATH
-///   --checkpoint-at T --checkpoint-out PATH --restore PATH
-///   --branch SPEC --branch-out PATH --whatif DIAG.json --whatif-out PATH
-///   --list --help
+/// Parse argv (the flags are those `rupam_sim --help` lists). Returns
+/// std::nullopt and writes one line to `err` on invalid input. Flags check
+/// their own syntax; the finished `run` then goes through
+/// RunSpec::validate, the same check --config files and checkpoints pass.
 std::optional<CliOptions> parse_cli(const std::vector<std::string>& args, std::ostream& err);
 
-/// Run per the options; returns the process exit code.
+/// Run per the options; returns the process exit code: 2 after one line
+/// to `err` on any failure, 1 when --compare-strict finds a regression or
+/// a sweep run fails, else 0.
 int run_cli(const CliOptions& options, std::ostream& out, std::ostream& err);
 
+/// The --help text, printed from the same flag table parse_cli reads.
 std::string cli_usage();
 
 }  // namespace rupam

@@ -12,6 +12,10 @@
 namespace rupam {
 namespace {
 
+/// Relative significance floor: |delta| must exceed this fraction of the
+/// larger magnitude even when the CIs don't overlap.
+constexpr double kRelTolerance = 0.02;
+
 bool contains(std::string_view key, std::string_view needle) {
   return key.find(needle) != std::string_view::npos;
 }
@@ -116,8 +120,7 @@ bool metric_lower_is_better(std::string_view key) {
   return true;
 }
 
-ComparisonReport compare_runs(const JsonValue& base, const JsonValue& test,
-                              const ComparisonConfig& config) {
+ComparisonReport compare_runs(const JsonValue& base, const JsonValue& test) {
   MetricMap base_metrics = flatten(base);
   MetricMap test_metrics = flatten(test);
 
@@ -140,7 +143,7 @@ ComparisonReport compare_runs(const JsonValue& base, const JsonValue& test,
     d.lower_is_better = metric_lower_is_better(key);
     double magnitude = std::max(std::abs(b.mean), std::abs(t.mean));
     bool significant = std::abs(d.delta) > b.ci95 + t.ci95 &&
-                       std::abs(d.delta) > config.rel_tolerance * magnitude;
+                       std::abs(d.delta) > kRelTolerance * magnitude;
     if (!significant) {
       d.verdict = Verdict::kWithinNoise;
       ++report.within_noise;
@@ -159,9 +162,8 @@ ComparisonReport compare_runs(const JsonValue& base, const JsonValue& test,
   return report;
 }
 
-ComparisonReport compare_json_text(const std::string& base_text, const std::string& test_text,
-                                   const ComparisonConfig& config) {
-  return compare_runs(parse_json(base_text), parse_json(test_text), config);
+ComparisonReport compare_json_text(const std::string& base_text, const std::string& test_text) {
+  return compare_runs(parse_json(base_text), parse_json(test_text));
 }
 
 void write_comparison_json(const ComparisonReport& report, std::ostream& os) {

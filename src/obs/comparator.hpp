@@ -1,9 +1,8 @@
 // Cross-run regression detection — diff two machine-readable run reports
 // (flat BENCH_*.json objects or sweep matrix JSONs) metric by metric, with
 // CI-aware significance: a delta only counts as improved/regressed when it
-// clears both the combined 95% confidence half-widths and a relative
-// tolerance, everything else is within-noise. This is what lets the
-// checked-in BENCH baselines gate themselves in CI (DESIGN.md §13).
+// clears both the combined 95% confidence half-widths and 2% of its
+// magnitude, everything else is within-noise (DESIGN.md §13).
 #pragma once
 
 #include <cstddef>
@@ -38,12 +37,6 @@ struct MetricDelta {
   Verdict verdict = Verdict::kWithinNoise;
 };
 
-struct ComparisonConfig {
-  /// Relative significance floor: |delta| must exceed this fraction of the
-  /// larger magnitude even when the CIs don't overlap.
-  double rel_tolerance = 0.02;
-};
-
 struct ComparisonReport {
   std::vector<MetricDelta> deltas;
   std::vector<std::string> only_in_base;  // metrics the test run dropped
@@ -67,12 +60,10 @@ bool metric_lower_is_better(std::string_view key);
 /// five grid coordinates, aggregate means compared with their CIs); any
 /// other object is a flat metric→number report (BENCH_*.json). Throws
 /// std::invalid_argument when a document is neither.
-ComparisonReport compare_runs(const JsonValue& base, const JsonValue& test,
-                              const ComparisonConfig& config = {});
+ComparisonReport compare_runs(const JsonValue& base, const JsonValue& test);
 
 /// Parse both texts (throws JsonParseError on malformed input) and diff.
-ComparisonReport compare_json_text(const std::string& base_text, const std::string& test_text,
-                                   const ComparisonConfig& config = {});
+ComparisonReport compare_json_text(const std::string& base_text, const std::string& test_text);
 
 /// Machine-readable comparison document (schema in DESIGN.md §13).
 void write_comparison_json(const ComparisonReport& report, std::ostream& os);

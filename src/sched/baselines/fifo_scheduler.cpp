@@ -10,6 +10,7 @@ void FifoScheduler::try_dispatch() {
   bool progressed = pending_tasks() > 0;
   while (progressed) {
     progressed = false;
+    bool drained = false;
     const std::vector<StageState*>& ordered = schedulable_stages();
     NodeId start = static_cast<NodeId>(rotation_ % n);
     for_each_ready_node(start, [&](NodeId node, Executor&) {
@@ -28,12 +29,20 @@ void FifoScheduler::try_dispatch() {
         if (launch_task(stage, *next, node, next->spec.gpu_accelerable,
                         /*speculative=*/false)) {
           progressed = true;
+          drained = pending_tasks() == 0;
         }
         break;  // earliest taskset in policy order only
       }
-      return true;  // one launch per node per pass
+      return !drained;  // one launch per node per pass
     });
     ++rotation_;
+    // The pass after the one that empties the pending set would launch
+    // nothing: skip it, but keep its rotation step so every later round
+    // starts on the node it always did.
+    if (drained) {
+      ++rotation_;
+      break;
+    }
   }
   for (auto [stage_id, task_index] : find_speculatable()) {
     auto it = stages_.find(stage_id);

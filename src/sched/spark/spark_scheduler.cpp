@@ -171,6 +171,7 @@ void SparkScheduler::try_dispatch() {
   bool progressed = pending_tasks() > 0;
   while (progressed) {
     progressed = false;
+    bool drained = false;
     // Re-rank tasksets each offer round: under FAIR the launches of the
     // previous round shift every pool's share.
     const std::vector<StageState*>& ordered = schedulable_stages();
@@ -205,10 +206,18 @@ void SparkScheduler::try_dispatch() {
       if (launch_task(*c.stage, *c.task, node, c.task->spec.gpu_accelerable,
                       /*speculative=*/false)) {
         progressed = true;
+        drained = pending_tasks() == 0;
       }
-      return true;
+      return !drained;
     });
     ++offer_rotation_;
+    // The pass after the one that empties the pending set would launch
+    // nothing: skip it, but keep its rotation step so every later round
+    // starts on the node it always did.
+    if (drained) {
+      ++offer_rotation_;
+      break;
+    }
   }
   if (launch_speculative_copies()) {
     // A speculative launch can free no slot, so no re-loop is needed.

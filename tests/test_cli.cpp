@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cstdio>
+#include <fstream>
 #include <functional>
 #include <set>
 #include <sstream>
@@ -111,7 +113,6 @@ TEST(Cli, UsageTextCoversEveryFlag) {
       {"compare_test", "--compare"},
       {"compare_out", "--compare-out"},
       {"compare_strict", "--compare-strict"},
-      {"compare_tolerance", "--compare-tolerance"},
       {"sweep", "--sweep"},
       {"sweep_threads", "--sweep-threads"},
       {"sweep_out", "--sweep-out"},
@@ -205,7 +206,6 @@ TEST(Cli, NumbersParseStrictly) {
       {"--tenants", "3000000000"},
       {"--autoscale", " 2"},
       {"--analyze-k", ""},
-      {"--compare-tolerance", "0.1x"},
       {"--sweep-threads", "-0.5"},
   };
   for (const auto& bad : bad_args) {
@@ -328,6 +328,54 @@ TEST(Cli, HelpAndList) {
   EXPECT_EQ(run_cli(list, out2, err), 0);
   EXPECT_NE(out2.str().find("TeraSort"), std::string::npos);
   EXPECT_NE(out2.str().find("KMeans"), std::string::npos);
+}
+
+// --help is pinned byte for byte: the flag table must print exactly
+// tests/golden/cli_help.txt.
+TEST(Cli, HelpMatchesGolden) {
+  std::ifstream f(std::string(RUPAM_TEST_DATA_DIR) + "/golden/cli_help.txt", std::ios::binary);
+  ASSERT_TRUE(f.is_open());
+  std::ostringstream golden;
+  golden << f.rdbuf();
+  EXPECT_EQ(cli_usage(), golden.str());
+}
+
+// An output path that cannot be opened fails like bad input: exit 2 and
+// one stderr line, after whatever the mode printed before it wrote (the
+// multi-tenant report's five lines, the sweep's progress line).
+TEST(Cli, UnopenableOutputExitsTwoWithOneLine) {
+  const std::string report = ::testing::TempDir() + "/cli_report.json";
+  const std::string sweep = ::testing::TempDir() + "/cli_one_cell_sweep.json";
+  std::ofstream(report) << R"({"makespan_s": 1.0})";
+  std::ofstream(sweep) << R"({"replications": 1, "schedulers": ["spark"], "mix": ["GM"],)"
+                          R"( "duration": 30, "max_apps": 1})";
+  const std::string bad = "/nonexistent/out";
+  struct Case {
+    std::vector<std::string> args;
+    std::string err_before;
+    long stdout_lines;
+  };
+  const std::vector<Case> cases = {
+      {{"--workload", "GM", "--iterations", "1", "--trace-csv", bad}, "", 0},
+      {{"--workload", "GM", "--iterations", "1", "--report-out", bad}, "", 0},
+      {{"--workload", "GM", "--arrivals", "0.05", "--duration", "60", "--metrics-out", bad}, "", 5},
+      {{"--workload", "GM", "--iterations", "1", "--checkpoint-at", "10", "--checkpoint-out", bad},
+       "",
+       0},
+      {{"--compare", report, report, "--compare-out", bad}, "", 0},
+      {{"--sweep", sweep, "--sweep-threads", "1", "--sweep-out", bad}, "[sweep] 1/1 runs\n", 0},
+  };
+  for (const Case& c : cases) {
+    std::ostringstream out, err;
+    std::optional<CliOptions> opts = parse_cli(c.args, err);
+    ASSERT_TRUE(opts.has_value()) << err.str();
+    EXPECT_EQ(run_cli(*opts, out, err), 2) << c.args[0];
+    EXPECT_EQ(err.str(), c.err_before + "cannot open " + bad + "\n") << c.args[0];
+    const std::string text = out.str();
+    EXPECT_EQ(std::count(text.begin(), text.end(), '\n'), c.stdout_lines) << text;
+  }
+  std::remove(report.c_str());
+  std::remove(sweep.c_str());
 }
 
 TEST(Cli, UnknownWorkloadFails) {
