@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <vector>
 
 namespace rupam {
 namespace {
@@ -50,7 +49,7 @@ void FairShareResource::integrate_progress() {
   busy_seconds_ += dt;
   double base = share_rate();
   virtual_clock_ += base * dt;
-  for (auto& [id, claim] : claims_) {
+  for (Claim& claim : claims_) {
     double drained = base * claim.speed_factor * dt;
     drained = std::min(drained, claim.remaining);
     claim.remaining -= drained;
@@ -64,8 +63,7 @@ FairShareResource::ClaimId FairShareResource::start(double work, double speed_fa
   integrate_progress();
   ClaimId id = next_id_++;
   double eta_key = virtual_clock_ + std::max(work, 0.0) / speed_factor;
-  claims_.emplace(id, Claim{std::max(work, 0.0), speed_factor, eta_key, std::move(on_complete)});
-  eta_index_.emplace(eta_key, id);
+  claims_.push_back(Claim{id, std::max(work, 0.0), speed_factor, eta_key, std::move(on_complete)});
   reschedule();
   return id;
 }
@@ -80,11 +78,11 @@ void FairShareResource::set_capacity_scale(double scale) {
 }
 
 void FairShareResource::cancel(ClaimId id) {
-  auto it = claims_.find(id);
-  if (it == claims_.end()) return;
+  auto it = std::lower_bound(claims_.begin(), claims_.end(), id,
+                             [](const Claim& c, ClaimId key) { return c.id < key; });
+  if (it == claims_.end() || it->id != id) return;
   std::size_t before = claims_.size();
   integrate_progress();
-  eta_index_.erase({it->second.eta_key, id});
   claims_.erase(it);
   reschedule();
   if (on_release_) on_release_(before);
@@ -97,12 +95,15 @@ void FairShareResource::reschedule() {
     return;
   }
   double base = share_rate();
-  // The index front is the earliest finisher; its ETA is evaluated with the
-  // same expression the former full scan used, so the scheduled time (and
-  // thus every golden trace) is bit-identical.
-  const Claim& front = claims_.find(eta_index_.begin()->second)->second;
-  double rate = base * front.speed_factor;
-  double delay = std::max(front.remaining / rate, 0.0);
+  // The earliest finisher is the least (eta_key, id): claims are in id
+  // order, so a strict comparison keeps the lowest id among equal keys.
+  // Its ETA is evaluated from its own remaining work and speed factor.
+  const Claim* front = &claims_.front();
+  for (const Claim& c : claims_) {
+    if (c.eta_key < front->eta_key) front = &c;
+  }
+  double rate = base * front->speed_factor;
+  double delay = std::max(front->remaining / rate, 0.0);
   SimTime when = sim_.now() + delay;
   if (pending_event_.pending() && when == pending_time_) {
     // Same completion instant as the already-queued event (common when
@@ -119,25 +120,28 @@ void FairShareResource::on_completion_event() {
   std::size_t before = claims_.size();
   integrate_progress();
   double base = share_rate();
-  std::vector<CompletionFn> finished;
-  for (auto it = claims_.begin(); it != claims_.end();) {
-    double rate = base * it->second.speed_factor;
-    if (it->second.remaining <= rate * kTimeEpsilon) {
-      finished.push_back(std::move(it->second.on_complete));
-      drained_ += it->second.remaining;
-      eta_index_.erase({it->second.eta_key, it->first});
-      it = claims_.erase(it);
+  // Finishers leave in claim-id order; the rest close ranks in place.
+  auto kept = claims_.begin();
+  for (Claim& claim : claims_) {
+    double rate = base * claim.speed_factor;
+    if (claim.remaining <= rate * kTimeEpsilon) {
+      finished_.push_back(std::move(claim.on_complete));
+      drained_ += claim.remaining;
     } else {
-      ++it;
+      if (&*kept != &claim) *kept = std::move(claim);
+      ++kept;
     }
   }
+  claims_.erase(kept, claims_.end());
   reschedule();
-  // Callbacks run after internal state is consistent; they may start new
-  // claims on this resource (each start() reschedules safely).
-  for (auto& fn : finished) {
+  // Callbacks run after internal state is consistent; they may start and
+  // cancel claims on this resource (each start() reschedules safely, and
+  // only this handler touches finished_).
+  for (CompletionFn& fn : finished_) {
     if (fn) fn();
   }
-  if (on_release_ && !finished.empty()) on_release_(before);
+  if (on_release_ && !finished_.empty()) on_release_(before);
+  finished_.clear();
 }
 
 double FairShareResource::utilization() const {
@@ -156,7 +160,7 @@ double FairShareResource::utilization() const {
 double FairShareResource::current_rate() const {
   double base = share_rate();
   double total = 0.0;
-  for (const auto& [id, claim] : claims_) total += base * claim.speed_factor;
+  for (const Claim& claim : claims_) total += base * claim.speed_factor;
   return total;
 }
 

@@ -6,23 +6,26 @@
 // completion event is rescheduled. This makes resource contention an
 // emergent property of the simulation — the effect RUPAM exploits.
 //
-// The earliest finisher is tracked incrementally: every active claim drains
-// its normalized work (remaining / speed_factor) at the same capacity-side
-// rate, so ordering claims by "virtual clock at admission + normalized
-// work" is invariant under both elapsed time and capacity changes. The
-// reschedule path reads the front of that index in O(log n) instead of
-// scanning all claims, and skips the cancel/repush entirely when the
-// earliest completion time is unchanged (bit-exact comparison).
+// Claims live in one vector in ascending claim id (ids only grow, so a
+// start appends). Every active claim drains its normalized work
+// (remaining / speed_factor) at the same capacity-side rate, so a claim's
+// "virtual clock at admission + normalized work" (its eta_key) is
+// invariant under both elapsed time and capacity changes, and the earliest
+// finisher is the claim with the least (eta_key, id). Finding it is one
+// scan of the vector — no dearer than the progress integration that
+// already walks every claim whenever time advances — and the reschedule
+// skips the cancel/repush entirely when the earliest completion time is
+// unchanged (bit-exact comparison).
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <map>
-#include <set>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "common/types.hpp"
+#include "simcore/inline_function.hpp"
 #include "simcore/simulator.hpp"
 
 namespace rupam {
@@ -30,7 +33,7 @@ namespace rupam {
 class FairShareResource {
  public:
   using ClaimId = std::uint64_t;
-  using CompletionFn = std::function<void()>;
+  using CompletionFn = InlineFunction<void()>;
   /// Called after claims leave (completion or cancel), once per event,
   /// with the active() count before they left.
   using ReleaseHook = std::function<void(std::size_t active_before)>;
@@ -84,10 +87,11 @@ class FairShareResource {
 
  private:
   struct Claim {
+    ClaimId id;
     double remaining;
     double speed_factor;
-    /// Completion key in the eta index: virtual clock at admission plus
-    /// normalized work (see header comment). Constant for the claim's life.
+    /// Virtual clock at admission plus normalized work (see header
+    /// comment). Constant for the claim's life.
     double eta_key;
     CompletionFn on_complete;
   };
@@ -104,9 +108,12 @@ class FairShareResource {
   double per_claim_cap_;
   double concurrency_penalty_;
   double capacity_scale_ = 1.0;
-  std::map<ClaimId, Claim> claims_;
-  /// Claims ordered by eta_key: the front is always the earliest finisher.
-  std::set<std::pair<double, ClaimId>> eta_index_;
+  /// Active claims in ascending id: every walk over them (progress, the
+  /// drained_ sum, completions) runs in claim-id order.
+  std::vector<Claim> claims_;
+  /// The finishers of the running completion event, reused from event to
+  /// event (one per resource, so concurrent simulations never share it).
+  std::vector<CompletionFn> finished_;
   /// Integral of share_rate() over time — the pace at which every active
   /// claim's normalized work drains.
   double virtual_clock_ = 0.0;

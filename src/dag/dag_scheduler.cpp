@@ -1,6 +1,7 @@
 #include "dag/dag_scheduler.hpp"
 
 #include <algorithm>
+#include <set>
 #include <stdexcept>
 
 #include "common/log.hpp"
@@ -68,8 +69,16 @@ void DagScheduler::start_next_job(AppRun& run) {
   for (const auto& stage : job.stages) {
     StageProgress p;
     p.stage = &stage;
-    for (const auto& t : stage.tasks.tasks) p.remaining_partitions.insert(t.partition);
-    if (p.remaining_partitions.empty()) p.complete = true;  // degenerate empty stage
+    const auto& tasks = stage.tasks.tasks;
+    if (!tasks.empty()) {
+      auto [lo, hi] = std::minmax_element(
+          tasks.begin(), tasks.end(),
+          [](const TaskSpec& a, const TaskSpec& b) { return a.partition < b.partition; });
+      p.first_partition = lo->partition;
+      p.outstanding.assign(static_cast<std::size_t>(hi->partition - lo->partition) + 1, false);
+      for (const auto& t : tasks) p.mark_outstanding(t.partition);
+    }
+    if (p.remaining == 0) p.complete = true;  // degenerate empty stage
     run.progress.emplace(stage.id, std::move(p));
     stage_index_[stage.id] = &run;
   }
@@ -132,13 +141,29 @@ void DagScheduler::on_partition_success(StageId stage, int partition, NodeId nod
   if (p.stage->is_shuffle_map && node != kInvalidNode) {
     outputs_.record(run.job->id, stage, partition, node);
   }
-  p.remaining_partitions.erase(partition);
-  if (!p.complete && p.remaining_partitions.empty()) {
+  p.mark_done(partition);
+  if (!p.complete && p.remaining == 0) {
     p.complete = true;
     ++stages_completed_;
     RUPAM_INFO(sim_.now(), "stage ", stage, " (", p.stage->name, ") complete");
     submit_ready_stages(run);  // may finish the job/application; last use of `run`
   }
+}
+
+void DagScheduler::StageProgress::mark_outstanding(int partition) {
+  auto index = static_cast<std::size_t>(partition - first_partition);
+  if (outstanding[index]) return;
+  outstanding[index] = true;
+  ++remaining;
+}
+
+void DagScheduler::StageProgress::mark_done(int partition) {
+  // A stale or foreign partition id is not outstanding.
+  if (partition < first_partition) return;
+  auto index = static_cast<std::size_t>(partition - first_partition);
+  if (index >= outstanding.size() || !outstanding[index]) return;
+  outstanding[index] = false;
+  --remaining;
 }
 
 bool DagScheduler::needed_by_incomplete_child(const AppRun& run, StageId stage) const {
@@ -178,7 +203,7 @@ std::size_t DagScheduler::on_node_lost(NodeId node) {
     }
     if (partial.tasks.empty()) continue;
     for (const auto& spec : partial.tasks) {
-      p.remaining_partitions.insert(spec.partition);
+      p.mark_outstanding(spec.partition);
       ++recompute_counts_[{stage_id, spec.partition}];
     }
     p.complete = false;

@@ -20,7 +20,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <set>
 #include <vector>
 
 #include "dag/job.hpp"
@@ -104,9 +103,16 @@ class DagScheduler {
  private:
   struct StageProgress {
     const Stage* stage = nullptr;
-    std::set<int> remaining_partitions;
+    /// outstanding[p - first_partition]: partition p has not succeeded
+    /// since it was last submitted; `remaining` counts the set flags.
+    std::vector<bool> outstanding;
+    int first_partition = 0;
+    std::size_t remaining = 0;
     bool submitted = false;
     bool complete = false;
+
+    void mark_outstanding(int partition);
+    void mark_done(int partition);
   };
   /// One in-flight application with its active job's stage progress.
   struct AppRun {

@@ -1,21 +1,55 @@
 #include "dag/job.hpp"
 
-#include <set>
+#include <algorithm>
+#include <span>
 #include <stdexcept>
+#include <vector>
 
 namespace rupam {
+namespace {
 
-void Job::validate() const {
-  std::set<StageId> ids;
-  for (const auto& s : stages) {
-    s.validate();
-    if (!ids.insert(s.id).second) throw std::invalid_argument("Job: duplicate stage id");
-  }
-  for (const auto& s : stages) {
-    for (StageId p : s.parents) {
-      if (ids.count(p) == 0) throw std::invalid_argument("Job: parent stage not in job");
+/// A stage id and the index of the job holding it. Sorted, each id's
+/// occurrences sit side by side.
+struct StageRef {
+  StageId id;
+  std::size_t job;
+  auto operator<=>(const StageRef&) const = default;
+};
+
+/// Every stage's own checks; then, over the sorted `refs` of all of
+/// `jobs`' stages, a stage id repeated within a job or across jobs, and a
+/// parent that is not in its stage's job.
+void validate_stages(std::span<const Job> jobs, std::vector<StageRef>& refs) {
+  for (std::size_t j = 0; j < jobs.size(); ++j) {
+    for (const auto& s : jobs[j].stages) {
+      s.validate();
+      refs.push_back({s.id, j});
     }
   }
+  std::sort(refs.begin(), refs.end());
+  for (std::size_t i = 1; i < refs.size(); ++i) {
+    if (refs[i].id != refs[i - 1].id) continue;
+    throw std::invalid_argument(refs[i].job == refs[i - 1].job
+                                    ? "Job: duplicate stage id"
+                                    : "Application: stage id reused across jobs");
+  }
+  for (std::size_t j = 0; j < jobs.size(); ++j) {
+    for (const auto& s : jobs[j].stages) {
+      for (StageId p : s.parents) {
+        if (!std::binary_search(refs.begin(), refs.end(), StageRef{p, j})) {
+          throw std::invalid_argument("Job: parent stage not in job");
+        }
+      }
+    }
+  }
+}
+
+}  // namespace
+
+void Job::validate() const {
+  std::vector<StageRef> refs;
+  refs.reserve(stages.size());
+  validate_stages(std::span<const Job>(this, 1), refs);
 }
 
 std::size_t Application::total_tasks() const {
@@ -63,20 +97,20 @@ void offset_ids(Application& app, JobId job_base, StageId stage_base, TaskId tas
 }
 
 void Application::validate() const {
-  std::set<StageId> stage_ids;
-  std::set<TaskId> task_ids;
+  // Flat sorted id lists: two allocations, however many stages and tasks.
+  std::vector<StageRef> refs;
+  refs.reserve(total_stages());
+  validate_stages(jobs, refs);
+  std::vector<TaskId> task_ids;
+  task_ids.reserve(total_tasks());
   for (const auto& j : jobs) {
-    j.validate();
     for (const auto& s : j.stages) {
-      if (!stage_ids.insert(s.id).second) {
-        throw std::invalid_argument("Application: stage id reused across jobs");
-      }
-      for (const auto& t : s.tasks.tasks) {
-        if (!task_ids.insert(t.id).second) {
-          throw std::invalid_argument("Application: duplicate task id");
-        }
-      }
+      for (const auto& t : s.tasks.tasks) task_ids.push_back(t.id);
     }
+  }
+  std::sort(task_ids.begin(), task_ids.end());
+  if (std::adjacent_find(task_ids.begin(), task_ids.end()) != task_ids.end()) {
+    throw std::invalid_argument("Application: duplicate task id");
   }
 }
 

@@ -25,6 +25,7 @@
 #include "exec/block_cache.hpp"
 #include "exec/gc_model.hpp"
 #include "obs/spans.hpp"
+#include "simcore/inline_function.hpp"
 #include "tasks/task.hpp"
 #include "tasks/task_metrics.hpp"
 
@@ -59,8 +60,8 @@ struct LaunchOptions {
 /// One task attempt in flight. Owned by the executor while running.
 class TaskExecution : public std::enable_shared_from_this<TaskExecution> {
  public:
-  using FinishFn = std::function<void(const TaskMetrics&)>;
-  using FailFn = std::function<void(const TaskSpec&, AttemptId, const std::string& reason)>;
+  using FinishFn = InlineFunction<void(const TaskMetrics&)>;
+  using FailFn = InlineFunction<void(const TaskSpec&, AttemptId, const std::string& reason)>;
 
   TaskExecution(Executor& executor, TaskSpec spec, LaunchOptions opts, FinishFn on_finish,
                 FailFn on_fail);

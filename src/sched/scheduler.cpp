@@ -681,7 +681,7 @@ void SchedulerBase::handle_success(StageId stage_id, std::size_t task_index, Att
           std::string(to_string(metrics.locality)), metrics.run_time());
   }
   completed_.push_back(metrics);
-  insert_finished_runtime(stage.finished_runtimes, metrics.run_time());
+  if (speculation_.enabled) insert_finished_runtime(stage.finished_runtimes, metrics.run_time());
   --stage.remaining;
   task_succeeded(stage, task, metrics);
   if (on_partition_success_) {

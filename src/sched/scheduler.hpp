@@ -115,6 +115,8 @@ class SchedulerBase {
   void set_partition_success_handler(PartitionSuccessFn fn) {
     on_partition_success_ = std::move(fn);
   }
+  /// Set before the first submit: successes record their runtimes only
+  /// while speculation is on.
   void configure_speculation(const SpeculationConfig& cfg) { speculation_ = cfg; }
   void configure_fault_tolerance(const FaultToleranceConfig& cfg) { fault_tolerance_ = cfg; }
   void configure_preemption(const PreemptionConfig& cfg) { preemption_ = cfg; }
@@ -260,7 +262,8 @@ class SchedulerBase {
     std::size_t remaining = 0;
     /// One runtime per successful task, in ascending order
     /// (insert_finished_runtime), so the straggler threshold is an O(1)
-    /// read of the median.
+    /// read of the median. Filled only while speculation is on: the
+    /// straggler rule is its only reader.
     std::vector<double> finished_runtimes;
     /// Lower bound on the launch time of the tasks the straggler scan can
     /// return: unfinished, exactly one live attempt, no speculative copy

@@ -1,13 +1,16 @@
-// Move-only `void()` callable with small-buffer-optimized storage.
+// Move-only callable with small-buffer-optimized storage, declared by its
+// call signature like std::function: InlineFunction<void()>,
+// InlineFunction<void(const TaskMetrics&)>.
 //
-// The event queue stores one callback per scheduled event; with
-// std::function every schedule_*() heap-allocates the capture. Almost all
-// kernel callbacks capture a `this` pointer plus a couple of scalars or a
-// shared_ptr, so a 48-byte inline buffer keeps the common case off the
-// allocator entirely. Oversized captures still work — they fall back to a
-// single heap allocation, visible via heap_allocated() so the Simulator
-// can count them (KernelStats::callback_heap_allocs) and benches can
-// assert the hot path stays allocation-free.
+// The event queue stores one callback per scheduled event, a resource
+// stores one per claim and a task attempt two; with std::function each of
+// those heap-allocates its capture. Almost all of them capture a `this`
+// pointer plus a few scalars or a shared_ptr, so a 48-byte inline buffer
+// keeps the common case off the allocator entirely. Oversized captures
+// still work — they fall back to a single heap allocation, visible via
+// heap_allocated() so the Simulator can count them
+// (KernelStats::callback_heap_allocs) and benches can assert the hot path
+// stays allocation-free.
 #pragma once
 
 #include <cstddef>
@@ -17,15 +20,22 @@
 
 namespace rupam {
 
-class InlineFunction {
+template <typename Signature>
+class InlineFunction;
+
+template <typename R, typename... Args>
+class InlineFunction<R(Args...)> {
  public:
   static constexpr std::size_t kInlineBytes = 48;
 
   InlineFunction() = default;
+  // NOLINTNEXTLINE(google-explicit-constructor): an empty callback, as with std::function
+  InlineFunction(std::nullptr_t) noexcept {}
 
   template <typename F, typename D = std::decay_t<F>,
             typename = std::enable_if_t<!std::is_same_v<D, InlineFunction> &&
-                                        std::is_invocable_r_v<void, D&>>>
+                                        !std::is_same_v<D, std::nullptr_t> &&
+                                        std::is_invocable_r_v<R, D&, Args...>>>
   InlineFunction(F&& fn) {  // NOLINT(google-explicit-constructor): drop-in for std::function
     construct<D>(std::forward<F>(fn));
   }
@@ -42,7 +52,7 @@ class InlineFunction {
   InlineFunction& operator=(const InlineFunction&) = delete;
   ~InlineFunction() { reset(); }
 
-  void operator()() { invoke_(buf_); }
+  R operator()(Args... args) { return invoke_(buf_, std::forward<Args>(args)...); }
   explicit operator bool() const { return invoke_ != nullptr; }
 
   /// True when the capture exceeded kInlineBytes and lives on the heap
@@ -59,7 +69,7 @@ class InlineFunction {
 
  private:
   enum class Op { kDestroy, kMove };
-  using Invoker = void (*)(void*);
+  using Invoker = R (*)(void*, Args&&...);
   using Manager = void (*)(Op, void* self, void* dest);
 
   template <typename D>
@@ -72,7 +82,9 @@ class InlineFunction {
   void construct(F&& fn) {
     if constexpr (fits_inline<D>()) {
       ::new (static_cast<void*>(buf_)) D(std::forward<F>(fn));
-      invoke_ = [](void* p) { (*std::launder(reinterpret_cast<D*>(p)))(); };
+      invoke_ = [](void* p, Args&&... args) -> R {
+        return (*std::launder(reinterpret_cast<D*>(p)))(std::forward<Args>(args)...);
+      };
       manage_ = [](Op op, void* self, void* dest) {
         D* s = std::launder(reinterpret_cast<D*>(self));
         if (op == Op::kDestroy) {
@@ -85,7 +97,9 @@ class InlineFunction {
     } else {
       heap_ = true;
       ::new (static_cast<void*>(buf_)) D*(new D(std::forward<F>(fn)));
-      invoke_ = [](void* p) { (**std::launder(reinterpret_cast<D**>(p)))(); };
+      invoke_ = [](void* p, Args&&... args) -> R {
+        return (**std::launder(reinterpret_cast<D**>(p)))(std::forward<Args>(args)...);
+      };
       manage_ = [](Op op, void* self, void* dest) {
         D** s = std::launder(reinterpret_cast<D**>(self));
         if (op == Op::kDestroy) {

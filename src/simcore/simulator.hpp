@@ -51,7 +51,7 @@ class EventHandle {
 
 class Simulator {
  public:
-  using Callback = InlineFunction;
+  using Callback = InlineFunction<void()>;
   /// An event's place among those at its time: posting time, then sequence.
   struct Stamp {
     SimTime posted = 0.0;
