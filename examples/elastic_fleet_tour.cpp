@@ -7,9 +7,10 @@
 //
 //   ./elastic_fleet_tour [seed]
 //
-// The same scenario is available from the CLI:
-//   rupam_sim --tenants 3 --arrival-rate 0.05 --diurnal 1.0 \
-//             --diurnal-period 120 --autoscale 6 --preempt \
+// A similar scenario runs from the CLI, on the 12-node Hydra fleet (one
+// command):
+//   rupam_sim --tenants 3 --arrivals 0.05 --duration 240 --diurnal 1.0
+//             --diurnal-period 120 --autoscale 6 --preempt
 //             --spot-plan "spot@100:node=1:notice=10" --pool-policy fair
 #include <cstdlib>
 #include <iostream>

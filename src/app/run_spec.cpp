@@ -131,12 +131,12 @@ void write_run_spec_json(const RunSpec& spec, JsonWriter& w) {
   w.key("sample_utilization").value(spec.sample_utilization);
   if (!spec.faults.empty()) w.key("faults").value(spec.faults);
   w.key("chaos_seed").value(static_cast<unsigned long long>(spec.chaos_seed));
-  w.key("arrivals").raw(json_number(spec.arrivals, 12));
+  w.key("arrivals").number(spec.arrivals, 12);
   w.key("tenants").value(spec.tenants);
   w.key("pool_policy").value(pool_policy_name(spec.pool_policy));
-  w.key("duration").raw(json_number(spec.duration, 12));
-  w.key("diurnal").raw(json_number(spec.diurnal, 12));
-  w.key("diurnal_period").raw(json_number(spec.diurnal_period, 12));
+  w.key("duration").number(spec.duration, 12);
+  w.key("diurnal").number(spec.diurnal, 12);
+  w.key("diurnal_period").number(spec.diurnal_period, 12);
   w.key("autoscale").value(spec.autoscale);
   if (!spec.spot_plan.empty()) w.key("spot_plan").value(spec.spot_plan);
   w.key("preempt").value(spec.preempt);

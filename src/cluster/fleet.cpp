@@ -278,7 +278,7 @@ void write_fleet_json(const FleetSpec& spec, JsonWriter& w) {
   w.key("name").value(spec.name);
   w.key("seed").value(static_cast<unsigned long long>(spec.seed));
   if (spec.switch_bandwidth > 0.0) {
-    w.key("switch_gbps").raw(json_number(spec.switch_bandwidth * 8.0 / 1e9, 12));
+    w.key("switch_gbps").number(spec.switch_bandwidth * 8.0 / 1e9, 12);
   }
   w.key("classes").begin_array();
   for (const NodeClassMix& mix : spec.classes) {
@@ -286,22 +286,22 @@ void write_fleet_json(const FleetSpec& spec, JsonWriter& w) {
     w.key("name").value(mix.name);
     w.key("count").value(mix.count);
     w.key("cores").value(mix.base.cores);
-    w.key("cpu_ghz").raw(json_number(mix.base.cpu_ghz, 12));
-    w.key("cpu_perf").raw(json_number(mix.base.cpu_perf, 12));
-    w.key("memory_gb").raw(json_number(to_gib(mix.base.memory), 12));
-    w.key("net_gbps").raw(json_number(mix.base.net_bandwidth * 8.0 / 1e9, 12));
+    w.key("cpu_ghz").number(mix.base.cpu_ghz, 12);
+    w.key("cpu_perf").number(mix.base.cpu_perf, 12);
+    w.key("memory_gb").number(to_gib(mix.base.memory), 12);
+    w.key("net_gbps").number(mix.base.net_bandwidth * 8.0 / 1e9, 12);
     w.key("ssd").value(mix.base.has_ssd);
-    w.key("disk_read_mbps").raw(json_number(to_mib(mix.base.disk_read_bw), 12));
-    w.key("disk_write_mbps").raw(json_number(to_mib(mix.base.disk_write_bw), 12));
-    w.key("disk_capacity_gb").raw(json_number(to_gib(mix.base.disk_capacity), 12));
+    w.key("disk_read_mbps").number(to_mib(mix.base.disk_read_bw), 12);
+    w.key("disk_write_mbps").number(to_mib(mix.base.disk_write_bw), 12);
+    w.key("disk_capacity_gb").number(to_gib(mix.base.disk_capacity), 12);
     w.key("gpus").value(mix.base.gpus);
-    w.key("gpu_speedup").raw(json_number(mix.base.gpu_speedup, 12));
-    w.key("hourly_cost").raw(json_number(mix.base.hourly_cost, 12));
-    w.key("cpu_jitter").raw(json_number(mix.cpu_jitter, 12));
-    w.key("mem_jitter").raw(json_number(mix.mem_jitter, 12));
-    w.key("net_jitter").raw(json_number(mix.net_jitter, 12));
-    w.key("disk_jitter").raw(json_number(mix.disk_jitter, 12));
-    w.key("gpu_fraction").raw(json_number(mix.gpu_fraction, 12));
+    w.key("gpu_speedup").number(mix.base.gpu_speedup, 12);
+    w.key("hourly_cost").number(mix.base.hourly_cost, 12);
+    w.key("cpu_jitter").number(mix.cpu_jitter, 12);
+    w.key("mem_jitter").number(mix.mem_jitter, 12);
+    w.key("net_jitter").number(mix.net_jitter, 12);
+    w.key("disk_jitter").number(mix.disk_jitter, 12);
+    w.key("gpu_fraction").number(mix.gpu_fraction, 12);
     w.end_object();
   }
   w.end_array();

@@ -1,9 +1,10 @@
 #include "common/table.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <sstream>
 #include <stdexcept>
+
+#include "common/json_writer.hpp"
 
 namespace rupam {
 
@@ -46,28 +47,32 @@ std::string TextTable::to_string() const {
   return oss.str();
 }
 
-void CsvWriter::write_row(const std::vector<std::string>& cells) {
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    if (i > 0) os_ << ',';
-    const std::string& cell = cells[i];
-    if (cell.find_first_of(",\"\n\r") != std::string::npos) {
-      os_ << '"';
-      for (char ch : cell) {
-        if (ch == '"') os_ << '"';
-        os_ << ch;
-      }
-      os_ << '"';
-    } else {
-      os_ << cell;
-    }
+void append_csv_cell(std::string& out, std::string_view cell) {
+  if (cell.find_first_of(",\"\n\r") == std::string_view::npos) {
+    out += cell;
+    return;
   }
-  os_ << '\n';
+  out += '"';
+  for (char ch : cell) {
+    if (ch == '"') out += '"';
+    out += ch;
+  }
+  out += '"';
+}
+
+void CsvWriter::write_row(const std::vector<std::string>& cells) {
+  std::string line;
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    if (i > 0) line += ',';
+    append_csv_cell(line, cells[i]);
+  }
+  line += '\n';
+  os_ << line;
 }
 
 std::string format_fixed(double value, int decimals) {
   char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.*f", decimals, value);
-  return buf;
+  return std::string(buf, print_double(buf, value, std::chars_format::fixed, decimals));
 }
 
 std::string format_number(double value) {

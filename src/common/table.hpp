@@ -4,6 +4,7 @@
 
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace rupam {
@@ -25,6 +26,10 @@ class TextTable {
   std::vector<std::string> header_;
   std::vector<std::vector<std::string>> rows_;
 };
+
+/// Append one CSV cell to `out`: as is, or in double quotes (inner quotes
+/// doubled) when it holds a comma, quote, CR or LF.
+void append_csv_cell(std::string& out, std::string_view cell);
 
 /// Write rows as CSV (comma-separated, minimal quoting).
 class CsvWriter {

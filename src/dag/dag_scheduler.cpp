@@ -1,7 +1,6 @@
 #include "dag/dag_scheduler.hpp"
 
 #include <algorithm>
-#include <set>
 #include <stdexcept>
 
 #include "common/log.hpp"
@@ -22,17 +21,18 @@ void DagScheduler::submit_app(const Application& app, DoneFn on_done) {
   // Concurrent applications must live in disjoint stage-id spaces: StageId
   // keys the task scheduler's active-stage map and partition-success
   // routing (see offset_ids).
+  std::vector<StageId> taken;
   for (const auto& other : apps_) {
-    std::set<StageId> taken;
     for (const auto& job : other->app->jobs) {
-      for (const auto& stage : job.stages) taken.insert(stage.id);
+      for (const auto& stage : job.stages) taken.push_back(stage.id);
     }
-    for (const auto& job : app.jobs) {
-      for (const auto& stage : job.stages) {
-        if (taken.count(stage.id) > 0) {
-          throw std::invalid_argument(
-              "DagScheduler: stage id collision between concurrent applications");
-        }
+  }
+  std::sort(taken.begin(), taken.end());
+  for (const auto& job : app.jobs) {
+    for (const auto& stage : job.stages) {
+      if (std::binary_search(taken.begin(), taken.end(), stage.id)) {
+        throw std::invalid_argument(
+            "DagScheduler: stage id collision between concurrent applications");
       }
     }
   }

@@ -1,6 +1,8 @@
 #include "metrics/event_trace.hpp"
 
+#include <charconv>
 #include <stdexcept>
+#include <type_traits>
 
 #include "common/json_writer.hpp"
 #include "common/table.hpp"
@@ -48,69 +50,87 @@ void EventTrace::clear() {
   counts_.fill(0);
 }
 
+namespace {
+
+/// A number to append() with `decimals` decimals.
+struct Fixed {
+  double value;
+  int decimals;
+};
+
+/// Appends each piece to `out`: text as is, integers in decimal, Fixed as
+/// printf's "%.*f".
+template <typename... Pieces>
+void append(std::string& out, const Pieces&... pieces) {
+  char buf[64];
+  auto one = [&](const auto& piece) {
+    using T = std::decay_t<decltype(piece)>;
+    if constexpr (std::is_same_v<T, Fixed>) {
+      out.append(buf, print_double(buf, piece.value, std::chars_format::fixed, piece.decimals));
+    } else if constexpr (std::is_integral_v<T> && !std::is_same_v<T, char>) {
+      out.append(buf, std::to_chars(buf, buf + sizeof(buf), piece).ptr);
+    } else {
+      out += piece;
+    }
+  };
+  (one(pieces), ...);
+}
+
+/// Rows are rendered into one string, which goes to the stream whenever
+/// it holds `at` bytes or more (a chunk between rows, 0 at the end).
+void flush_rows(std::ostream& os, std::string& out, std::size_t at = kExportChunkBytes) {
+  if (out.size() < at) return;
+  os.write(out.data(), static_cast<std::streamsize>(out.size()));
+  out.clear();
+}
+
+}  // namespace
+
 void EventTrace::write_csv(std::ostream& os) const {
-  CsvWriter csv(os);
-  csv.write_row({"time", "type", "stage", "task", "attempt", "node", "duration", "detail"});
+  std::string out = "time,type,stage,task,attempt,node,duration,detail\n";
   for (const auto& e : events_) {
-    csv.write_row({format_fixed(e.time, 6), std::string(to_string(e.type)),
-                   std::to_string(e.stage), std::to_string(e.task),
-                   std::to_string(e.attempt), std::to_string(e.node),
-                   format_fixed(e.duration, 6), e.detail});
+    append(out, Fixed{e.time, 6}, ',', to_string(e.type), ',', e.stage, ',', e.task, ',',
+           e.attempt, ',', e.node, ',', Fixed{e.duration, 6}, ',');
+    append_csv_cell(out, e.detail);  // the only cell that can need quoting
+    out += '\n';
+    flush_rows(os, out);
   }
+  flush_rows(os, out, 0);
 }
 
 // JSON escaping is shared with every other exporter (common/json_writer);
 // the line format here stays hand-rolled to keep the compact one-event-
 // per-line layout.
 void EventTrace::write_chrome_tracing(std::ostream& os) const {
-  os << "[\n";
+  std::string out = "[\n";
   bool first = true;
-  auto emit = [&](const std::string& line) {
-    if (!first) os << ",\n";
-    first = false;
-    os << "  " << line;
-  };
   for (const auto& e : events_) {
-    double ts_us = e.time * 1e6;
-    switch (e.type) {
-      case TraceEventType::kTaskFinished:
-      case TraceEventType::kTaskFailed: {
-        // Completed attempt: a duration slice on the node's lane.
-        std::string name = "task " + std::to_string(e.task) + "#" + std::to_string(e.attempt);
-        emit("{\"name\": \"" + json_escape(name) + "\", \"cat\": \"" +
-             std::string(to_string(e.type)) + "\", \"ph\": \"X\", \"ts\": " +
-             format_fixed(ts_us - e.duration * 1e6, 3) + ", \"dur\": " +
-             format_fixed(e.duration * 1e6, 3) + ", \"pid\": " + std::to_string(e.node) +
-             ", \"tid\": " + std::to_string(e.task % 64) + ", \"args\": {\"detail\": \"" +
-             json_escape(e.detail) + "\"}}");
-        break;
-      }
-      case TraceEventType::kExecutorLost:
-      case TraceEventType::kTaskRelocated:
-      case TraceEventType::kFaultInjected:
-      case TraceEventType::kNodeDead:
-      case TraceEventType::kNodeRecovered:
-      case TraceEventType::kNodeBlacklisted:
-      case TraceEventType::kNodeUnblacklisted:
-      case TraceEventType::kPartitionResubmitted:
-      case TraceEventType::kNodeProvisioned:
-      case TraceEventType::kNodeJoined:
-      case TraceEventType::kNodeDraining:
-      case TraceEventType::kNodeDecommissioned:
-      case TraceEventType::kTaskPreempted:
-      case TraceEventType::kStageSubmitted: {
-        emit("{\"name\": \"" + std::string(to_string(e.type)) + "\", \"ph\": \"i\", \"ts\": " +
-             format_fixed(ts_us, 3) + ", \"pid\": " +
-             std::to_string(e.node == kInvalidNode ? 0 : e.node) +
-             ", \"tid\": 0, \"s\": \"g\", \"args\": {\"detail\": \"" + json_escape(e.detail) +
-             "\"}}");
-        break;
-      }
-      default:
-        break;  // launches are implied by the X events
+    // Launches are implied by the X events.
+    if (e.type == TraceEventType::kTaskLaunched ||
+        e.type == TraceEventType::kSpeculativeLaunched) {
+      continue;
     }
+    out += first ? "  {\"name\": \"" : ",\n  {\"name\": \"";
+    first = false;
+    double ts_us = e.time * 1e6;
+    if (e.type == TraceEventType::kTaskFinished || e.type == TraceEventType::kTaskFailed) {
+      // Completed attempt: a duration slice on the node's lane.
+      append(out, "task ", e.task, '#', e.attempt, "\", \"cat\": \"", to_string(e.type),
+             "\", \"ph\": \"X\", \"ts\": ", Fixed{ts_us - e.duration * 1e6, 3},
+             ", \"dur\": ", Fixed{e.duration * 1e6, 3}, ", \"pid\": ", e.node,
+             ", \"tid\": ", e.task % 64);
+    } else {
+      append(out, to_string(e.type), "\", \"ph\": \"i\", \"ts\": ", Fixed{ts_us, 3},
+             ", \"pid\": ", e.node == kInvalidNode ? 0 : e.node,
+             ", \"tid\": 0, \"s\": \"g\"");
+    }
+    out += ", \"args\": {\"detail\": \"";
+    append_json_escaped(out, e.detail);
+    out += "\"}}";
+    flush_rows(os, out);
   }
-  os << "\n]\n";
+  out += "\n]\n";
+  flush_rows(os, out, 0);
 }
 
 }  // namespace rupam

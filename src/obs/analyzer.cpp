@@ -523,16 +523,16 @@ namespace {
 
 void write_attribution(JsonWriter& w, const PhaseAttribution& a) {
   w.begin_object();
-  w.key("queueing").raw(json_number(a.queueing, 9));
-  w.key("input_read").raw(json_number(a.input_read, 9));
-  w.key("shuffle_read").raw(json_number(a.shuffle_read, 9));
-  w.key("compute").raw(json_number(a.compute, 9));
-  w.key("gc").raw(json_number(a.gc, 9));
-  w.key("shuffle_write").raw(json_number(a.shuffle_write, 9));
-  w.key("spill").raw(json_number(a.spill, 9));
-  w.key("output_send").raw(json_number(a.output_send, 9));
-  w.key("driver").raw(json_number(a.driver, 9));
-  w.key("total").raw(json_number(a.total(), 9));
+  w.key("queueing").number(a.queueing, 9);
+  w.key("input_read").number(a.input_read, 9);
+  w.key("shuffle_read").number(a.shuffle_read, 9);
+  w.key("compute").number(a.compute, 9);
+  w.key("gc").number(a.gc, 9);
+  w.key("shuffle_write").number(a.shuffle_write, 9);
+  w.key("spill").number(a.spill, 9);
+  w.key("output_send").number(a.output_send, 9);
+  w.key("driver").number(a.driver, 9);
+  w.key("total").number(a.total(), 9);
   w.end_object();
 }
 
@@ -577,9 +577,9 @@ void write_diagnosis_json(const RunDiagnosis& diagnosis, std::ostream& os) {
     w.key("job").value(static_cast<long long>(j.job));
     w.key("name").value(j.name);
     w.key("pool").value(j.pool);
-    w.key("submitted").raw(json_number(j.submitted, 9));
-    w.key("finished").raw(json_number(j.finished, 9));
-    w.key("jct").raw(json_number(j.jct, 9));
+    w.key("submitted").number(j.submitted, 9);
+    w.key("finished").number(j.finished, 9);
+    w.key("jct").number(j.jct, 9);
     w.key("critical_path");
     write_attribution(w, j.critical_path);
     w.key("path").begin_array();
@@ -589,9 +589,9 @@ void write_diagnosis_json(const RunDiagnosis& diagnosis, std::ostream& os) {
       w.key("task").value(static_cast<long long>(s.task));
       w.key("attempt").value(static_cast<long long>(s.attempt));
       w.key("node").value(static_cast<long long>(s.node));
-      w.key("start").raw(json_number(s.start, 9));
-      w.key("end").raw(json_number(s.end, 9));
-      w.key("gap_after").raw(json_number(s.gap_after, 9));
+      w.key("start").number(s.start, 9);
+      w.key("end").number(s.end, 9);
+      w.key("gap_after").number(s.gap_after, 9);
       w.end_object();
     }
     w.end_array();
@@ -607,9 +607,9 @@ void write_diagnosis_json(const RunDiagnosis& diagnosis, std::ostream& os) {
     w.key("attempt").value(static_cast<long long>(r.attempt));
     w.key("node").value(static_cast<long long>(r.node));
     w.key("node_class").value(r.node_class);
-    w.key("duration").raw(json_number(r.duration, 9));
-    w.key("stage_median").raw(json_number(r.stage_median, 9));
-    w.key("ratio").raw(json_number(r.ratio, 9));
+    w.key("duration").number(r.duration, 9);
+    w.key("stage_median").number(r.stage_median, 9);
+    w.key("ratio").number(r.ratio, 9);
     w.key("cause").value(to_string(r.cause));
     w.key("detail").value(r.detail);
     w.end_object();

@@ -50,7 +50,7 @@ void DecisionAudit::write_json(std::ostream& os) const {
   w.begin_array();
   for (const auto& d : decisions_) {
     w.begin_object();
-    w.key("time").raw(json_number(d.time, 9));
+    w.key("time").number(d.time, 9);
     w.key("scheduler").value(d.scheduler);
     w.key("stage").value(d.stage);
     w.key("task").value(static_cast<long long>(d.task));

@@ -176,12 +176,12 @@ void write_comparison_json(const ComparisonReport& report, std::ostream& os) {
   for (const MetricDelta& d : report.deltas) {
     w.begin_object();
     w.key("key").value(d.key);
-    w.key("base").raw(json_number(d.base, 9));
-    w.key("base_ci95").raw(json_number(d.base_ci, 9));
-    w.key("test").raw(json_number(d.test, 9));
-    w.key("test_ci95").raw(json_number(d.test_ci, 9));
-    w.key("delta").raw(json_number(d.delta, 9));
-    w.key("delta_pct").raw(json_number(d.delta_pct, 9));
+    w.key("base").number(d.base, 9);
+    w.key("base_ci95").number(d.base_ci, 9);
+    w.key("test").number(d.test, 9);
+    w.key("test_ci95").number(d.test_ci, 9);
+    w.key("delta").number(d.delta, 9);
+    w.key("delta_pct").number(d.delta_pct, 9);
     w.key("lower_is_better").value(d.lower_is_better);
     w.key("verdict").value(to_string(d.verdict));
     w.end_object();

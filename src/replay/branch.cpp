@@ -123,13 +123,13 @@ ReplayRun launch_with(const RunSpec& spec, SimulationConfig cfg,
 
 void write_outcome(const RunOutcome& o, JsonWriter& w) {
   w.begin_object();
-  w.key("makespan_s").raw(json_number(o.makespan, 12));
-  w.key("jct_mean_s").raw(json_number(o.jct.mean, 12));
-  w.key("jct_p50_s").raw(json_number(o.jct.p50, 12));
-  w.key("jct_p95_s").raw(json_number(o.jct.p95, 12));
-  w.key("jct_p99_s").raw(json_number(o.jct.p99, 12));
-  w.key("jct_max_s").raw(json_number(o.jct.max, 12));
-  w.key("jct_queueing_s").raw(json_number(o.jct.mean_queueing, 12));
+  w.key("makespan_s").number(o.makespan, 12);
+  w.key("jct_mean_s").number(o.jct.mean, 12);
+  w.key("jct_p50_s").number(o.jct.p50, 12);
+  w.key("jct_p95_s").number(o.jct.p95, 12);
+  w.key("jct_p99_s").number(o.jct.p99, 12);
+  w.key("jct_max_s").number(o.jct.max, 12);
+  w.key("jct_queueing_s").number(o.jct.mean_queueing, 12);
   w.key("stragglers").value(static_cast<unsigned long long>(o.stragglers));
   w.key("task_launches").value(static_cast<unsigned long long>(o.launches));
   w.key("task_failures").value(static_cast<unsigned long long>(o.failures));
@@ -278,8 +278,8 @@ void write_branch_report_json(const BranchReport& report, std::ostream& os) {
   w.key("kind").value(kind_name(report.spec.kind));
   w.key("base_scheduler").value(report.base.scheduler);
   w.key("branch_scheduler").value(report.branch.scheduler);
-  w.key("p95_jct_saving_s").raw(json_number(report.p95_jct_saving(), 12));
-  w.key("makespan_saving_s").raw(json_number(report.makespan_saving(), 12));
+  w.key("p95_jct_saving_s").number(report.p95_jct_saving(), 12);
+  w.key("makespan_saving_s").number(report.makespan_saving(), 12);
   w.key("base");
   write_outcome(report.base, w);
   w.key("branch_run");

@@ -45,7 +45,7 @@ std::string checkpoint_to_json(const Checkpoint& cp) {
   JsonWriter w(os);
   w.begin_object();
   w.key("format").value(kFormatTag);
-  w.key("time").raw(json_number(cp.time, 12));
+  w.key("time").number(cp.time, 12);
   w.key("run");
   write_run_spec_json(cp.run, w);
   w.key("pins").begin_array();

@@ -201,8 +201,8 @@ void write_whatif_json(const WhatIfReport& report, std::ostream& os) {
     w.begin_object();
     w.key("branch").value(f.branch.label);
     w.key("motivation").value(f.motivation);
-    w.key("p95_jct_saving_s").raw(json_number(f.p95_jct_saving, 12));
-    w.key("makespan_saving_s").raw(json_number(f.makespan_saving, 12));
+    w.key("p95_jct_saving_s").number(f.p95_jct_saving, 12);
+    w.key("makespan_saving_s").number(f.makespan_saving, 12);
     w.key("outcome");
     std::string rendered = outcome_to_json(f.outcome);
     while (!rendered.empty() && rendered.back() == '\n') rendered.pop_back();

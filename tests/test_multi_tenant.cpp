@@ -100,11 +100,38 @@ TEST(MultiTenantDag, ConcurrentAppsInterleaveButJobsStaySequential) {
 }
 
 TEST(MultiTenantDag, RejectsStageIdCollisions) {
-  Application a = two_job_app("A", 0);
+  Application a = two_job_app("A", 0);  // stages 0, 1
   Application b = two_job_app("B", 0);  // same stage ids as A
   DagHarness h;
   h.dag.submit_app(a, nullptr);
   EXPECT_THROW(h.dag.submit_app(b, nullptr), std::invalid_argument);
+
+  // One shared id with any of several running apps refuses a submission.
+  Application c = two_job_app("C", 4);  // stages 4, 5
+  Application d = two_job_app("D", 8);  // stages 8, 9
+  h.dag.submit_app(c, nullptr);
+  h.dag.submit_app(d, nullptr);
+  Application e = two_job_app("E", 3);  // stage 4 is C's
+  Application f = two_job_app("F", 9);  // stage 9 is D's
+  for (const Application* app : {&e, &f}) {
+    try {
+      h.dag.submit_app(*app, nullptr);
+      ADD_FAILURE() << app->name << " was submitted";
+    } catch (const std::invalid_argument& err) {
+      EXPECT_STREQ(err.what(), "DagScheduler: stage id collision between concurrent applications");
+    }
+  }
+  EXPECT_EQ(h.dag.active_jobs(), 3u);
+
+  // Disjoint ids submit, and a finished app's ids are free again.
+  Application g = two_job_app("G", 2);  // stages 2, 3
+  h.dag.submit_app(g, nullptr);
+  h.finish_stage(a, 0);
+  h.finish_stage(a, 1);
+  Application a2 = two_job_app("A2", 0);
+  h.dag.submit_app(a2, nullptr);
+  EXPECT_EQ(h.dag.active_jobs(), 4u);
+  EXPECT_EQ(h.dag.apps_completed(), 1u);
 }
 
 TEST(SubmissionStream, RemapsIdsAndCacheKeysDisjointly) {

@@ -149,7 +149,9 @@ TEST_P(ZipfTest, SamplesInRangeAndSkewed) {
   // Rank 0 must be the most frequent for any positive exponent.
   EXPECT_EQ(std::distance(counts.begin(), std::max_element(counts.begin(), counts.end())), 0);
   // Heavier exponents concentrate more mass at the head.
-  if (exponent >= 1.0) EXPECT_GT(counts[0], counts[50] * 5);
+  if (exponent >= 1.0) {
+    EXPECT_GT(counts[0], counts[50] * 5);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Exponents, ZipfTest, ::testing::Values(0.5, 0.8, 1.0, 1.5, 2.0));
