@@ -320,6 +320,18 @@ SimulationConfig observed(SimulationConfig cfg, const CliOptions& options) {
   return cfg;
 }
 
+/// Fail before any run if an output path the flags name cannot be opened.
+/// Append mode creates a missing file and truncates nothing, so a path
+/// that is also an input is still read intact.
+void check_outputs(const CliOptions& o) {
+  for (const std::string* path :
+       {&o.trace_csv, &o.trace_chrome, &o.trace_perfetto, &o.metrics_out, &o.explain_out,
+        &o.analyze_out, &o.compare_out, &o.sweep_out, &o.checkpoint_out, &o.branch_out,
+        &o.whatif_out, &o.report_out}) {
+    if (!path->empty() && !std::ofstream(*path, std::ios::app)) fail("cannot open " + *path);
+  }
+}
+
 /// Every output file opens here; an empty path asks for no file.
 template <typename Writer>
 void write_file(const std::string& path, Writer&& writer) {
@@ -576,12 +588,17 @@ int run_cli(const CliOptions& options, std::ostream& out, std::ostream& err) {
   try {
     if (options.help) {
       out << cli_usage();
-    } else if (options.list_workloads) {
+      return 0;
+    }
+    if (options.list_workloads) {
       for (const auto& p : table3_workloads()) {
         out << p.name << "\t" << p.long_name << "\t" << p.input_gb << " GB\t" << p.iterations
             << " iterations\n";
       }
-    } else if (!options.compare_base.empty()) {
+      return 0;
+    }
+    check_outputs(options);
+    if (!options.compare_base.empty()) {
       return run_compare_cli(options, out);
     } else if (!options.sweep.empty()) {
       return run_sweep_cli(options, out, err);

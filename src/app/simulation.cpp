@@ -39,14 +39,12 @@ Simulation::Simulation(SimulationConfig config) : config_(std::move(config)) {
   }
 
   if (config_.enable_spans) spans_ = std::make_unique<SpanTrace>();
-  Rng rng(config_.seed, 0x2545f4914f6cdd1dULL);
-  for (NodeId id : cluster_->node_ids()) add_executor(id, rng.split());
+  for (NodeId id : cluster_->node_ids()) add_executor(id);
 
   heartbeats_ = std::make_unique<HeartbeatService>(*cluster_, kHeartbeatPeriod);
   SchedulerEnv env;
   env.sim = &sim_;
   env.cluster = cluster_.get();
-  for (auto& e : executors_) env.executors.push_back(e.get());
   env.heartbeats = heartbeats_.get();
 
   scheduler_ = make_scheduler(config_.scheduler, std::move(env), config_.rupam);
@@ -96,7 +94,6 @@ Simulation::Simulation(SimulationConfig config) : config_(std::move(config)) {
     FaultInjectorEnv fenv;
     fenv.sim = &sim_;
     fenv.cluster = cluster_.get();
-    for (auto& e : executors_) fenv.executors.push_back(e.get());
     fenv.heartbeats = heartbeats_.get();
     fenv.dag = dag_.get();
     fenv.trace = trace_.get();
@@ -107,7 +104,6 @@ Simulation::Simulation(SimulationConfig config) : config_(std::move(config)) {
   // Membership side effects: the scheduler subscribed first (inside its
   // own constructor), so by the time this listener runs its indexes are
   // already reconciled and it's safe to crash the executor / retire rows.
-  elastic_rng_ = Rng(config_.seed, /*stream=*/0x656c617374696331ULL);  // "elastic1"
   membership_token_ = cluster_->subscribe_membership(
       [this](NodeId node, NodeLifecycle state) { handle_membership(node, state); });
 
@@ -123,10 +119,8 @@ Simulation::Simulation(SimulationConfig config) : config_(std::move(config)) {
     aenv.pending_tasks = [this] { return scheduler_->pending_tasks(); };
     aenv.free_slots = [this] { return scheduler_->free_slots_total(); };
     aenv.node_running = [this](NodeId id) {
-      auto idx = static_cast<std::size_t>(id);
-      if (idx >= executors_.size()) return 0;
-      Executor* e = executors_[idx].get();
-      return e->alive() ? static_cast<int>(e->running_tasks()) : 0;
+      const Executor* e = cluster_->node(id).executor();
+      return e != nullptr && e->alive() ? e->running_tasks() : 0;
     };
     aenv.provision = [this](NodeSpec spec, SimTime boot_delay) {
       return provision_node(std::move(spec), boot_delay);
@@ -144,7 +138,7 @@ Simulation::~Simulation() {
   cluster_->unsubscribe_membership(membership_token_);
 }
 
-Executor& Simulation::add_executor(NodeId id, Rng rng) {
+Executor& Simulation::add_executor(NodeId id) {
   Node& node = cluster_->node(id);
   // Executor sizing policy — the lever behind Fig 8(b)'s memory numbers:
   // default Spark must fit the weakest node everywhere, so its heap comes
@@ -157,7 +151,7 @@ Executor& Simulation::add_executor(NodeId id, Rng rng) {
   ec.storage_fraction = kStorageFraction;
   ec.task_slots = node.spec().cores;
   ec.oom_grace = config_.oom_grace;
-  executors_.push_back(std::make_unique<Executor>(sim_, node, id, ec, std::move(rng)));
+  executors_.push_back(std::make_unique<Executor>(sim_, node, id, ec));
   Executor* exec = executors_.back().get();
   exec->set_peer_cache_probe([this, exec](const std::string& key) {
     for (const auto& other : executors_) {
@@ -173,7 +167,7 @@ NodeId Simulation::provision_node(NodeSpec spec, SimTime boot_delay) {
   NodeId id = cluster_->provision_node(std::move(spec), boot_delay);
   // Registered before the boot event fires, so when the node turns live
   // the scheduler already has a slot-accounting row for it.
-  scheduler_->register_executor(&add_executor(id, elastic_rng_.split()));
+  scheduler_->register_executor(&add_executor(id));
   return id;
 }
 
@@ -205,8 +199,7 @@ void Simulation::handle_membership(NodeId node, NodeLifecycle state) {
       // path), invalidate its map outputs, take it off the heartbeat grid
       // and retire its sampler row. All idempotent — the fault injector may
       // have done some of this already.
-      auto idx = static_cast<std::size_t>(node);
-      if (idx < executors_.size()) executors_[idx]->crash();
+      if (Executor* e = cluster_->node(node).executor()) e->crash();
       if (dag_) dag_->on_node_lost(node);
       if (heartbeats_) heartbeats_->node_left(node);
       if (sampler_) sampler_->node_left(node);

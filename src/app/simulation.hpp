@@ -220,16 +220,12 @@ class Simulation {
   std::vector<JobCompletion> analysis_jobs_;
   std::map<StageId, JobId> stage_job_;
   std::map<StageId, std::vector<StageId>> analysis_stage_parents_;
-  /// Jitter stream for runtime-provisioned executors — separate from the
-  /// construction-time stream so elastic runs never perturb the initial
-  /// executors' draws (golden traces depend on them).
-  Rng elastic_rng_{0, 0};
   std::size_t membership_token_ = 0;
 
   void register_stage_parents(const Application& app);
   /// Build `id`'s executor, sized by the configured policy, and wire it to
-  /// its peers' caches and the span sink. `rng` is its jitter stream.
-  Executor& add_executor(NodeId id, Rng rng);
+  /// its peers' caches and the span sink.
+  Executor& add_executor(NodeId id);
   /// The prologue every run shares: reset run state, install the JCT
   /// observers when `collect_jobs`, start heartbeats, sampler and
   /// autoscaler. Submitting the applications is the caller's part.

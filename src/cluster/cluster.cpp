@@ -108,16 +108,7 @@ const Cluster::Membership& Cluster::membership(NodeId id) const {
   return const_cast<Cluster*>(this)->membership(id);
 }
 
-Node& Cluster::node(NodeId id) {
-  if (id < 0 || static_cast<std::size_t>(id) >= nodes_.size()) {
-    throw std::out_of_range("Cluster::node: bad id");
-  }
-  return *nodes_[static_cast<std::size_t>(id)];
-}
-
-const Node& Cluster::node(NodeId id) const {
-  return const_cast<Cluster*>(this)->node(id);
-}
+void Cluster::bad_node_id() { throw std::out_of_range("Cluster::node: bad id"); }
 
 std::vector<NodeId> Cluster::node_ids() const {
   std::vector<NodeId> ids(nodes_.size());

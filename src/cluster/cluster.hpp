@@ -81,8 +81,12 @@ class Cluster {
   std::size_t subscribe_membership(MembershipListener listener);
   void unsubscribe_membership(std::size_t token);
 
-  Node& node(NodeId id);
-  const Node& node(NodeId id) const;
+  /// Inline: the dispatch walk reads every visited node's executor here.
+  Node& node(NodeId id) {
+    if (static_cast<std::size_t>(id) >= nodes_.size()) bad_node_id();
+    return *nodes_[static_cast<std::size_t>(id)];
+  }
+  const Node& node(NodeId id) const { return const_cast<Cluster*>(this)->node(id); }
   /// Nodes ever created, including decommissioned ones. NodeId is always a
   /// valid index below size().
   std::size_t size() const { return nodes_.size(); }
@@ -112,6 +116,7 @@ class Cluster {
     SimTime left_at = 0.0;  // meaningful only once decommissioned
   };
 
+  [[noreturn]] static void bad_node_id();
   void notify(NodeId id, NodeLifecycle state);
   Membership& membership(NodeId id);
   const Membership& membership(NodeId id) const;

@@ -157,13 +157,6 @@ double FairShareResource::utilization() const {
   return used / capacity_;
 }
 
-double FairShareResource::current_rate() const {
-  double base = share_rate();
-  double total = 0.0;
-  for (const Claim& claim : claims_) total += base * claim.speed_factor;
-  return total;
-}
-
 double FairShareResource::total_drained() {
   // Integrating advances last_update_ but leaves every claim's ETA (and
   // thus the pending completion event) unchanged, so no reschedule —

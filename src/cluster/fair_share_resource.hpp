@@ -70,9 +70,6 @@ class FairShareResource {
   std::size_t active() const { return claims_.size(); }
   /// Fraction of capacity currently in use, in [0, 1].
   double utilization() const;
-  /// Aggregate drain rate in units/s (e.g. NIC bytes/s), including speed
-  /// factors — this is what a monitoring agent would measure.
-  double current_rate() const;
   /// Total units drained since construction (integrated lazily; querying
   /// must not perturb event ordering).
   double total_drained();

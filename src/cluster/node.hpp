@@ -71,7 +71,9 @@ class Node {
   const FairShareResource& net() const { return net_; }
 
   /// Its one executor registers here; memory in use is its heap + the OS's.
-  void attach_executor(const Executor* executor) { executor_ = executor; }
+  void attach_executor(Executor* executor) { executor_ = executor; }
+  /// The executor hosted here (null before one registers).
+  Executor* executor() const { return executor_; }
   Bytes memory_in_use() const;
   Bytes free_memory() const;
 
@@ -97,7 +99,7 @@ class Node {
   FairShareResource disk_read_;
   FairShareResource disk_write_;
   GpuPool gpus_;
-  const Executor* executor_ = nullptr;
+  Executor* executor_ = nullptr;
   std::function<void(bool)> online_listener_;
 };
 

@@ -72,8 +72,6 @@ class JsonWriter {
   JsonWriter& value(bool v) { return raw(v ? "true" : "false"); }
   /// `json_number(v, precision)`.
   JsonWriter& number(double v, int precision);
-  /// Pre-rendered JSON (a nested document rendered elsewhere).
-  JsonWriter& raw(std::string_view rendered);
 
   /// All containers closed.
   bool complete() const { return stack_.empty() && started_; }
@@ -98,6 +96,9 @@ class JsonWriter {
     char* out = begin_value(24);
     return end_value(std::to_chars(out, out + 24, v).ptr);
   }
+  /// A value token rendered by the caller (`true`, `false`, `0`). Nested
+  /// documents are written through the same writer, never pasted in.
+  JsonWriter& raw(std::string_view rendered);
   JsonWriter& open(char bracket, bool array);
   JsonWriter& close(char bracket, bool array);
   void flush();

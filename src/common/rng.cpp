@@ -86,13 +86,6 @@ double Rng::normal() {
 
 double Rng::normal(double mean, double stddev) { return mean + stddev * normal(); }
 
-double Rng::clamped_normal(double mean, double stddev, double lo, double hi) {
-  double v = normal(mean, stddev);
-  if (v < lo) return lo;
-  if (v > hi) return hi;
-  return v;
-}
-
 double Rng::exponential(double rate) {
   if (rate <= 0.0) throw std::invalid_argument("exponential: rate must be > 0");
   double u = 0.0;
@@ -105,31 +98,5 @@ double Rng::exponential(double rate) {
 double Rng::lognormal(double mu, double sigma) { return std::exp(normal(mu, sigma)); }
 
 Rng Rng::split() { return Rng(next_u64(), next_u64()); }
-
-ZipfDistribution::ZipfDistribution(std::size_t n, double exponent) {
-  if (n == 0) throw std::invalid_argument("ZipfDistribution: n must be > 0");
-  cdf_.resize(n);
-  double sum = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    sum += 1.0 / std::pow(static_cast<double>(i + 1), exponent);
-    cdf_[i] = sum;
-  }
-  for (auto& v : cdf_) v /= sum;
-}
-
-std::size_t ZipfDistribution::operator()(Rng& rng) const {
-  double u = rng.uniform();
-  // Binary search for the first CDF entry >= u.
-  std::size_t lo = 0, hi = cdf_.size() - 1;
-  while (lo < hi) {
-    std::size_t mid = (lo + hi) / 2;
-    if (cdf_[mid] < u) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
-  }
-  return lo;
-}
 
 }  // namespace rupam

@@ -7,7 +7,6 @@
 #include <cstdint>
 #include <optional>
 #include <string_view>
-#include <vector>
 
 namespace rupam {
 
@@ -56,8 +55,6 @@ class Rng {
   /// Standard normal via Box-Muller (deterministic; caches the spare).
   double normal();
   double normal(double mean, double stddev);
-  /// Normal truncated to [lo, hi] by clamping (keeps determinism simple).
-  double clamped_normal(double mean, double stddev, double lo, double hi);
 
   double exponential(double rate);
   double lognormal(double mu, double sigma);
@@ -70,19 +67,6 @@ class Rng {
   std::uint64_t inc_;
   bool has_spare_normal_ = false;
   double spare_normal_ = 0.0;
-};
-
-/// Zipf-distributed integers in [0, n). Used for data-skew models:
-/// partition sizes in real Spark stages are heavy-tailed (paper §II-B2).
-class ZipfDistribution {
- public:
-  ZipfDistribution(std::size_t n, double exponent);
-
-  std::size_t operator()(Rng& rng) const;
-  std::size_t n() const { return cdf_.size(); }
-
- private:
-  std::vector<double> cdf_;
 };
 
 }  // namespace rupam

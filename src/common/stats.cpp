@@ -19,23 +19,6 @@ void RunningStats::add(double x) {
   m2_ += delta * (x - mean_);
 }
 
-void RunningStats::merge(const RunningStats& other) {
-  if (other.n_ == 0) return;
-  if (n_ == 0) {
-    *this = other;
-    return;
-  }
-  double delta = other.mean_ - mean_;
-  std::size_t total = n_ + other.n_;
-  double na = static_cast<double>(n_);
-  double nb = static_cast<double>(other.n_);
-  m2_ += other.m2_ + delta * delta * na * nb / static_cast<double>(total);
-  mean_ = (na * mean_ + nb * other.mean_) / static_cast<double>(total);
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-  n_ = total;
-}
-
 double RunningStats::variance() const {
   if (n_ < 2) return 0.0;
   return m2_ / static_cast<double>(n_ - 1);
@@ -99,12 +82,6 @@ double mean_of(const std::vector<double>& values) {
   RunningStats s;
   for (double v : values) s.add(v);
   return s.mean();
-}
-
-double stddev_of(const std::vector<double>& values) {
-  RunningStats s;
-  for (double v : values) s.add(v);
-  return s.stddev();
 }
 
 }  // namespace rupam

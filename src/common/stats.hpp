@@ -12,7 +12,6 @@ namespace rupam {
 class RunningStats {
  public:
   void add(double x);
-  void merge(const RunningStats& other);
 
   std::size_t count() const { return n_; }
   double mean() const { return n_ > 0 ? mean_ : 0.0; }
@@ -50,6 +49,5 @@ double percentile_inplace(std::vector<double>& values, double p);
 double percentile_sorted(const std::vector<double>& sorted, double p);
 
 double mean_of(const std::vector<double>& values);
-double stddev_of(const std::vector<double>& values);
 
 }  // namespace rupam

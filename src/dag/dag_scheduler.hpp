@@ -91,7 +91,6 @@ class DagScheduler {
   /// map outputs completes again).
   std::size_t stages_completed() const { return stages_completed_; }
 
-  const MapOutputTracker& map_outputs() const { return outputs_; }
   /// Total partitions resubmitted due to lost map outputs.
   std::size_t recomputed_partitions() const { return recomputed_partitions_; }
   /// Per-(stage, partition) recompute counts — the chaos suite checks

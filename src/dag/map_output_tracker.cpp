@@ -24,19 +24,6 @@ std::map<MapOutputTracker::ShuffleKey, std::vector<int>> MapOutputTracker::inval
   return lost;
 }
 
-const NodeId* MapOutputTracker::location(JobId job, StageId stage, int partition) const {
-  auto stage_it = outputs_.find({job, stage});
-  if (stage_it == outputs_.end()) return nullptr;
-  auto it = stage_it->second.find(partition);
-  return it == stage_it->second.end() ? nullptr : &it->second;
-}
-
 void MapOutputTracker::forget(JobId job, StageId stage) { outputs_.erase({job, stage}); }
-
-std::size_t MapOutputTracker::tracked() const {
-  std::size_t n = 0;
-  for (const auto& [key, parts] : outputs_) n += parts.size();
-  return n;
-}
 
 }  // namespace rupam

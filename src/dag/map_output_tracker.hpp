@@ -29,15 +29,9 @@ class MapOutputTracker {
   /// registrations and returns (job, stage) → sorted lost partitions.
   std::map<ShuffleKey, std::vector<int>> invalidate_node(NodeId node);
 
-  /// Location of a partition's output, or nullptr if unregistered/lost.
-  const NodeId* location(JobId job, StageId stage, int partition) const;
-
   /// Drop one completed stage's registrations (nothing will fetch them
   /// again once the owning job has finished).
   void forget(JobId job, StageId stage);
-
-  std::size_t tracked() const;
-  void clear() { outputs_.clear(); }
 
  private:
   std::map<ShuffleKey, std::map<int, NodeId>> outputs_;

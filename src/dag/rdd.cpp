@@ -4,16 +4,6 @@
 
 namespace rupam {
 
-Bytes Rdd::total_bytes() const {
-  Bytes total = 0.0;
-  for (Bytes b : partition_bytes) total += b;
-  return total;
-}
-
-std::string Rdd::block_key(int partition) const {
-  return "rdd_" + std::to_string(id) + "_" + std::to_string(partition);
-}
-
 std::vector<std::vector<NodeId>> place_blocks(std::size_t partitions,
                                               const std::vector<NodeId>& nodes, int replication,
                                               Rng& rng, const std::vector<double>& weights) {

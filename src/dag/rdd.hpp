@@ -1,30 +1,13 @@
-// Minimal RDD/partition bookkeeping: identity, sizes, block placement.
-//
-// The simulator does not execute transformations; RDDs exist so that
-// (a) input partitions have stable block locations (data locality), and
-// (b) cached partitions have stable cache keys across iterations.
+// HDFS-style block placement: input partitions get stable block locations
+// (data locality). The simulator executes no transformations.
 #pragma once
 
-#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "common/types.hpp"
 
 namespace rupam {
-
-struct Rdd {
-  int id = 0;
-  std::string name;
-  std::vector<Bytes> partition_bytes;
-  /// Block locations per partition (HDFS-style replicas).
-  std::vector<std::vector<NodeId>> locations;
-
-  std::size_t num_partitions() const { return partition_bytes.size(); }
-  Bytes total_bytes() const;
-  /// Cache key of one partition ("rdd_<id>_<p>", Spark block-id style).
-  std::string block_key(int partition) const;
-};
 
 /// Spread `partitions` blocks over `nodes` with `replication` replicas
 /// each (deterministic given rng). `weights` biases placement the way

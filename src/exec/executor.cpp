@@ -8,12 +8,11 @@ namespace rupam {
 
 // ---------------------------------------------------------------- Executor
 
-Executor::Executor(Simulator& sim, Node& node, ExecutorId id, ExecutorConfig config, Rng rng)
+Executor::Executor(Simulator& sim, Node& node, ExecutorId id, ExecutorConfig config)
     : sim_(sim),
       node_(node),
       id_(id),
       config_(config),
-      rng_(rng),
       exec_memory_(config.heap),
       cache_(config.heap * config.storage_fraction),
       gc_(config.gc) {
@@ -36,16 +35,6 @@ std::shared_ptr<TaskExecution> Executor::launch(const TaskSpec& spec, LaunchOpti
   running_.push_back(exec);
   exec->start();  // reserves memory: usage_changed() sees the new attempt
   return exec;
-}
-
-bool Executor::kill_task(TaskId task, const std::string& reason, bool notify) {
-  for (const auto& exec : running_) {
-    if (exec->spec().id == task && exec->running()) {
-      exec->kill(reason, notify);
-      return true;
-    }
-  }
-  return false;
 }
 
 void Executor::reserve_memory(Bytes amount) {

@@ -21,7 +21,6 @@
 
 #include "cluster/memory_pool.hpp"
 #include "cluster/node.hpp"
-#include "common/rng.hpp"
 #include "exec/block_cache.hpp"
 #include "exec/gc_model.hpp"
 #include "obs/spans.hpp"
@@ -139,7 +138,7 @@ class Executor {
   using UsageFn = std::function<void()>;
 
   /// Registers with `node` as its one executor (the node reads heap_used()).
-  Executor(Simulator& sim, Node& node, ExecutorId id, ExecutorConfig config, Rng rng);
+  Executor(Simulator& sim, Node& node, ExecutorId id, ExecutorConfig config);
   ~Executor();
   Executor(const Executor&) = delete;
   Executor& operator=(const Executor&) = delete;
@@ -164,10 +163,6 @@ class Executor {
 
   BlockCache& cache() { return cache_; }
   const std::vector<std::shared_ptr<TaskExecution>>& running() const { return running_; }
-
-  /// Kill the running attempt of `task` if present (straggler relocation /
-  /// losing speculative copy). Returns true if something was killed.
-  bool kill_task(TaskId task, const std::string& reason, bool notify);
 
   void set_lost_handler(LostFn fn) { on_lost_ = std::move(fn); }
   void set_ready_handler(ReadyFn fn) { on_ready_ = std::move(fn); }
@@ -217,7 +212,6 @@ class Executor {
   Node& node_;
   ExecutorId id_;
   ExecutorConfig config_;
-  Rng rng_;
   MemoryPool exec_memory_;  // execution region accounting (can overflow)
   BlockCache cache_;
   GcModel gc_;

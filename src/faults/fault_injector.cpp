@@ -3,6 +3,7 @@
 #include <stdexcept>
 
 #include "common/log.hpp"
+#include "exec/executor.hpp"
 
 namespace rupam {
 
@@ -10,9 +11,6 @@ FaultInjector::FaultInjector(FaultInjectorEnv env, FaultPlan plan)
     : env_(std::move(env)), plan_(std::move(plan)) {
   if (env_.sim == nullptr || env_.cluster == nullptr) {
     throw std::invalid_argument("FaultInjector: null environment");
-  }
-  if (!env_.executors.empty() && env_.executors.size() != env_.cluster->size()) {
-    throw std::invalid_argument("FaultInjector: executor list must match cluster size");
   }
   plan_.validate(env_.cluster->size());
 }
@@ -88,9 +86,7 @@ void FaultInjector::crash_node(NodeId node) {
   if (!n.online()) return;  // double-crash is a no-op
   ++crashes_;
   n.set_online(false);
-  if (static_cast<std::size_t>(node) < env_.executors.size()) {
-    env_.executors[static_cast<std::size_t>(node)]->crash();
-  }
+  if (Executor* e = n.executor()) e->crash();
   // Map outputs on the node are gone; the DAG decides what to recompute.
   if (env_.dag != nullptr) {
     partitions_resubmitted_ += env_.dag->on_node_lost(node);
@@ -106,9 +102,7 @@ void FaultInjector::recover_node(NodeId node) {
   if (n.online()) return;
   ++recoveries_;
   n.set_online(true);
-  if (static_cast<std::size_t>(node) < env_.executors.size()) {
-    env_.executors[static_cast<std::size_t>(node)]->force_restart();
-  }
+  if (Executor* e = n.executor()) e->force_restart();
   RUPAM_INFO(env_.sim->now(), "fault: node ", node, " back online");
 }
 
@@ -121,9 +115,7 @@ void FaultInjector::revoke_node(NodeId node) {
   // without the app-layer listener — behave identically. Both are
   // idempotent.
   env_.cluster->decommission(node);
-  if (static_cast<std::size_t>(node) < env_.executors.size()) {
-    env_.executors[static_cast<std::size_t>(node)]->crash();
-  }
+  if (Executor* e = env_.cluster->node(node).executor()) e->crash();
   if (env_.dag != nullptr) {
     partitions_resubmitted_ += env_.dag->on_node_lost(node);
   }

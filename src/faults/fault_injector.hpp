@@ -16,23 +16,20 @@
 #pragma once
 
 #include <array>
-#include <vector>
 
 #include "cluster/cluster.hpp"
 #include "cluster/heartbeat.hpp"
 #include "dag/dag_scheduler.hpp"
-#include "exec/executor.hpp"
 #include "faults/fault_plan.hpp"
 #include "metrics/event_trace.hpp"
 #include "simcore/simulator.hpp"
 
 namespace rupam {
 
+/// A node's executor, if it has one, is read from its Node.
 struct FaultInjectorEnv {
   Simulator* sim = nullptr;
   Cluster* cluster = nullptr;
-  /// One executor per node, indexed by NodeId (same as SchedulerEnv).
-  std::vector<Executor*> executors;
   /// Optional: needed for kHeartbeatDrop events.
   HeartbeatService* heartbeats = nullptr;
   /// Optional: crash events invalidate map outputs through it.

@@ -3,8 +3,8 @@
 // record from its launch_task choke point; the concrete scheduler fills
 // in the placement rationale (RUPAM bottleneck-tag match + heap rank,
 // Spark delay-scheduling level taken vs. allowed, FAIR pool that won,
-// fallback path) via explain_next_launch just before launching. Exported
-// behind `rupam_sim --explain` as CSV or JSON.
+// fallback path) in the Explain it passes to launch_task. Exported behind
+// `rupam_sim --explain` as CSV or JSON.
 #pragma once
 
 #include <ostream>

@@ -168,6 +168,11 @@ ComparisonReport compare_json_text(const std::string& base_text, const std::stri
 
 void write_comparison_json(const ComparisonReport& report, std::ostream& os) {
   JsonWriter w(os);
+  write_comparison_json(report, w);
+  os << "\n";
+}
+
+void write_comparison_json(const ComparisonReport& report, JsonWriter& w) {
   w.begin_object();
   w.key("improved").value(static_cast<unsigned long long>(report.improved));
   w.key("regressed").value(static_cast<unsigned long long>(report.regressed));
@@ -194,7 +199,6 @@ void write_comparison_json(const ComparisonReport& report, std::ostream& os) {
   for (const std::string& k : report.only_in_test) w.value(k);
   w.end_array();
   w.end_object();
-  os << "\n";
 }
 
 void print_comparison(const ComparisonReport& report, std::ostream& os) {

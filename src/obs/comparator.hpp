@@ -15,6 +15,7 @@
 namespace rupam {
 
 class JsonValue;
+class JsonWriter;
 
 enum class Verdict : std::uint8_t {
   kImproved = 0,
@@ -67,6 +68,8 @@ ComparisonReport compare_json_text(const std::string& base_text, const std::stri
 
 /// Machine-readable comparison document (schema in DESIGN.md §13).
 void write_comparison_json(const ComparisonReport& report, std::ostream& os);
+/// The same object, written into an in-progress writer.
+void write_comparison_json(const ComparisonReport& report, JsonWriter& w);
 
 /// Human-readable verdict table via common/table.
 void print_comparison(const ComparisonReport& report, std::ostream& os);

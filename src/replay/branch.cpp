@@ -121,25 +121,6 @@ ReplayRun launch_with(const RunSpec& spec, SimulationConfig cfg,
   return run;
 }
 
-void write_outcome(const RunOutcome& o, JsonWriter& w) {
-  w.begin_object();
-  w.key("makespan_s").number(o.makespan, 12);
-  w.key("jct_mean_s").number(o.jct.mean, 12);
-  w.key("jct_p50_s").number(o.jct.p50, 12);
-  w.key("jct_p95_s").number(o.jct.p95, 12);
-  w.key("jct_p99_s").number(o.jct.p99, 12);
-  w.key("jct_max_s").number(o.jct.max, 12);
-  w.key("jct_queueing_s").number(o.jct.mean_queueing, 12);
-  w.key("stragglers").value(static_cast<unsigned long long>(o.stragglers));
-  w.key("task_launches").value(static_cast<unsigned long long>(o.launches));
-  w.key("task_failures").value(static_cast<unsigned long long>(o.failures));
-  w.key("oom_kills").value(static_cast<unsigned long long>(o.oom_kills));
-  w.key("executor_losses").value(static_cast<unsigned long long>(o.executor_losses));
-  w.key("relocations").value(static_cast<unsigned long long>(o.relocations));
-  w.key("recomputed_partitions").value(static_cast<unsigned long long>(o.recomputed_partitions));
-  w.end_object();
-}
-
 std::string_view kind_name(BranchKind kind) {
   switch (kind) {
     case BranchKind::kNodeOverride: return "node_override";
@@ -188,6 +169,25 @@ BranchSpec parse_branch_spec(const std::string& text) {
     return spec;
   }
   branch_error("expected node:..., scheduler=NAME, or suppress:... (got '" + head + "')");
+}
+
+void write_outcome(const RunOutcome& o, JsonWriter& w) {
+  w.begin_object();
+  w.key("makespan_s").number(o.makespan, 12);
+  w.key("jct_mean_s").number(o.jct.mean, 12);
+  w.key("jct_p50_s").number(o.jct.p50, 12);
+  w.key("jct_p95_s").number(o.jct.p95, 12);
+  w.key("jct_p99_s").number(o.jct.p99, 12);
+  w.key("jct_max_s").number(o.jct.max, 12);
+  w.key("jct_queueing_s").number(o.jct.mean_queueing, 12);
+  w.key("stragglers").value(static_cast<unsigned long long>(o.stragglers));
+  w.key("task_launches").value(static_cast<unsigned long long>(o.launches));
+  w.key("task_failures").value(static_cast<unsigned long long>(o.failures));
+  w.key("oom_kills").value(static_cast<unsigned long long>(o.oom_kills));
+  w.key("executor_losses").value(static_cast<unsigned long long>(o.executor_losses));
+  w.key("relocations").value(static_cast<unsigned long long>(o.relocations));
+  w.key("recomputed_partitions").value(static_cast<unsigned long long>(o.recomputed_partitions));
+  w.end_object();
 }
 
 std::string outcome_to_json(const RunOutcome& outcome) {
@@ -284,13 +284,8 @@ void write_branch_report_json(const BranchReport& report, std::ostream& os) {
   write_outcome(report.base, w);
   w.key("branch_run");
   write_outcome(report.branch, w);
-  std::ostringstream comparison;
-  write_comparison_json(report.comparison, comparison);
-  std::string rendered = comparison.str();
-  while (!rendered.empty() && (rendered.back() == '\n' || rendered.back() == ' ')) {
-    rendered.pop_back();
-  }
-  w.key("comparison").raw(rendered);
+  w.key("comparison");
+  write_comparison_json(report.comparison, w);
   w.end_object();
   os << "\n";
 }

@@ -73,6 +73,8 @@ struct RunOutcome {
 
 /// Flat JSON object compare_json_text understands (BENCH-style).
 std::string outcome_to_json(const RunOutcome& outcome);
+/// The same object, written into an in-progress writer.
+void write_outcome(const RunOutcome& outcome, JsonWriter& w);
 
 struct BranchReport {
   BranchSpec spec;

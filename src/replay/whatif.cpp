@@ -195,7 +195,7 @@ void write_whatif_json(const WhatIfReport& report, std::ostream& os) {
   JsonWriter w(os);
   w.begin_object();
   w.key("base");
-  w.raw(outcome_to_json(report.base).substr(0, outcome_to_json(report.base).size() - 1));
+  write_outcome(report.base, w);
   w.key("candidates").begin_array();
   for (const WhatIfFinding& f : report.findings) {
     w.begin_object();
@@ -204,9 +204,7 @@ void write_whatif_json(const WhatIfReport& report, std::ostream& os) {
     w.key("p95_jct_saving_s").number(f.p95_jct_saving, 12);
     w.key("makespan_saving_s").number(f.makespan_saving, 12);
     w.key("outcome");
-    std::string rendered = outcome_to_json(f.outcome);
-    while (!rendered.empty() && rendered.back() == '\n') rendered.pop_back();
-    w.raw(rendered);
+    write_outcome(f.outcome, w);
     w.end_object();
   }
   w.end_array();

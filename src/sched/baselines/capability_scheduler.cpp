@@ -130,19 +130,18 @@ void CapabilityScheduler::try_dispatch() {
       ResourceKind kind = stage_bottleneck(stage.set.stage_name);
       NodeId node = best_free_node(kind);
       if (node == kInvalidNode) continue;
+      Explain e;
       if (audit_enabled()) {
         // The audit exposes the rank index and the full candidate list.
         std::vector<NodeId> ranked = ranked_nodes(kind);
         auto rank = std::find(ranked.begin(), ranked.end(), node) - ranked.begin();
-        Explain e;
         e.reason = "capability_rank";
         e.detail = "tag=" + std::string(to_string(kind)) + " rank=" + std::to_string(rank);
         e.candidates = static_cast<int>(ranked.size());
         e.candidate_nodes = std::move(ranked);
-        explain_next_launch(std::move(e));
       }
       if (launch_task(stage, *next, node, next->spec.gpu_accelerable,
-                      /*speculative=*/false, kind)) {
+                      /*speculative=*/false, kind, audit_enabled() ? &e : nullptr)) {
         rekey(next->live.back().node);
         progressed = true;
       }
@@ -158,15 +157,15 @@ void CapabilityScheduler::try_dispatch() {
       Executor* exec = executor(node);
       if (exec == nullptr || exec->free_slots() <= 0 || !node_usable(node)) continue;
       if (task.has_attempt_on(node)) continue;
+      Explain e;
       if (audit_enabled()) {
-        Explain e;
         e.reason = "capability_speculative";
         e.detail = "tag=" + std::string(to_string(stage_bottleneck(stage.set.stage_name)));
         e.candidates = 1;
         e.candidate_nodes = {node};
-        explain_next_launch(std::move(e));
       }
-      if (launch_task(stage, task, node, task.spec.gpu_accelerable, /*speculative=*/true)) {
+      if (launch_task(stage, task, node, task.spec.gpu_accelerable, /*speculative=*/true,
+                      ResourceKind::kCpu, audit_enabled() ? &e : nullptr)) {
         note_speculative_launch(task.spec.id);
         break;
       }

@@ -18,16 +18,15 @@ void FifoScheduler::try_dispatch() {
         StageState& stage = *sp;
         TaskState* next = next_launchable(stage);
         if (next == nullptr) continue;
+        Explain e;
         if (audit_enabled()) {
-          Explain e;
           e.reason = "fifo_first_free_slot";
           e.detail = "rotation=" + std::to_string(rotation_ % n);
           e.candidates = 1;
           e.candidate_nodes = {node};
-          explain_next_launch(std::move(e));
         }
-        if (launch_task(stage, *next, node, next->spec.gpu_accelerable,
-                        /*speculative=*/false)) {
+        if (launch_task(stage, *next, node, next->spec.gpu_accelerable, /*speculative=*/false,
+                        ResourceKind::kCpu, audit_enabled() ? &e : nullptr)) {
           progressed = true;
           drained = pending_tasks() == 0;
         }
@@ -51,14 +50,14 @@ void FifoScheduler::try_dispatch() {
     TaskState& task = stage.tasks[task_index];
     for_each_ready_node(0, [&](NodeId node, Executor&) {
       if (task.has_attempt_on(node)) return true;
+      Explain e;
       if (audit_enabled()) {
-        Explain e;
         e.reason = "fifo_speculative";
         e.candidates = 1;
         e.candidate_nodes = {node};
-        explain_next_launch(std::move(e));
       }
-      if (launch_task(stage, task, node, task.spec.gpu_accelerable, /*speculative=*/true)) {
+      if (launch_task(stage, task, node, task.spec.gpu_accelerable, /*speculative=*/true,
+                      ResourceKind::kCpu, audit_enabled() ? &e : nullptr)) {
         note_speculative_launch(task.spec.id);
         return false;
       }

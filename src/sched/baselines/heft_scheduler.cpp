@@ -112,6 +112,7 @@ void HeftScheduler::try_dispatch() {
       if (next == nullptr) continue;
       NodeId node = best_free_node(next->spec);
       if (node == kInvalidNode) continue;
+      Explain e;
       if (audit_enabled()) {
         // Full EFT ranking over every schedulable node for the audit
         // trail; the winner matches best_free_node's (same cost table,
@@ -122,16 +123,14 @@ void HeftScheduler::try_dispatch() {
           scored.push_back({exec_cost(next->spec, cluster().node(id).spec()), id});
         }
         std::sort(scored.begin(), scored.end());
-        Explain e;
         e.reason = "heft_eft";
         e.detail = "rank_u=" + std::to_string(upward_rank(stage.set.stage));
         e.candidates = static_cast<int>(scored.size());
         e.candidate_nodes.reserve(scored.size());
         for (const auto& [cost, id] : scored) e.candidate_nodes.push_back(id);
-        explain_next_launch(std::move(e));
       }
-      if (launch_task(stage, *next, node, next->spec.gpu_accelerable,
-                      /*speculative=*/false)) {
+      if (launch_task(stage, *next, node, next->spec.gpu_accelerable, /*speculative=*/false,
+                      ResourceKind::kCpu, audit_enabled() ? &e : nullptr)) {
         progressed = true;
       }
     }
@@ -145,14 +144,14 @@ void HeftScheduler::try_dispatch() {
     TaskState& task = stage.tasks[task_index];
     NodeId node = best_free_node(task.spec, &task);
     if (node == kInvalidNode) continue;
+    Explain e;
     if (audit_enabled()) {
-      Explain e;
       e.reason = "heft_speculative";
       e.candidates = 1;
       e.candidate_nodes = {node};
-      explain_next_launch(std::move(e));
     }
-    if (launch_task(stage, task, node, task.spec.gpu_accelerable, /*speculative=*/true)) {
+    if (launch_task(stage, task, node, task.spec.gpu_accelerable, /*speculative=*/true,
+                    ResourceKind::kCpu, audit_enabled() ? &e : nullptr)) {
       note_speculative_launch(task.spec.id);
     }
   }

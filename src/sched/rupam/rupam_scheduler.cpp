@@ -476,6 +476,7 @@ void RupamScheduler::try_dispatch() {
         bool use_gpu =
             pick.task->spec.gpu_accelerable && cluster().node(node).gpus().idle() > 0;
         bool as_copy = pick.gpu_race_copy;
+        Explain e;
         if (audit_enabled()) {
           // Bottleneck tag: the characterization that routed this task to a
           // per-resource queue (Algorithm 1); for never-seen tasks the queue
@@ -485,7 +486,6 @@ void RupamScheduler::try_dispatch() {
                   db_.lookup(pick.task->spec.stage_name, pick.task->spec.partition)) {
             tag = tm_.bottleneck(*rec);
           }
-          Explain e;
           e.reason = speculative_copy ? "rupam_speculative"
                      : as_copy        ? "rupam_gpu_race"
                                       : "rupam_heap_match";
@@ -498,9 +498,11 @@ void RupamScheduler::try_dispatch() {
             if (node_offerable(candidate, kind)) e.candidate_nodes.push_back(candidate);
           }
           e.candidates = static_cast<int>(e.candidate_nodes.size());
-          explain_next_launch(std::move(e));
         }
-        if (!launch_task(*pick.stage, *pick.task, node, use_gpu, as_copy, kind)) continue;
+        if (!launch_task(*pick.stage, *pick.task, node, use_gpu, as_copy, kind,
+                         audit_enabled() ? &e : nullptr)) {
+          continue;
+        }
         if (as_copy) {
           if (speculative_copy) {
             note_speculative_launch(pick.task->spec.id);

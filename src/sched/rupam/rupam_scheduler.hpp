@@ -75,8 +75,9 @@ class RupamScheduler : public SchedulerBase {
 
   void on_heartbeat(NodeId node) override;
 
-  /// Exposed so experiments can clear DB_task_char between repetitions
-  /// (the paper clears it after each of the five Fig-5 runs).
+  /// DB_task_char, a test seam: tests pre-teach it or read its size. A
+  /// fresh Simulation starts with an empty one, which is how each of the
+  /// paper's Fig 5 runs starts.
   TaskCharDb& db() { return db_; }
   std::size_t gpu_races() const { return gpu_races_; }
 

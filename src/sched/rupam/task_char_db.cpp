@@ -54,11 +54,4 @@ bool TaskCharDb::stage_uses_gpu(const std::string& stage_name) const {
   return stage_uses_gpu(stage_names_.find(stage_name));
 }
 
-void TaskCharDb::clear() {
-  records_.clear();
-  // Interned names survive a clear (ids stay stable across the paper's
-  // per-run DB resets); only the learned state is dropped.
-  std::fill(gpu_stages_.begin(), gpu_stages_.end(), 0);
-}
-
 }  // namespace rupam

@@ -75,7 +75,6 @@ class TaskCharDb {
            gpu_stages_[stage.index()] != 0;
   }
 
-  void clear();
   std::size_t size() const { return records_.size(); }
 
  private:

@@ -119,14 +119,6 @@ const TaskManager::Queue& TaskManager::parked(ResourceKind kind) const {
   return parked_[static_cast<std::size_t>(kind)];
 }
 
-void TaskManager::clear_queues() {
-  for (auto& q : active_) q.clear();
-  for (auto& q : parked_) q.clear();
-  slots_.clear();
-  next_seq_ = 0;
-  ++version_;
-}
-
 void TaskManager::record_completion(const TaskSpec& spec, const TaskMetrics& metrics) {
   ResourceKind kind = bottleneck(metrics, spec.gpu_accelerable && metrics.used_gpu);
   db_.update(spec.stage_name, spec.partition, metrics, kind);

@@ -71,7 +71,6 @@ class TaskManager {
 
   const Queue& active(ResourceKind kind) const;
   const Queue& parked(ResourceKind kind) const;
-  void clear_queues();
   /// Bumped by every queue change except note_launched. Parking keeps a
   /// ref's sequence number, so a dispatch round's row snapshot stays valid
   /// across its own launches and is rebuilt when this moves.
@@ -80,8 +79,6 @@ class TaskManager {
   /// Fold a completed attempt into DB_task_char; marks the stage GPU when
   /// a device was used (the paper tags all tasks of that stage).
   void record_completion(const TaskSpec& spec, const TaskMetrics& metrics);
-
-  TaskCharDb& db() { return db_; }
 
  private:
   struct Slot {

@@ -40,17 +40,14 @@ bool SchedulerBase::TaskState::has_gpu_attempt() const {
   return std::any_of(live.begin(), live.end(), [](const Attempt& a) { return a.gpu; });
 }
 
-SchedulerBase::SchedulerBase(SchedulerEnv env)
-    : env_(std::move(env)), liveness_({kHeartbeatPeriod, kMissedHeartbeatsDead}) {
+SchedulerBase::SchedulerBase(SchedulerEnv env) : env_(std::move(env)) {
   if (env_.sim == nullptr || env_.cluster == nullptr) {
     throw std::invalid_argument("SchedulerBase: null environment");
   }
-  if (env_.executors.size() != env_.cluster->size()) {
-    throw std::invalid_argument("SchedulerBase: executor list must match cluster size");
-  }
   intern_pool(kDefaultPool);  // PoolId 0, always
-  live_attempts_.assign(env_.executors.size(), {});
-  for (Executor* e : env_.executors) wire_executor(e);
+  for (NodeId id : cluster().node_ids()) {
+    if (Executor* e = executor(id)) register_executor(e);
+  }
   // Subscribing in the base constructor means the scheduler's indexes are
   // reconciled before any later subscriber (the Simulation's side-effect
   // listener) reacts to the same transition.
@@ -60,15 +57,19 @@ SchedulerBase::SchedulerBase(SchedulerEnv env)
 
 SchedulerBase::~SchedulerBase() {
   env_.cluster->unsubscribe_membership(membership_token_);
-  for (Executor* e : env_.executors) e->cache().set_change_listener(nullptr);
+  for (NodeId id : cluster().node_ids()) {
+    if (Executor* e = executor(id)) e->cache().set_change_listener(nullptr);
+  }
   wake_timer_.cancel();
   fault_tolerance_timer_.cancel();
   preemption_timer_.cancel();
 }
 
-void SchedulerBase::wire_executor(Executor* e) {
+void SchedulerBase::register_executor(Executor* e) {
   if (e == nullptr) throw std::invalid_argument("SchedulerBase: null executor");
   NodeId node = e->node().id();
+  auto idx = static_cast<std::size_t>(node);
+  if (live_attempts_.size() <= idx) live_attempts_.resize(idx + 1);
   maybe_free_.insert(node);
   e->set_ready_handler([this, node](ExecutorId) {
     note_node_maybe_free(node);
@@ -82,16 +83,6 @@ void SchedulerBase::wire_executor(Executor* e) {
   e->cache().set_change_listener([this, node](const std::string& key, bool present) {
     on_cache_change(node, key, present);
   });
-}
-
-void SchedulerBase::register_executor(Executor* exec) {
-  if (exec == nullptr) throw std::invalid_argument("SchedulerBase: null executor");
-  if (static_cast<std::size_t>(exec->node().id()) != env_.executors.size()) {
-    throw std::invalid_argument("SchedulerBase: executors must register in NodeId order");
-  }
-  env_.executors.push_back(exec);
-  live_attempts_.push_back({});
-  wire_executor(exec);
 }
 
 void SchedulerBase::handle_membership(NodeId node, NodeLifecycle state) {
@@ -110,12 +101,13 @@ void SchedulerBase::handle_membership(NodeId node, NodeLifecycle state) {
       node_membership_changed(node, state);
       break;
     case NodeLifecycle::kDecommissioned:
-      // Purge every per-node structure so the timed un-blacklist path and
-      // the liveness sweep can never resurrect a departed node.
+      // Purge every per-node structure so the timed un-blacklist path can
+      // never resurrect a departed node. The grid reports no beat for a
+      // non-member, so the liveness sweep never reaches it again.
       maybe_free_.erase(node);
       blacklisted_until_.erase(node);
       recent_failures_.erase(node);
-      liveness_.forget(node);
+      if (dead(node)) dead_[static_cast<std::size_t>(node)] = false;
       node_membership_changed(node, state);
       request_dispatch();
       break;
@@ -128,31 +120,21 @@ bool SchedulerBase::node_usable(NodeId node) const {
   // fleets are always live, so this is a no-op for them.
   if (!cluster().schedulable(node)) return false;
   if (!fault_tolerance_.enabled) return true;
-  if (liveness_.dead(node)) return false;
+  if (dead(node)) return false;
   auto it = blacklisted_until_.find(node);
   return it == blacklisted_until_.end() || sim().now() >= it->second;
 }
 
 bool SchedulerBase::heartbeat_overdue(NodeId node) const {
-  if (!fault_tolerance_.enabled) return false;
-  hear(node);
-  return liveness_.overdue(node, sim().now());
-}
-
-void SchedulerBase::hear(NodeId node) const {
-  if (env_.heartbeats == nullptr || liveness_.dead(node)) return;
+  if (!fault_tolerance_.enabled || env_.heartbeats == nullptr) return false;
+  // Strict: the last beat may still be in flight at exactly the deadline.
   std::optional<SimTime> last = env_.heartbeats->last_beat(node);
-  if (last) liveness_.heartbeat(node, *last);
+  return last && sim().now() - *last > kHeartbeatPeriod * kMissedHeartbeatsDead;
 }
 
 bool SchedulerBase::node_blacklisted(NodeId node) const {
   auto it = blacklisted_until_.find(node);
   return it != blacklisted_until_.end() && sim().now() < it->second;
-}
-
-Executor* SchedulerBase::executor(NodeId node) const {
-  if (node < 0 || static_cast<std::size_t>(node) >= env_.executors.size()) return nullptr;
-  return env_.executors[static_cast<std::size_t>(node)];
 }
 
 bool SchedulerBase::launchable(const TaskState& task) const {
@@ -270,12 +252,6 @@ void SchedulerBase::attach(const Observers& observers) {
   }
 }
 
-void SchedulerBase::explain_next_launch(Explain explain) {
-  if (audit_ == nullptr) return;
-  pending_explain_ = std::move(explain);
-  has_explain_ = true;
-}
-
 void SchedulerBase::submit(const TaskSet& task_set) {
   OverheadProfiler::Scope profile(profiler_, ProfileSection::kEnqueue);
   task_set.validate();
@@ -312,15 +288,18 @@ void SchedulerBase::submit(const TaskSet& task_set) {
 void SchedulerBase::on_heartbeat(NodeId node) {
   if (fault_tolerance_.enabled) {
     // A beat opens a node only by reviving it or by ending a silence that
-    // heartbeat_overdue closed it for: the grid delivers that beat.
-    hear(node);
-    bool overdue = liveness_.overdue(node, sim().now());
-    if (liveness_.heartbeat(node, sim().now())) {
+    // heartbeat_overdue closed it for: the grid delivers that beat. The
+    // grid records it only after its listeners return, so the overdue
+    // test here still reads the silence it ends. Nothing later in this
+    // delivery reads liveness: RUPAM's memory check runs before this
+    // handler, and a requested round runs as its own event.
+    if (dead(node)) {
+      dead_[static_cast<std::size_t>(node)] = false;
       trace(TraceEventType::kNodeRecovered, -1, -1, 0, node, "heartbeats resumed");
       RUPAM_INFO(sim().now(), name(), ": node ", node, " recovered (heartbeats resumed)");
       note_node_maybe_free(node);
       request_dispatch();
-    } else if (overdue) {
+    } else if (heartbeat_overdue(node)) {
       request_dispatch();
     }
   }
@@ -332,8 +311,11 @@ void SchedulerBase::on_heartbeat(NodeId node) {
 
 void SchedulerBase::fault_tolerance_tick() {
   SimTime now = sim().now();
-  for (std::size_t i = 0; i < cluster().size(); ++i) hear(static_cast<NodeId>(i));
-  for (NodeId node : liveness_.sweep(now)) {
+  dead_.resize(cluster().size());  // joiners start alive
+  for (std::size_t i = 0; i < dead_.size(); ++i) {
+    NodeId node = static_cast<NodeId>(i);
+    if (dead_[i] || !heartbeat_overdue(node)) continue;
+    dead_[i] = true;
     trace(TraceEventType::kNodeDead, -1, -1, 0, node, "missed heartbeats");
     RUPAM_WARN(now, name(), ": node ", node, " declared dead (missed heartbeats)");
   }
@@ -519,13 +501,7 @@ void SchedulerBase::rearm_relaxation() {
 }
 
 bool SchedulerBase::launch_task(StageState& stage, TaskState& task, NodeId node, bool use_gpu,
-                                bool speculative, ResourceKind kind) {
-  // Consume any staged rationale up front so a failed launch cannot leak
-  // its explanation onto the next (unrelated) launch.
-  Explain explain = std::move(pending_explain_);
-  bool explained = has_explain_;
-  has_explain_ = false;
-  pending_explain_ = Explain{};
+                                bool speculative, ResourceKind kind, Explain* explain) {
   StageId stage_id = stage.set.stage;
   // Replay seam: a branch override may redirect this one launch. The
   // interceptor sees the prospective attempt id (next_attempt is only
@@ -578,11 +554,11 @@ bool SchedulerBase::launch_task(StageState& stage, TaskState& task, NodeId node,
     d.pool = stage.pool;
     d.speculative = speculative;
     d.queue = kind;
-    if (explained) {
-      d.reason = std::move(explain.reason);
-      d.detail = std::move(explain.detail);
-      d.candidates_considered = explain.candidates;
-      d.candidate_nodes = std::move(explain.candidate_nodes);
+    if (explain != nullptr) {
+      d.reason = std::move(explain->reason);
+      d.detail = std::move(explain->detail);
+      d.candidates_considered = explain->candidates;
+      d.candidate_nodes = std::move(explain->candidate_nodes);
     } else {
       // Subclass gave no rationale (direct launch path): still auditable.
       d.reason = speculative ? "speculative_copy" : "direct_launch";
@@ -606,47 +582,42 @@ bool SchedulerBase::launch_task(StageState& stage, TaskState& task, NodeId node,
   return true;
 }
 
-bool SchedulerBase::relocate_task(StageState& stage, TaskState& task,
-                                  const std::string& reason) {
+bool SchedulerBase::requeue_task(StageState& stage, TaskState& task,
+                                 const std::string& kill_reason, TraceEventType type,
+                                 std::string detail) {
   if (task.finished || task.live.empty()) return false;
-  // Kill every live attempt silently and put the task back in the queue.
-  auto live = task.live;
-  for (auto& attempt : live) {
-    attempt.exec->kill(reason, /*notify=*/false);
+  if (trace_ != nullptr) {
+    trace(type, stage.set.stage, task.spec.id, task.live.front().id, task.live.front().node,
+          std::move(detail));
+  }
+  // Silent kills: no failure callback touches task.live while we walk it.
+  for (const Attempt& attempt : task.live) {
+    attempt.exec->kill(kill_reason, /*notify=*/false);
     note_attempt_ended(attempt.node, attempt.kind, stage);
     note_node_maybe_free(attempt.node);
   }
-  if (trace_ != nullptr) {
-    trace(TraceEventType::kTaskRelocated, stage.set.stage, task.spec.id,
-          task.live.front().id, task.live.front().node, reason);
-  }
   task.live.clear();
   set_task_pending(stage, static_cast<std::size_t>(&task - stage.tasks.data()), true);
-  ++relocations_;
   task_relaunchable(stage, task);
   request_dispatch();
   return true;
 }
 
+bool SchedulerBase::relocate_task(StageState& stage, TaskState& task,
+                                  const std::string& reason) {
+  if (!requeue_task(stage, task, reason, TraceEventType::kTaskRelocated, reason)) return false;
+  ++relocations_;
+  return true;
+}
+
 bool SchedulerBase::preempt_task(StageState& stage, TaskState& task) {
-  if (task.finished || task.live.empty()) return false;
-  auto live = task.live;
-  if (trace_ != nullptr) {
-    trace(TraceEventType::kTaskPreempted, stage.set.stage, task.spec.id, live.front().id,
-          live.front().node, "fair-share reclaim from pool " + pool_name(stage.pool));
+  const std::string& pool = pool_name(stage.pool);
+  if (!requeue_task(stage, task, "preempted", TraceEventType::kTaskPreempted,
+                    tracing() ? "fair-share reclaim from pool " + pool : std::string())) {
+    return false;
   }
-  for (auto& attempt : live) {
-    attempt.exec->kill("preempted", /*notify=*/false);
-    note_attempt_ended(attempt.node, attempt.kind, stage);
-    note_node_maybe_free(attempt.node);
-  }
-  task.live.clear();
-  set_task_pending(stage, static_cast<std::size_t>(&task - stage.tasks.data()), true);
   ++preemptions_;
-  RUPAM_INFO(sim().now(), name(), ": preempted task ", task.spec.id, " (pool ",
-             pool_name(stage.pool), ")");
-  task_relaunchable(stage, task);
-  request_dispatch();
+  RUPAM_INFO(sim().now(), name(), ": preempted task ", task.spec.id, " (pool ", pool, ")");
   return true;
 }
 
@@ -755,9 +726,10 @@ std::size_t SchedulerBase::pending_tasks() const {
 
 int SchedulerBase::free_slots_total() const {
   int total = 0;
-  for (std::size_t i = 0; i < env_.executors.size(); ++i) {
-    if (!cluster().schedulable(static_cast<NodeId>(i))) continue;
-    Executor* e = env_.executors[i];
+  for (std::size_t i = 0; i < cluster().size(); ++i) {
+    auto id = static_cast<NodeId>(i);
+    if (!cluster().schedulable(id)) continue;
+    Executor* e = executor(id);
     if (e != nullptr && e->alive()) total += e->free_slots();
   }
   return total;
@@ -965,8 +937,7 @@ SchedulerBase::TaskState* SchedulerBase::next_launchable(StageState& stage) {
 }
 
 void SchedulerBase::note_node_maybe_free(NodeId node) {
-  if (node < 0 || static_cast<std::size_t>(node) >= env_.executors.size()) return;
-  maybe_free_.insert(node);
+  if (executor(node) != nullptr) maybe_free_.insert(node);
 }
 
 int SchedulerBase::live_attempts(NodeId node, ResourceKind kind) const {

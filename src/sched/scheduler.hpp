@@ -28,7 +28,6 @@
 
 #include "cluster/cluster.hpp"
 #include "cluster/heartbeat.hpp"
-#include "cluster/liveness.hpp"
 #include "common/symbol.hpp"
 #include "dag/job.hpp"
 #include "exec/executor.hpp"
@@ -42,11 +41,10 @@
 
 namespace rupam {
 
+/// Each node's executor is read from its Node (Node::executor).
 struct SchedulerEnv {
   Simulator* sim = nullptr;
   Cluster* cluster = nullptr;
-  /// One executor per node, indexed by NodeId.
-  std::vector<Executor*> executors;
   /// The heartbeat grid liveness reads last beats from (optional).
   HeartbeatService* heartbeats = nullptr;
 };
@@ -204,9 +202,8 @@ class SchedulerBase {
   /// Free executor slots on schedulable (live) member nodes.
   int free_slots_total() const;
 
-  /// Wire the executor of a node that joined after construction. Must be
-  /// called in NodeId order (the executor list stays dense, indexed by
-  /// NodeId) and before the node's kLive transition fires.
+  /// Wire the executor of a node that joined after construction (attached
+  /// to its Node already). Call before the node's kLive transition fires.
   void register_executor(Executor* exec);
 
   /// Tasks of `pool` currently occupying slots (live attempts, including
@@ -333,21 +330,17 @@ class SchedulerBase {
     (void)node, (void)state;
   }
 
-  /// Placement rationale a subclass stages for the launch_task call it is
-  /// about to make (consumed by that call, success or failure). `reason`
-  /// is a stable token from the vocabulary in DESIGN.md §8; `detail`
-  /// carries scheduler-specific key=value context.
+  /// Placement rationale a subclass hands to launch_task. `reason` is a
+  /// stable token from the vocabulary in DESIGN.md §8; `detail` carries
+  /// scheduler-specific key=value context.
   struct Explain {
     std::string reason;
     std::string detail;
     int candidates = 0;
     std::vector<NodeId> candidate_nodes;
   };
-  /// Stage the rationale for the next launch_task. No-op (and the caller
-  /// should skip building strings) while auditing is off.
-  void explain_next_launch(Explain explain);
-  /// True when an audit sink is attached — schedulers gate rationale
-  /// string-building on this.
+  /// True when an audit sink is attached — schedulers build an Explain
+  /// only then.
   bool audit_enabled() const { return audit_ != nullptr; }
   /// True when a trace sink is attached — launch paths gate trace-detail
   /// string construction on this (lazy-observability contract, DESIGN §15).
@@ -358,9 +351,12 @@ class SchedulerBase {
   /// Launch an attempt of `task` on `node`. `speculative` marks extra
   /// copies (primary pending flag untouched). Returns false if the
   /// executor is down. `kind` tags the attempt for per-resource admission
-  /// accounting.
+  /// accounting. `explain` is the audit rationale, moved into the
+  /// decision record (null while auditing is off, or for a launch that
+  /// gives none).
   bool launch_task(StageState& stage, TaskState& task, NodeId node, bool use_gpu,
-                   bool speculative, ResourceKind kind = ResourceKind::kCpu);
+                   bool speculative, ResourceKind kind = ResourceKind::kCpu,
+                   Explain* explain = nullptr);
 
   /// Kill a running attempt and put the task back in the pending pool
   /// (RUPAM's straggler relocation, §III-C3). Returns false if not running.
@@ -372,7 +368,7 @@ class SchedulerBase {
   bool preempt_task(StageState& stage, TaskState& task);
 
   Locality locality_for(const TaskSpec& spec, NodeId node) const;
-  Executor* executor(NodeId node) const;
+  Executor* executor(NodeId node) const { return cluster().node(node).executor(); }
   /// Task is waiting for its primary attempt and past any retry backoff.
   bool launchable(const TaskState& task) const;
   Simulator& sim() const { return *env_.sim; }
@@ -495,14 +491,20 @@ class SchedulerBase {
   /// attempt, no speculative copy recorded.
   bool straggler_candidate(const TaskState& task) const;
   void fault_tolerance_tick();
-  /// Bring the tracker to the grid's last beat (a dead node: only by a beat).
-  void hear(NodeId node) const;
+  /// Declared dead by the liveness sweep and not revived since.
+  bool dead(NodeId node) const {
+    auto idx = static_cast<std::size_t>(node);
+    return idx < dead_.size() && dead_[idx];
+  }
+  /// Trace a `type` row with `detail`, kill every live attempt of `task`
+  /// silently and requeue it; the caller counts and logs. False if
+  /// nothing was running.
+  bool requeue_task(StageState& stage, TaskState& task, const std::string& kill_reason,
+                    TraceEventType type, std::string detail);
   void preemption_tick();
   /// Base-class reconciliation for a cluster lifecycle transition; runs
   /// before the node_membership_changed subclass hook.
   void handle_membership(NodeId node, NodeLifecycle state);
-  /// Shared wiring for construction-time and runtime-registered executors.
-  void wire_executor(Executor* exec);
 
   /// Intern a pool name, growing every dense PoolId-indexed mirror and
   /// recomputing lexicographic ranks on first sighting (rare: once per
@@ -530,8 +532,6 @@ class SchedulerBase {
   EventTrace* trace_ = nullptr;
   DecisionAudit* audit_ = nullptr;
   OverheadProfiler* profiler_ = nullptr;
-  Explain pending_explain_;
-  bool has_explain_ = false;
   static std::size_t launch_slot(Locality locality, bool speculative) {
     return static_cast<std::size_t>(locality) * 2 + (speculative ? 1 : 0);
   }
@@ -598,8 +598,8 @@ class SchedulerBase {
   std::vector<SimTime> starved_since_;
   /// Cluster membership subscription (unsubscribed in the destructor).
   std::size_t membership_token_ = 0;
-  /// Its last beats cache the grid's, refreshed by hear() where read.
-  mutable NodeLivenessTracker liveness_;
+  /// By NodeId: declared dead (liveness reads last beats from the grid).
+  std::vector<bool> dead_;
   std::map<NodeId, std::vector<SimTime>> recent_failures_;
   std::map<NodeId, SimTime> blacklisted_until_;
   std::size_t blacklist_count_ = 0;

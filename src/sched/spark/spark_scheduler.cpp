@@ -181,11 +181,11 @@ void SparkScheduler::try_dispatch() {
     for_each_ready_node(start, [&](NodeId node, Executor&) {
       Candidate c = pick_task_for(node, ordered);
       if (c.task == nullptr) return true;
+      Explain e;
       if (audit_enabled()) {
         // The delay-scheduling story: which level the stage was allowed to
         // relax to vs. the level actually taken on this offer.
         Locality allowed = allowed_level(*c.stage, index_.at(c.stage->set.stage));
-        Explain e;
         e.reason = "spark_delay_scheduling";
         e.detail = "allowed=" + std::string(to_string(allowed)) +
                    " taken=" + std::string(to_string(c.locality));
@@ -198,13 +198,12 @@ void SparkScheduler::try_dispatch() {
         }
         e.candidates = static_cast<int>(offers.size());
         e.candidate_nodes = std::move(offers);
-        explain_next_launch(std::move(e));
       }
       // Spark tries the GPU path whenever the application's library would
       // (it has no device awareness; contention falls back to CPU inside
       // the executor).
       if (launch_task(*c.stage, *c.task, node, c.task->spec.gpu_accelerable,
-                      /*speculative=*/false)) {
+                      /*speculative=*/false, ResourceKind::kCpu, audit_enabled() ? &e : nullptr)) {
         progressed = true;
         drained = pending_tasks() == 0;
       }
@@ -233,17 +232,17 @@ bool SparkScheduler::launch_speculative_copies() {
     TaskState& task = stage.tasks[task_index];
     for_each_ready_node(0, [&](NodeId node, Executor&) {
       if (task.has_attempt_on(node)) return true;  // copy must land elsewhere
+      Explain e;
       if (audit_enabled()) {
-        Explain e;
         e.reason = "spark_speculative";
         e.detail = "straggler copy off node " + std::to_string(task.live.empty()
                                                                    ? kInvalidNode
                                                                    : task.live.front().node);
         e.candidates = 1;
         e.candidate_nodes = {node};
-        explain_next_launch(std::move(e));
       }
-      if (launch_task(stage, task, node, task.spec.gpu_accelerable, /*speculative=*/true)) {
+      if (launch_task(stage, task, node, task.spec.gpu_accelerable, /*speculative=*/true,
+                      ResourceKind::kCpu, audit_enabled() ? &e : nullptr)) {
         note_speculative_launch(task.spec.id);
         launched = true;
         return false;

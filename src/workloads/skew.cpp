@@ -17,23 +17,4 @@ double skew_factor(Rng& rng, double cv, double heavy_tail) {
   return factor;
 }
 
-std::vector<double> zipf_partition_sizes(Rng& rng, std::size_t partitions, double total,
-                                         double exponent) {
-  if (partitions == 0) throw std::invalid_argument("zipf_partition_sizes: no partitions");
-  std::vector<double> weights(partitions);
-  double sum = 0.0;
-  for (std::size_t i = 0; i < partitions; ++i) {
-    weights[i] = 1.0 / std::pow(static_cast<double>(i + 1), exponent);
-    sum += weights[i];
-  }
-  // Shuffle which partition gets which rank so the hot partition's id is
-  // not always 0 (deterministic Fisher-Yates).
-  for (std::size_t i = partitions; i > 1; --i) {
-    std::size_t j = rng.uniform_index(i);
-    std::swap(weights[i - 1], weights[j]);
-  }
-  for (auto& w : weights) w = w / sum * total;
-  return weights;
-}
-
 }  // namespace rupam

@@ -11,8 +11,4 @@ namespace rupam {
 /// the task is a ~4x outlier (a hot partition).
 double skew_factor(Rng& rng, double cv, double heavy_tail);
 
-/// Zipf-weighted partition sizes summing to `total` (hot-key shuffles).
-std::vector<double> zipf_partition_sizes(Rng& rng, std::size_t partitions, double total,
-                                         double exponent);
-
 }  // namespace rupam

@@ -64,14 +64,11 @@ TEST(CapabilityScheduler, DefaultsToCpuAssumption) {
   Cluster cluster(sim);
   build_hydra(cluster);
   std::vector<std::unique_ptr<Executor>> executors;
-  Rng rng(1);
   for (NodeId id : cluster.node_ids()) {
-    ExecutorConfig ec;
-    executors.push_back(std::make_unique<Executor>(sim, cluster.node(id), id, ec, rng.split()));
+    executors.push_back(std::make_unique<Executor>(sim, cluster.node(id), id, ExecutorConfig{}));
   }
   env.sim = &sim;
   env.cluster = &cluster;
-  for (auto& e : executors) env.executors.push_back(e.get());
   CapabilityScheduler sched(env);
   EXPECT_EQ(sched.stage_bottleneck("never-seen"), ResourceKind::kCpu);
 }

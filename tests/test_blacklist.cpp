@@ -1,113 +1,19 @@
-// Unit tests for the fault-tolerance primitives: missed-heartbeat
-// liveness (NodeLivenessTracker) and SchedulerBase's
+// Unit tests for the fault-tolerance primitives: SchedulerBase's
+// missed-heartbeat liveness, read from a real heartbeat grid, and its
 // failure-count blacklist with timed un-blacklist.
 #include <gtest/gtest.h>
 
-#include "cluster/liveness.hpp"
+#include <cmath>
+
+#include "cluster/heartbeat.hpp"
 #include "cluster/presets.hpp"
 #include "common/rng.hpp"
 #include "exec/executor.hpp"
+#include "metrics/event_trace.hpp"
 #include "sched/scheduler.hpp"
 
 namespace rupam {
 namespace {
-
-TEST(NodeLiveness, TableDrivenDeadThreshold) {
-  struct Case {
-    double period;
-    int missed;
-    SimTime last_beat;
-    SimTime now;
-    bool expect_dead;
-  };
-  // Dead iff now - last_beat > period * missed (strictly: the Nth beat may
-  // still be in flight at exactly the deadline).
-  const Case cases[] = {
-      {1.0, 3, 0.0, 3.0, false},   // exactly at the deadline: alive
-      {1.0, 3, 0.0, 3.01, true},   // just past: dead
-      {1.0, 3, 5.0, 7.9, false},   // recent beat keeps it alive
-      {1.0, 1, 0.0, 1.5, true},    // aggressive single-miss config
-      {2.0, 3, 0.0, 5.9, false},   // longer period scales the window
-      {2.0, 3, 0.0, 6.1, true},
-      {0.5, 4, 10.0, 11.9, false},
-      {0.5, 4, 10.0, 12.1, true},
-  };
-  for (const Case& c : cases) {
-    NodeLivenessTracker tracker;
-    tracker.configure({c.period, c.missed});
-    tracker.heartbeat(0, c.last_beat);
-    auto newly_dead = tracker.sweep(c.now);
-    EXPECT_EQ(tracker.dead(0), c.expect_dead)
-        << "period=" << c.period << " missed=" << c.missed << " last=" << c.last_beat
-        << " now=" << c.now;
-    EXPECT_EQ(newly_dead.size(), c.expect_dead ? 1u : 0u);
-  }
-}
-
-TEST(NodeLiveness, SweepReportsEachDeathOnceInNodeOrder) {
-  NodeLivenessTracker tracker;
-  tracker.configure({1.0, 3});
-  tracker.heartbeat(2, 0.0);
-  tracker.heartbeat(0, 0.0);
-  tracker.heartbeat(1, 50.0);
-  EXPECT_EQ(tracker.sweep(10.0), (std::vector<NodeId>{0, 2}));
-  EXPECT_EQ(tracker.sweep(11.0), std::vector<NodeId>{});  // already reported
-  EXPECT_TRUE(tracker.dead(0));
-  EXPECT_FALSE(tracker.dead(1));
-  EXPECT_EQ(tracker.tracked(), 3u);
-}
-
-TEST(NodeLiveness, HeartbeatRevivesDeadNode) {
-  NodeLivenessTracker tracker;
-  tracker.configure({1.0, 3});
-  tracker.heartbeat(0, 0.0);
-  tracker.sweep(10.0);
-  ASSERT_TRUE(tracker.dead(0));
-  EXPECT_TRUE(tracker.heartbeat(0, 10.5));  // revive is reported
-  EXPECT_FALSE(tracker.dead(0));
-  EXPECT_FALSE(tracker.heartbeat(0, 11.0));  // steady-state beat is not
-  EXPECT_EQ(tracker.sweep(11.5), std::vector<NodeId>{});
-}
-
-TEST(NodeLiveness, UntrackedNodeIsNotDead) {
-  NodeLivenessTracker tracker;
-  tracker.configure({1.0, 3});
-  EXPECT_FALSE(tracker.dead(7));
-  EXPECT_EQ(tracker.sweep(100.0), std::vector<NodeId>{});
-}
-
-TEST(NodeLiveness, RejectsBadConfig) {
-  NodeLivenessTracker tracker;
-  EXPECT_THROW(tracker.configure({0.0, 3}), std::invalid_argument);
-  EXPECT_THROW(tracker.configure({1.0, 0}), std::invalid_argument);
-}
-
-TEST(Liveness, OverdueMatchesSweep) {
-  // Random heartbeat/sweep interleavings on quarter-second ticks (exact in
-  // binary, so deadlines land exactly on sweep times too): right after
-  // every sweep(t), overdue(n, t) must be exactly dead(n), for tracked and
-  // untracked nodes alike.
-  Rng rng(42, 7);
-  for (int trial = 0; trial < 200; ++trial) {
-    NodeLivenessTracker tracker;
-    LivenessConfig cfg{0.25 * static_cast<double>(1 + rng.uniform_index(8)),
-                       1 + static_cast<int>(rng.uniform_index(4))};
-    tracker.configure(cfg);
-    SimTime now = 0.0;
-    for (int step = 0; step < 300; ++step) {
-      now += 0.25 * static_cast<double>(rng.uniform_index(5));
-      if (rng.uniform() < 0.6) {
-        tracker.heartbeat(static_cast<NodeId>(rng.uniform_index(6)), now);
-        continue;
-      }
-      tracker.sweep(now);
-      for (NodeId n = 0; n < 8; ++n) {  // 6 and 7 never beat: untracked
-        ASSERT_EQ(tracker.overdue(n, now), tracker.dead(n))
-            << "trial " << trial << " node " << n << " t=" << now;
-      }
-    }
-  }
-}
 
 // Minimal concrete scheduler exposing the protected blacklist machinery.
 class TestScheduler : public SchedulerBase {
@@ -127,19 +33,190 @@ struct BlacklistHarness {
   std::unique_ptr<TestScheduler> sched;
 
   explicit BlacklistHarness(std::size_t nodes = 3) {
-    Rng rng(1);
     for (std::size_t i = 0; i < nodes; ++i) cluster.add_node(thor_spec());
+    for (NodeId id : cluster.node_ids()) {
+      executors.push_back(std::make_unique<Executor>(sim, cluster.node(id), id, ExecutorConfig{}));
+    }
     SchedulerEnv env;
     env.sim = &sim;
     env.cluster = &cluster;
-    for (NodeId id : cluster.node_ids()) {
-      executors.push_back(
-          std::make_unique<Executor>(sim, cluster.node(id), id, ExecutorConfig{}, rng.split()));
-      env.executors.push_back(executors.back().get());
-    }
     sched = std::make_unique<TestScheduler>(env);
   }
 };
+
+/// A scheduler with fault tolerance on over a started heartbeat grid whose
+/// delivered beats reach on_heartbeat, as in a Simulation. Node i beats at
+/// i/n + k seconds. One never-launched task keeps a stage active, so the
+/// liveness sweep runs every `check_interval` seconds from t = 0.
+struct LivenessHarness {
+  Simulator sim;
+  Cluster cluster{sim, gbit_per_s(1.0)};
+  std::vector<std::unique_ptr<Executor>> executors;
+  HeartbeatService beats{cluster};
+  EventTrace trace;
+  std::unique_ptr<TestScheduler> sched;
+
+  explicit LivenessHarness(std::size_t nodes = 3, SimTime check_interval = 1.0,
+                           const std::vector<NodeId>& silent_from_start = {}) {
+    for (std::size_t i = 0; i < nodes; ++i) cluster.add_node(thor_spec());
+    for (NodeId id : cluster.node_ids()) {
+      executors.push_back(std::make_unique<Executor>(sim, cluster.node(id), id, ExecutorConfig{}));
+    }
+    SchedulerEnv env;
+    env.sim = &sim;
+    env.cluster = &cluster;
+    env.heartbeats = &beats;
+    sched = std::make_unique<TestScheduler>(env);
+    FaultToleranceConfig ft;
+    ft.enabled = true;
+    ft.check_interval = check_interval;
+    sched->configure_fault_tolerance(ft);
+    Observers observers;
+    observers.trace = &trace;
+    sched->attach(observers);
+    beats.subscribe([this](NodeId node) { sched->on_heartbeat(node); });
+    for (NodeId node : silent_from_start) beats.set_dropped(node, true);
+    beats.start();
+    TaskSpec task;
+    task.stage_name = "idle";
+    TaskSet set;
+    set.stage_name = "idle";
+    set.tasks = {task};
+    sched->submit(set);
+  }
+
+  /// Swallow `node`'s beats over [from, to) (to < 0: for good).
+  void drop(NodeId node, SimTime from, SimTime to = -1.0) {
+    sim.schedule_at(from, [this, node] { beats.set_dropped(node, true); });
+    if (to >= 0.0) sim.schedule_at(to, [this, node] { beats.set_dropped(node, false); });
+  }
+
+  /// (time, node) of every trace row of `type`, in record order.
+  std::vector<std::pair<SimTime, NodeId>> rows(TraceEventType type) const {
+    std::vector<std::pair<SimTime, NodeId>> out;
+    for (const TraceEvent& e : trace.events()) {
+      if (e.type == type) out.emplace_back(e.time, e.node);
+    }
+    return out;
+  }
+};
+
+TEST(NodeLiveness, TableDrivenDeadThreshold) {
+  // Overdue iff the silence is strictly longer than kMissedHeartbeatsDead
+  // (3) periods: the third missed beat may still be in flight at exactly
+  // the deadline. Node 0 beats on whole seconds; its last is at 5.
+  const SimTime deadline = 5.0 + 3.0 * kHeartbeatPeriod;
+  struct Case {
+    SimTime now;
+    bool expect_overdue;
+  };
+  const Case cases[] = {
+      {7.5, false},
+      {deadline, false},                      // exactly at the deadline: alive
+      {std::nextafter(deadline, 9.0), true},  // just past: overdue
+      {9.0, true},
+  };
+  for (const Case& c : cases) {
+    LivenessHarness h;
+    h.drop(0, 5.5);
+    h.sim.run(c.now);
+    ASSERT_EQ(h.beats.last_beat(0), std::optional<SimTime>(5.0));
+    EXPECT_EQ(h.sched->heartbeat_overdue(0), c.expect_overdue) << "t=" << c.now;
+  }
+  // The sweep makes the same strict comparison: silent exactly 3 s at the
+  // t = 8 sweep, node 0 is declared dead by the t = 9 one.
+  LivenessHarness h;
+  h.drop(0, 5.5);
+  h.sim.run(8.5);
+  EXPECT_TRUE(h.sched->node_usable(0));
+  h.sim.run(9.5);
+  EXPECT_EQ(h.rows(TraceEventType::kNodeDead),
+            (std::vector<std::pair<SimTime, NodeId>>{{9.0, 0}}));
+  EXPECT_FALSE(h.sched->node_usable(0));
+}
+
+TEST(NodeLiveness, SweepReportsEachDeathOnceInNodeOrder) {
+  LivenessHarness h;
+  h.drop(2, 5.9);  // dropped first, reported second: the sweep goes by id
+  h.drop(0, 5.9);
+  h.sim.run(20.0);
+  EXPECT_EQ(h.rows(TraceEventType::kNodeDead),
+            (std::vector<std::pair<SimTime, NodeId>>{{9.0, 0}, {9.0, 2}}));
+  EXPECT_FALSE(h.sched->node_usable(0));
+  EXPECT_TRUE(h.sched->node_usable(1));
+  EXPECT_FALSE(h.sched->node_usable(2));
+}
+
+TEST(NodeLiveness, HeartbeatRevivesDeadNode) {
+  // Node 1 beats at 1/3 + k; silent from 0.5, it is declared dead at the
+  // t = 4 sweep. The drop ends at 6.5, but it stays dead until the grid
+  // delivers its next beat (7 + 1/3): the sweep never revives a node.
+  LivenessHarness h;
+  h.drop(1, 0.5, 6.5);
+  h.sim.run(7.2);
+  EXPECT_EQ(h.rows(TraceEventType::kNodeDead).size(), 1u);
+  EXPECT_FALSE(h.sched->node_usable(1));
+  EXPECT_TRUE(h.sched->heartbeat_overdue(1));
+  h.sim.run(7.5);
+  std::optional<SimTime> beat = h.beats.last_beat(1);
+  ASSERT_TRUE(beat.has_value());
+  EXPECT_GT(*beat, 7.2);
+  EXPECT_EQ(h.rows(TraceEventType::kNodeRecovered),
+            (std::vector<std::pair<SimTime, NodeId>>{{*beat, 1}}));
+  EXPECT_TRUE(h.sched->node_usable(1));
+  EXPECT_FALSE(h.sched->heartbeat_overdue(1));
+  h.sim.run(30.0);  // steady beats: no further death or revival
+  EXPECT_EQ(h.rows(TraceEventType::kNodeDead).size(), 1u);
+  EXPECT_EQ(h.rows(TraceEventType::kNodeRecovered).size(), 1u);
+}
+
+TEST(NodeLiveness, UntrackedNodeIsNotDead) {
+  // Node 2 never beats: the grid has no last beat for it, so it is never
+  // overdue and never declared dead, however long the run.
+  LivenessHarness h(3, 1.0, {2});
+  h.sim.run(100.0);
+  EXPECT_EQ(h.beats.last_beat(2), std::nullopt);
+  EXPECT_FALSE(h.sched->heartbeat_overdue(2));
+  EXPECT_TRUE(h.sched->node_usable(2));
+  EXPECT_TRUE(h.rows(TraceEventType::kNodeDead).empty());
+}
+
+TEST(Liveness, OverdueMatchesSweep) {
+  // Random drop windows on four nodes beating a quarter period apart
+  // (node 3 never beats), swept every 0.5, 1 or 2 s: right after every
+  // sweep, heartbeat_overdue(n) must be exactly "declared dead" (not
+  // usable: nothing is blacklisted or draining here). Silences of exactly
+  // 3 s land on sweep instants, so the comparison's strictness is hit.
+  Rng rng(42, 7);
+  for (int trial = 0; trial < 40; ++trial) {
+    const SimTime interval = 0.5 * static_cast<double>(1 << rng.uniform_index(3));
+    LivenessHarness h(4, interval, {3});
+    for (NodeId node = 0; node < 3; ++node) {
+      SimTime t = 0.0;
+      for (int window = 0; window < 4; ++window) {
+        SimTime from = t + 0.125 * static_cast<double>(1 + rng.uniform_index(48));
+        SimTime to = from + 0.125 * static_cast<double>(1 + rng.uniform_index(64));
+        h.drop(node, from, to);
+        t = to;
+      }
+    }
+    std::size_t checks = 0;
+    // Posted after the sweep timer at every instant, so it runs right
+    // after each sweep (same-time events run in posting order).
+    std::function<void()> check = [&] {
+      for (NodeId n = 0; n < 4; ++n) {
+        ASSERT_EQ(h.sched->heartbeat_overdue(n), !h.sched->node_usable(n))
+            << "trial " << trial << " node " << n << " t=" << h.sim.now();
+      }
+      ++checks;
+      h.sim.schedule_after(interval, [&] { check(); });
+    };
+    h.sim.schedule_after(interval, [&] { check(); });
+    h.sim.run(60.0);
+    EXPECT_GE(checks, 29u);
+    EXPECT_FALSE(h.rows(TraceEventType::kNodeDead).empty()) << "trial " << trial;
+  }
+}
 
 FaultToleranceConfig ft_config() {
   FaultToleranceConfig ft;

@@ -9,7 +9,6 @@
 #include "cluster/cluster.hpp"
 #include "cluster/heartbeat.hpp"
 #include "cluster/presets.hpp"
-#include "common/rng.hpp"
 #include "exec/executor.hpp"
 
 namespace rupam {
@@ -109,7 +108,7 @@ TEST(NodeMetrics, FreeMemoryTracksReporters) {
   Bytes before = node.free_memory();
   Bytes used = 4.0 * kGiB;
   {
-    Executor exec(sim, node, id, ExecutorConfig{}, Rng(1));
+    Executor exec(sim, node, id, ExecutorConfig{});
     exec.cache().put("block", used);
     EXPECT_DOUBLE_EQ(node.free_memory(), before - used);
   }
@@ -140,7 +139,7 @@ TEST(NodeMetrics, SingleCapabilityMatchesSnapshot) {
   for (const NodeSpec& spec : {thor_spec(), hulk_spec(), stack_spec()}) {
     NodeId id = cluster.add_node(spec);
     Node& node = cluster.node(id);
-    executors.push_back(std::make_unique<Executor>(sim, node, id, ExecutorConfig{}, Rng(1)));
+    executors.push_back(std::make_unique<Executor>(sim, node, id, ExecutorConfig{}));
     for (int state = 0; state < 2; ++state) {
       NodeMetrics m = node.metrics();
       for (std::size_t k = 0; k < kNumResourceKinds; ++k) {

@@ -28,19 +28,6 @@ Stage make_stage(StageId id, int tasks, std::vector<StageId> parents, TaskId bas
   return s;
 }
 
-TEST(Rdd, BlockKeyFormat) {
-  Rdd rdd;
-  rdd.id = 7;
-  EXPECT_EQ(rdd.block_key(3), "rdd_7_3");
-}
-
-TEST(Rdd, TotalBytes) {
-  Rdd rdd;
-  rdd.partition_bytes = {10.0, 20.0, 30.0};
-  EXPECT_DOUBLE_EQ(rdd.total_bytes(), 60.0);
-  EXPECT_EQ(rdd.num_partitions(), 3u);
-}
-
 TEST(PlaceBlocks, UniformCoversAllNodes) {
   Rng rng(1);
   std::vector<NodeId> nodes{0, 1, 2, 3};

@@ -93,21 +93,6 @@ TEST(TaskCharDbKeys, StringAndIdApisAgree) {
   EXPECT_EQ(db.lookup(StageNameId(), 3), nullptr);  // invalid id: no record
 }
 
-TEST(TaskCharDbKeys, InternedIdsSurviveClear) {
-  TaskCharDb db;
-  StageNameId id = db.intern_stage("persist");
-  db.update("persist", 0, metrics_with_compute(1.0), ResourceKind::kCpu);
-  db.clear();
-  EXPECT_EQ(db.size(), 0u);
-  EXPECT_EQ(db.lookup(id, 0), nullptr);
-  // The interner is not reset: ids held by live TaskManager state stay
-  // resolvable, and re-learning lands under the same id.
-  EXPECT_EQ(db.find_stage("persist"), id);
-  db.update("persist", 0, metrics_with_compute(2.0), ResourceKind::kCpu);
-  ASSERT_NE(db.lookup(id, 0), nullptr);
-  EXPECT_DOUBLE_EQ(db.lookup(id, 0)->compute_time, 2.0);
-}
-
 // -------------------------------------------------------- pool id layout
 
 /// Minimal concrete scheduler exposing the protected pool machinery.
@@ -156,16 +141,13 @@ struct PoolHarness {
   StageId next_stage = 0;
 
   explicit PoolHarness(std::size_t nodes = 4) {
-    Rng rng(1);
     for (std::size_t i = 0; i < nodes; ++i) cluster.add_node(thor_spec());
+    for (NodeId id : cluster.node_ids()) {
+      executors.push_back(std::make_unique<Executor>(sim, cluster.node(id), id, ExecutorConfig{}));
+    }
     SchedulerEnv env;
     env.sim = &sim;
     env.cluster = &cluster;
-    for (NodeId id : cluster.node_ids()) {
-      executors.push_back(
-          std::make_unique<Executor>(sim, cluster.node(id), id, ExecutorConfig{}, rng.split()));
-      env.executors.push_back(executors.back().get());
-    }
     sched = std::make_unique<PoolProbeScheduler>(env);
   }
 

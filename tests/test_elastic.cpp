@@ -300,27 +300,23 @@ class ProbeScheduler : public SchedulerBase {
 struct SchedulerHarness {
   Simulator sim;
   Cluster cluster{sim};
-  Rng rng{1};
   std::vector<std::unique_ptr<Executor>> executors;
   std::unique_ptr<ProbeScheduler> sched;
 
   explicit SchedulerHarness(std::size_t nodes = 3) {
     for (std::size_t i = 0; i < nodes; ++i) cluster.add_node(thor_spec());
+    for (NodeId id : cluster.node_ids()) {
+      executors.push_back(std::make_unique<Executor>(sim, cluster.node(id), id, ExecutorConfig{}));
+    }
     SchedulerEnv env;
     env.sim = &sim;
     env.cluster = &cluster;
-    for (NodeId id : cluster.node_ids()) {
-      executors.push_back(
-          std::make_unique<Executor>(sim, cluster.node(id), id, ExecutorConfig{}, rng.split()));
-      env.executors.push_back(executors.back().get());
-    }
     sched = std::make_unique<ProbeScheduler>(env);
   }
 
   NodeId provision(SimTime boot_delay) {
     NodeId id = cluster.provision_node(thor_spec(), boot_delay);
-    executors.push_back(
-        std::make_unique<Executor>(sim, cluster.node(id), id, ExecutorConfig{}, rng.split()));
+    executors.push_back(std::make_unique<Executor>(sim, cluster.node(id), id, ExecutorConfig{}));
     sched->register_executor(executors.back().get());
     return id;
   }
@@ -377,17 +373,26 @@ TEST(ElasticScheduler, FreeSlotsCountOnlySchedulableNodes) {
   EXPECT_FALSE(h.sched->node_usable(late));
 }
 
-TEST(ElasticScheduler, RegisterExecutorEnforcesNodeIdOrder) {
+TEST(ElasticScheduler, RegisterExecutorRejectsNull) {
   SchedulerHarness h(2);
+  EXPECT_THROW(h.sched->register_executor(nullptr), std::invalid_argument);
+}
+
+// Executors are read from their nodes, so joiners register in any order.
+TEST(ElasticScheduler, RegisterExecutorInAnyIdOrder) {
+  SchedulerHarness h(2);
+  int per_node = h.executors[0]->free_slots();
   NodeId a = h.cluster.provision_node(thor_spec(), 1.0);
   NodeId b = h.cluster.provision_node(thor_spec(), 1.0);
-  ASSERT_EQ(b, a + 1);
-  Rng rng(9);
-  Executor wrong(h.sim, h.cluster.node(b), b, ExecutorConfig{}, rng.split());
-  EXPECT_THROW(h.sched->register_executor(&wrong), std::invalid_argument);
-  EXPECT_THROW(h.sched->register_executor(nullptr), std::invalid_argument);
-  Executor right(h.sim, h.cluster.node(a), a, ExecutorConfig{}, rng.split());
-  h.sched->register_executor(&right);  // in order: fine
+  for (NodeId id : {b, a}) {
+    h.executors.push_back(
+        std::make_unique<Executor>(h.sim, h.cluster.node(id), id, ExecutorConfig{}));
+    h.sched->register_executor(h.executors.back().get());
+  }
+  h.sim.run(2.0);
+  EXPECT_EQ(h.sched->free_slots_total(), 4 * per_node);
+  EXPECT_TRUE(h.sched->node_usable(a));
+  EXPECT_TRUE(h.sched->node_usable(b));
 }
 
 // ------------------------------------------------------- autoscaler --

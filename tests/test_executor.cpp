@@ -21,7 +21,7 @@ struct Harness {
   explicit Harness(NodeSpec spec = thor_spec(), ExecutorConfig cfg = {}) {
     spec.name = "n0";
     node_id = cluster.add_node(spec);
-    exec = std::make_unique<Executor>(sim, cluster.node(node_id), 0, cfg, Rng(1));
+    exec = std::make_unique<Executor>(sim, cluster.node(node_id), 0, cfg);
   }
 
   std::shared_ptr<TaskExecution> launch(TaskSpec spec, LaunchOptions opts = {}) {
@@ -222,14 +222,16 @@ TEST(Executor, KillTaskSilently) {
   Harness h;
   TaskSpec t = Harness::simple_task(7);
   t.compute = 100.0;
-  h.launch(t);
+  std::shared_ptr<TaskExecution> attempt = h.launch(t);
   h.sim.run(1.0);
-  EXPECT_TRUE(h.exec->kill_task(7, "superseded", /*notify=*/false));
+  attempt->kill("superseded", /*notify=*/false);
+  EXPECT_FALSE(attempt->running());
   EXPECT_EQ(h.exec->running_tasks(), 0);
   h.sim.run();
   EXPECT_TRUE(h.finished.empty());
   EXPECT_TRUE(h.failures.empty());  // silent kill
-  EXPECT_FALSE(h.exec->kill_task(7, "again", false));
+  attempt->kill("again", /*notify=*/true);  // a killed attempt ignores later kills
+  EXPECT_TRUE(h.failures.empty());
 }
 
 TEST(Executor, KillReleasesMemory) {
@@ -237,10 +239,10 @@ TEST(Executor, KillReleasesMemory) {
   TaskSpec t = Harness::simple_task(7);
   t.compute = 100.0;
   t.peak_memory = 1.0 * kGiB;
-  h.launch(t);
+  std::shared_ptr<TaskExecution> attempt = h.launch(t);
   h.sim.run(1.0);
   EXPECT_GT(h.exec->heap_used(), 0.5 * kGiB);
-  h.exec->kill_task(7, "x", false);
+  attempt->kill("x", /*notify=*/false);
   EXPECT_LT(h.exec->heap_used(), 0.5 * kGiB);
 }
 

@@ -166,16 +166,13 @@ struct ScanHarness {
   std::unique_ptr<ScanScheduler> sched;
 
   ScanHarness() {
-    Rng rng(1);
     for (int i = 0; i < 3; ++i) cluster.add_node(thor_spec());
+    for (NodeId id : cluster.node_ids()) {
+      executors.push_back(std::make_unique<Executor>(sim, cluster.node(id), id, ExecutorConfig{}));
+    }
     SchedulerEnv env;
     env.sim = &sim;
     env.cluster = &cluster;
-    for (NodeId id : cluster.node_ids()) {
-      executors.push_back(
-          std::make_unique<Executor>(sim, cluster.node(id), id, ExecutorConfig{}, rng.split()));
-      env.executors.push_back(executors.back().get());
-    }
     sched = std::make_unique<ScanScheduler>(env);
   }
 

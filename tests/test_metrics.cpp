@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include "cluster/presets.hpp"
-#include "common/rng.hpp"
 #include "exec/executor.hpp"
 #include "metrics/breakdown.hpp"
 #include "metrics/locality_counter.hpp"
@@ -100,7 +99,7 @@ TEST(UtilizationSampler, MemorySeriesTracksReporters) {
   NodeId id = cluster.add_node(thor_spec());
   ExecutorConfig cfg;
   cfg.storage_fraction = 0.6;  // room for the 8 GiB block
-  Executor exec(sim, cluster.node(id), id, cfg, Rng(1));
+  Executor exec(sim, cluster.node(id), id, cfg);
   UtilizationSampler sampler(cluster, 1.0);
   sampler.start();
   sim.schedule_at(5.0, [&] { exec.cache().put("block", 8.0 * kGiB); });

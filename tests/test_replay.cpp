@@ -560,6 +560,115 @@ TEST(ReplayWhatif, AdvisorRanksRupamFirstOnTheRunsOwnDiagnosis) {
 }
 
 // --------------------------------------------------------------------------
+// Report documents: nested objects are written through the same writer.
+
+bool same_json(const JsonValue& a, const JsonValue& b) {
+  if (a.type() != b.type()) return false;
+  switch (a.type()) {
+    case JsonValue::Type::kNull: return true;
+    case JsonValue::Type::kBool: return a.as_bool() == b.as_bool();
+    case JsonValue::Type::kNumber: return a.as_number() == b.as_number();
+    case JsonValue::Type::kString: return a.as_string() == b.as_string();
+    case JsonValue::Type::kArray:
+      return std::equal(a.as_array().begin(), a.as_array().end(), b.as_array().begin(),
+                        b.as_array().end(), same_json);
+    case JsonValue::Type::kObject:
+      return std::equal(a.as_object().begin(), a.as_object().end(), b.as_object().begin(),
+                        b.as_object().end(), [](const auto& x, const auto& y) {
+                          return x.first == y.first && same_json(x.second, y.second);
+                        });
+  }
+  return false;
+}
+
+/// `nested` holds the fields of `o`: the standalone document's, and the
+/// counts exactly.
+void expect_outcome(const JsonValue* nested, const RunOutcome& o) {
+  ASSERT_NE(nested, nullptr);
+  EXPECT_TRUE(same_json(*nested, parse_json(outcome_to_json(o))));
+  EXPECT_NEAR(nested->find("makespan_s")->as_number(), o.makespan, 1e-9 * o.makespan);
+  EXPECT_EQ(nested->find("task_launches")->as_number(), static_cast<double>(o.launches));
+  EXPECT_EQ(nested->find("task_failures")->as_number(), static_cast<double>(o.failures));
+}
+
+/// Lines indented less than two spaces per container they sit in.
+std::vector<std::string> underindented_lines(const std::string& doc) {
+  std::vector<std::string> bad;
+  int depth = 0;
+  bool in_string = false;
+  bool escaped = false;
+  std::istringstream lines(doc);
+  std::string line;
+  while (std::getline(lines, line)) {
+    std::size_t indent = line.find_first_not_of(' ');
+    if (indent == std::string::npos) continue;
+    bool closes = line[indent] == '}' || line[indent] == ']';
+    if (static_cast<int>(indent) < 2 * (depth - (closes ? 1 : 0))) bad.push_back(line);
+    for (char c : line) {
+      if (in_string) {
+        if (escaped) {
+          escaped = false;
+        } else if (c == '\\') {
+          escaped = true;
+        } else if (c == '"') {
+          in_string = false;
+        }
+      } else if (c == '"') {
+        in_string = true;
+      } else if (c == '{' || c == '[') {
+        ++depth;
+      } else if (c == '}' || c == ']') {
+        --depth;
+      }
+    }
+  }
+  return bad;
+}
+
+TEST(ReplayReports, NestedObjectsWrittenInPlace) {
+  RunSpec spec = sql_on_pair();
+  spec.seed = 7;
+  BranchReport branch = run_branch(spec, parse_branch_spec("scheduler=rupam"));
+  WhatIfConfig cfg;
+  cfg.max_candidates = 2;
+  WhatIfReport whatif = advise_whatif(spec, parse_diagnosis_stragglers(kDiagnosisJson), cfg);
+  ASSERT_FALSE(whatif.findings.empty());
+  std::ostringstream branch_json, whatif_json, comparison_json;
+  write_branch_report_json(branch, branch_json);
+  write_whatif_json(whatif, whatif_json);
+  write_comparison_json(branch.comparison, comparison_json);
+
+  JsonValue b = parse_json(branch_json.str());
+  expect_outcome(b.find("base"), branch.base);
+  expect_outcome(b.find("branch_run"), branch.branch);
+  const JsonValue* comparison = b.find("comparison");
+  ASSERT_NE(comparison, nullptr);
+  EXPECT_TRUE(same_json(*comparison, parse_json(comparison_json.str())));
+  EXPECT_EQ(comparison->find("improved")->as_number(),
+            static_cast<double>(branch.comparison.improved));
+  EXPECT_EQ(comparison->find("regressed")->as_number(),
+            static_cast<double>(branch.comparison.regressed));
+  const JsonValue::Array& metrics = comparison->find("metrics")->as_array();
+  ASSERT_EQ(metrics.size(), branch.comparison.deltas.size());
+  for (std::size_t i = 0; i < metrics.size(); ++i) {
+    EXPECT_EQ(metrics[i].find("key")->as_string(), branch.comparison.deltas[i].key);
+  }
+
+  JsonValue w = parse_json(whatif_json.str());
+  expect_outcome(w.find("base"), whatif.base);
+  const JsonValue::Array& candidates = w.find("candidates")->as_array();
+  ASSERT_EQ(candidates.size(), whatif.findings.size());
+  for (std::size_t i = 0; i < candidates.size(); ++i) {
+    expect_outcome(candidates[i].find("outcome"), whatif.findings[i].outcome);
+  }
+
+  for (const std::string& doc : {branch_json.str(), whatif_json.str()}) {
+    std::vector<std::string> bad = underindented_lines(doc);
+    EXPECT_TRUE(bad.empty()) << bad.size() << " lines, first: '" << bad.front() << "'";
+  }
+}
+
+// --------------------------------------------------------------------------
 // HEFT baseline rides the same seams.
 
 TEST(ReplayHeft, FactoryAndDeterminism) {

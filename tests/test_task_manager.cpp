@@ -123,8 +123,9 @@ TEST(TaskManager, QueuesEnqueueAndClear) {
   EXPECT_EQ(tm.active(ResourceKind::kCpu).size(), 1u);
   EXPECT_EQ(tm.active(ResourceKind::kNetwork).size(), 1u);
   EXPECT_EQ(tm.active(ResourceKind::kGpu).size(), 0u);
-  tm.clear_queues();
+  tm.note_finished(1, 0);  // a finished task leaves every queue it was in
   EXPECT_EQ(tm.active(ResourceKind::kCpu).size(), 0u);
+  EXPECT_EQ(tm.active(ResourceKind::kNetwork).size(), 0u);
 }
 
 TEST(TaskManager, ParkAndRestorePreservesQueuePosition) {
@@ -199,18 +200,6 @@ TEST(TaskCharDb, SlowerRunDoesNotStealOptExecutor) {
   slow.finish_time = 50.0;
   db.update("s", 0, slow, ResourceKind::kCpu);
   EXPECT_EQ(db.lookup("s", 0)->opt_executor, 1);
-}
-
-TEST(TaskCharDb, ClearForgets) {
-  TaskCharDb db;
-  TaskMetrics m;
-  db.update("s", 0, m, ResourceKind::kCpu);
-  db.mark_stage_gpu("s");
-  EXPECT_EQ(db.size(), 1u);
-  db.clear();
-  EXPECT_EQ(db.size(), 0u);
-  EXPECT_EQ(db.lookup("s", 0), nullptr);
-  EXPECT_FALSE(db.stage_uses_gpu("s"));
 }
 
 TEST(TaskCharDb, PartitionsAreIndependent) {

@@ -154,14 +154,6 @@ TEST(Skew, ZeroCvIsDeterministicOne) {
   EXPECT_DOUBLE_EQ(skew_factor(rng, 0.0, 0.0), 1.0);
 }
 
-TEST(Skew, ZipfSizesSumToTotal) {
-  Rng rng(5);
-  auto sizes = zipf_partition_sizes(rng, 64, 1000.0, 1.1);
-  double sum = 0.0;
-  for (double s : sizes) sum += s;
-  EXPECT_NEAR(sum, 1000.0, 1e-6);
-}
-
 TEST(WorkloadBuilder, RejectsBadInput) {
   EXPECT_THROW(WorkloadBuilder({}, 1), std::invalid_argument);
   EXPECT_THROW(WorkloadBuilder({0, 1}, 1, {1.0}), std::invalid_argument);
