@@ -394,6 +394,7 @@ int run_sweep_cli(const CliOptions& options, std::ostream& out, std::ostream& er
   SweepSpec spec = load_sweep_file(options.sweep);
   SweepOptions sweep_opts;
   sweep_opts.threads = options.sweep_threads;
+  sweep_opts.on_log = [&err](const std::string& lines) { err << lines; };
   sweep_opts.on_progress = [&err](std::size_t done, std::size_t total) {
     err << "[sweep] " << done << "/" << total << " runs\n";
   };

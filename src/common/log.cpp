@@ -2,11 +2,13 @@
 
 #include <atomic>
 #include <cstdio>
+#include <string>
 
 namespace rupam {
 namespace {
 
 std::atomic<int> g_level{static_cast<int>(LogLevel::kWarn)};
+thread_local std::string* t_sink = nullptr;
 
 const char* level_name(LogLevel level) {
   switch (level) {
@@ -29,7 +31,17 @@ void Logger::set_level(LogLevel level) {
 }
 
 void Logger::write(LogLevel level, SimTime now, const std::string& message) {
-  std::fprintf(stderr, "[%10.3fs] [%s] %s\n", now, level_name(level), message.c_str());
+  if (t_sink == nullptr) {
+    std::fprintf(stderr, "[%10.3fs] [%s] %s\n", now, level_name(level), message.c_str());
+    return;
+  }
+  char prefix[64];
+  std::snprintf(prefix, sizeof prefix, "[%10.3fs] [%s] ", now, level_name(level));
+  t_sink->append(prefix).append(message).push_back('\n');
 }
+
+LogCapture::LogCapture(std::string& sink) : previous_(t_sink) { t_sink = &sink; }
+
+LogCapture::~LogCapture() { t_sink = previous_; }
 
 }  // namespace rupam

@@ -17,8 +17,24 @@ class Logger {
   static LogLevel level();
   static void set_level(LogLevel level);
 
-  /// Emit one line: "[ 12.345s] [INFO ] message".
+  /// Emit one line: "[ 12.345s] [INFO ] message", to stderr or, while a
+  /// LogCapture is alive on the calling thread, to its sink.
   static void write(LogLevel level, SimTime now, const std::string& message);
+};
+
+/// While alive, the lines the calling thread logs are appended to `sink`
+/// instead of stderr. The sweep orchestrator captures each run's lines
+/// and releases them in run order, so a threaded sweep logs the same bytes
+/// as a one-thread one.
+class LogCapture {
+ public:
+  explicit LogCapture(std::string& sink);
+  ~LogCapture();
+  LogCapture(const LogCapture&) = delete;
+  LogCapture& operator=(const LogCapture&) = delete;
+
+ private:
+  std::string* previous_;
 };
 
 namespace log_detail {

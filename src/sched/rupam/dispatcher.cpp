@@ -42,32 +42,74 @@ std::optional<std::size_t> algorithm2_select(const std::vector<DispatchTaskView>
   return std::nullopt;
 }
 
-void QueueRowIndex::clear(std::size_t nodes, const DispatcherPolicy& policy) {
+void QueueRowIndex::clear(const DispatcherPolicy& policy) {
   policy_ = policy;
   rows_.clear();
-  for (Pool& pool : pools_) {
-    pool.rows.clear();
-    pool.head = 0;
-  }
-  for (NodeId node : linked_nodes_) links_[static_cast<std::size_t>(node)].clear();
-  linked_nodes_.clear();
-  if (links_.size() < nodes) links_.resize(nodes);
+  pools_.clear();
+  links_.clear();
+  removed_ = 0;
 }
 
 std::uint32_t QueueRowIndex::add(const Row& row) {
   auto index = static_cast<std::uint32_t>(rows_.size());
-  rows_.push_back(row);
   if (pools_.size() <= row.pool) pools_.resize(row.pool + 1);
-  pools_[row.pool].rows.push_back(index);
-  if (policy_.opt_executor_lock && row.lock != kInvalidNode) link(row.lock, index);
+  Pool& pool = pools_[row.pool];
+  rows_.push_back(Slot{row, static_cast<std::uint32_t>(pool.rows.size())});
+  pool.rows.push_back(index);
+  add_link(row.lock, index, /*lock=*/true);
   return index;
 }
 
-void QueueRowIndex::link(NodeId node, std::uint32_t row) {
-  if (node < 0 || static_cast<std::size_t>(node) >= links_.size()) return;
-  std::vector<std::uint32_t>& rows = links_[static_cast<std::size_t>(node)];
-  if (rows.empty()) linked_nodes_.push_back(node);
-  rows.push_back(row);
+void QueueRowIndex::link(NodeId node, std::uint32_t row) { add_link(node, row, /*lock=*/false); }
+
+void QueueRowIndex::add_link(NodeId node, std::uint32_t row, bool lock) {
+  if (rows_[row].out || node < 0) return;
+  if (lock && (!policy_.opt_executor_lock || node == kInvalidNode)) return;
+  auto n = static_cast<std::size_t>(node);
+  if (links_.size() <= n) links_.resize(n + 1);
+  links_[n].push_back(Link{row, rows_[row].gen, lock});
+}
+
+void QueueRowIndex::set_lock(std::uint32_t row, NodeId lock, bool gpu_lock) {
+  Row& facts = rows_[row].row;
+  bool moved = facts.lock != lock;
+  facts.lock = lock;
+  facts.gpu_lock = gpu_lock;
+  if (moved) add_link(lock, row, /*lock=*/true);  // the old lock's link no longer holds
+}
+
+void QueueRowIndex::relink(std::uint32_t row) {
+  unlink(row);
+  add_link(rows_[row].row.lock, row, /*lock=*/true);
+}
+
+void QueueRowIndex::park(std::uint32_t row) {
+  rows_[row].out = true;
+  unlink(row);
+}
+
+void QueueRowIndex::restore(std::uint32_t row) {
+  Slot& s = rows_[row];
+  if (!s.out || s.removed) return;
+  s.out = false;
+  Pool& pool = pools_[s.row.pool];
+  pool.head = std::min<std::size_t>(pool.head, s.pos);
+  add_link(s.row.lock, row, /*lock=*/true);
+}
+
+void QueueRowIndex::remove(std::uint32_t row) {
+  Slot& s = rows_[row];
+  if (s.removed) return;
+  s.out = true;
+  s.removed = true;
+  unlink(row);
+  ++removed_;
+}
+
+std::size_t QueueRowIndex::drop_out_head(Pool& pool) const {
+  std::size_t start = pool.head;
+  while (pool.head < pool.rows.size() && rows_[pool.rows[pool.head]].out) ++pool.head;
+  return pool.head - start;
 }
 
 ResourceKind ResourceRoundRobin::next() {

@@ -47,9 +47,9 @@ std::optional<std::size_t> algorithm2_select(const std::vector<DispatchTaskView>
                                              NodeId node, Bytes node_free_memory,
                                              const DispatcherPolicy& policy = {});
 
-/// One resource queue's rows for a dispatch round, indexed so the rows
-/// that can win Algorithm 2 at an offered node are found without viewing
-/// the whole queue. A row can win at node X only if it is
+/// One resource queue's rows, kept across dispatch rounds and indexed so
+/// the rows that can win Algorithm 2 at an offered node are found without
+/// viewing the whole queue. A row can win at node X only if it is
 ///   (a) locked to X (tiers 1-2 take every such row),
 ///   (b) better than ANY locality at X: its input cached or stored there,
 ///   (c) its pool's first guard-passing row that holds no lock at X, or
@@ -60,7 +60,16 @@ std::optional<std::size_t> algorithm2_select(const std::vector<DispatchTaskView>
 /// unlocked row passes the guard, i.e. when (d) had no (c) after it. So
 /// algorithm2_select over these rows in queue order picks exactly what it
 /// picks over the whole queue, ties included — per pool as well, which is
-/// how FAIR runs it.
+/// how FAIR runs it. Extra live rows that are ANY at X change nothing, so a
+/// stale link is harmless.
+///
+/// Rows are appended in queue order and keep their relative order, so row
+/// ids are queue order. A row is *in* while its task may be offered.
+/// park() takes it out: its links go stale and its pool's head may pass
+/// it. restore() puts it back at its position: the head drops back over
+/// it and it is linked to its lock again (the caller re-adds its
+/// localities). remove() takes it out for good, and compact() drops
+/// removed rows and renumbers the rest.
 class QueueRowIndex {
  public:
   struct Row {
@@ -72,74 +81,142 @@ class QueueRowIndex {
     NodeId lock = kInvalidNode;
     /// A GPU record's lock holds only on a node with an idle device.
     bool gpu_lock = false;
+    /// The caller's handle for the task behind the row.
+    std::uint64_t handle = 0;
   };
+  /// Rows a tail index contributes to a query carry this bit, so they sort
+  /// after every row of the index queried.
+  static constexpr std::uint32_t kTail = 1u << 31;
 
-  /// Start over for node ids [0, nodes) under `policy`.
-  void clear(std::size_t nodes, const DispatcherPolicy& policy);
-  /// Append the next row in queue order; returns its index. Links the row
+  /// Drop every row and adopt `policy`.
+  void clear(const DispatcherPolicy& policy);
+  /// Append the next row in queue order, in; returns its id. Links the row
   /// to its lock node when the policy honours locks.
   std::uint32_t add(const Row& row);
-  /// `row` runs better than ANY locality on `node` (ids outside the
-  /// cluster are ignored; linking a row twice is harmless).
+  /// `row` runs better than ANY locality on `node` (negative ids are
+  /// ignored; linking a row twice is harmless). Out rows are not linked.
   void link(NodeId node, std::uint32_t row);
+  /// New DB_task_char facts for `row`; an in row is linked to the new lock.
+  void set_lock(std::uint32_t row, NodeId lock, bool gpu_lock);
+  /// Drop every link of an in row and link it to its lock again; the
+  /// caller re-adds its localities.
+  void relink(std::uint32_t row);
+  void park(std::uint32_t row);
+  void restore(std::uint32_t row);
+  void remove(std::uint32_t row);
+  /// Drop the removed rows; the rest keep their order under new ids, and
+  /// `moved(id)` runs for each. Pool heads restart at 0.
+  template <class Moved>
+  void compact(Moved&& moved);
 
-  /// The rows of (a)-(d) at `node` that `live(row)` accepts, ascending and
-  /// each once, into `out`; returns how many rows it examined. A row found
-  /// dead at the head of its pool is dropped until the next clear(), so a
-  /// row the caller calls dead must stay dead until then.
+  const Row& row(std::uint32_t r) const { return rows_[r].row; }
+  bool in(std::uint32_t r) const { return !rows_[r].out; }
+  bool gone(std::uint32_t r) const { return rows_[r].removed; }
+  std::size_t size() const { return rows_.size(); }
+  std::size_t removed() const { return removed_; }
+
+  /// The in rows of (a)-(d) at `node` that `live(row)` accepts, ascending
+  /// and each once, into `out`; returns how many rows it examined. With a
+  /// `tail`, the queue is this index's rows followed by the tail's (pool by
+  /// pool), and the tail's ids carry kTail. A pool's head passes only out
+  /// rows, so a row `live` rejects now may be offered again later.
   template <class Live>
   std::size_t candidates(NodeId node, Bytes free_memory, bool idle_gpu, Live&& live,
-                         std::vector<std::uint32_t>& out);
-  /// Does any row pass `live`? Drops dead head rows the same way.
+                         std::vector<std::uint32_t>& out, QueueRowIndex* tail = nullptr);
+  /// Does any in row (of this index, then `tail`'s) pass `live`? Adds the
+  /// rows it looked at to `examined`.
   template <class Live>
-  bool any_live(Live&& live);
+  bool any_live(Live&& live, std::size_t& examined, QueueRowIndex* tail = nullptr);
 
  private:
+  struct Slot {
+    Row row;
+    std::uint32_t pos = 0;  // index in its pool's rows
+    std::uint32_t gen = 0;  // links made before the last unlink carry an older one
+    bool out = false;
+    bool removed = false;
+  };
+  struct Link {
+    std::uint32_t row = 0;
+    std::uint32_t gen = 0;
+    bool lock = false;  // holds only while the row is still locked here
+  };
   struct Pool {
     std::vector<std::uint32_t> rows;  // this pool's rows, queue order
-    std::size_t head = 0;             // rows before it are dead
+    std::size_t head = 0;             // rows before it are out
   };
-  /// Move `pool.head` past the rows `live` rejects; returns how many.
+  /// Scan state of one pool, carried from this index into a tail.
+  struct PoolScan {
+    bool have_elsewhere = false;
+    bool done = false;  // found (c)
+  };
+
+  void add_link(NodeId node, std::uint32_t row, bool lock);
+  void unlink(std::uint32_t row) { ++rows_[row].gen; }
+  bool current(const Link& link, NodeId node) const {
+    const Slot& s = rows_[link.row];
+    return link.gen == s.gen && !s.out && (!link.lock || s.row.lock == node);
+  }
+  /// Move `pool.head` past out rows; returns how many.
+  std::size_t drop_out_head(Pool& pool) const;
   template <class Live>
-  static std::size_t drop_dead_head(Pool& pool, Live& live);
+  std::size_t scan_links(NodeId node, Live& live, std::uint32_t tag,
+                         std::vector<std::uint32_t>& out);
+  template <class Live>
+  std::size_t scan_pool(std::size_t p, NodeId node, Bytes free_memory, bool idle_gpu, Live& live,
+                        std::uint32_t tag, PoolScan& scan, std::vector<std::uint32_t>& out);
 
   DispatcherPolicy policy_;
-  std::vector<Row> rows_;
+  std::vector<Slot> rows_;
   std::vector<Pool> pools_;
-  /// NodeId -> rows locked to it or better than ANY on it.
-  std::vector<std::vector<std::uint32_t>> links_;
-  /// Nodes whose link list is non-empty (clear() is O(links), not O(nodes)).
-  std::vector<NodeId> linked_nodes_;
+  /// NodeId -> links of rows locked to it or better than ANY on it. Stale
+  /// links are dropped when a query walks the list.
+  std::vector<std::vector<Link>> links_;
+  std::size_t removed_ = 0;
 };
+
+template <class Moved>
+void QueueRowIndex::compact(Moved&& moved) {
+  std::vector<std::uint32_t> renumber(rows_.size(), 0);
+  std::uint32_t kept = 0;
+  for (std::size_t r = 0; r < rows_.size(); ++r) {
+    if (!rows_[r].removed) renumber[r] = kept++;
+  }
+  for (std::size_t node = 0; node < links_.size(); ++node) {
+    std::vector<Link>& links = links_[node];
+    std::erase_if(links, [&](const Link& l) { return !current(l, static_cast<NodeId>(node)); });
+    for (Link& l : links) l.row = renumber[l.row];
+  }
+  for (std::size_t r = 0; r < rows_.size(); ++r) {
+    if (!rows_[r].removed) rows_[renumber[r]] = rows_[r];
+  }
+  rows_.resize(kept);
+  removed_ = 0;
+  for (Pool& pool : pools_) {
+    pool.rows.clear();
+    pool.head = 0;
+  }
+  for (std::uint32_t r = 0; r < kept; ++r) {
+    Pool& pool = pools_[rows_[r].row.pool];
+    rows_[r].pos = static_cast<std::uint32_t>(pool.rows.size());
+    pool.rows.push_back(r);
+  }
+  for (std::uint32_t r = 0; r < kept; ++r) moved(r);
+}
 
 template <class Live>
 std::size_t QueueRowIndex::candidates(NodeId node, Bytes free_memory, bool idle_gpu,
-                                      Live&& live, std::vector<std::uint32_t>& out) {
+                                      Live&& live, std::vector<std::uint32_t>& out,
+                                      QueueRowIndex* tail) {
   out.clear();
-  std::size_t examined = 0;
-  if (node >= 0 && static_cast<std::size_t>(node) < links_.size()) {
-    for (std::uint32_t r : links_[static_cast<std::size_t>(node)]) {
-      ++examined;
-      if (live(r)) out.push_back(r);
-    }
-  }
-  for (Pool& pool : pools_) {
-    examined += drop_dead_head(pool, live);
-    bool have_elsewhere = false;
-    for (std::size_t i = pool.head; i < pool.rows.size(); ++i) {
-      std::uint32_t r = pool.rows[i];
-      const Row& row = rows_[r];
-      ++examined;
-      if (policy_.memory_guard && row.peak_memory + policy_.memory_headroom > free_memory) {
-        continue;  // only the lock bypass runs past the guard, and (a) has those
-      }
-      bool locked = policy_.opt_executor_lock && row.lock != kInvalidNode &&
-                    (!row.gpu_lock || idle_gpu);
-      if (locked && (row.lock == node || have_elsewhere)) continue;
-      if (!live(r)) continue;
-      out.push_back(r);
-      if (!locked) break;  // (c): nothing after it can win
-      have_elsewhere = true;
+  std::size_t examined = scan_links(node, live, 0, out);
+  if (tail != nullptr) examined += tail->scan_links(node, live, kTail, out);
+  std::size_t pools = std::max(pools_.size(), tail != nullptr ? tail->pools_.size() : 0);
+  for (std::size_t p = 0; p < pools; ++p) {
+    PoolScan scan;
+    examined += scan_pool(p, node, free_memory, idle_gpu, live, 0, scan, out);
+    if (tail != nullptr && !scan.done) {
+      examined += tail->scan_pool(p, node, free_memory, idle_gpu, live, kTail, scan, out);
     }
   }
   std::sort(out.begin(), out.end());
@@ -148,20 +225,68 @@ std::size_t QueueRowIndex::candidates(NodeId node, Bytes free_memory, bool idle_
 }
 
 template <class Live>
-bool QueueRowIndex::any_live(Live&& live) {
-  bool found = false;
-  for (Pool& pool : pools_) {
-    drop_dead_head(pool, live);
-    found = found || pool.head < pool.rows.size();
+bool QueueRowIndex::any_live(Live&& live, std::size_t& examined, QueueRowIndex* tail) {
+  for (QueueRowIndex* index : {this, tail}) {
+    if (index == nullptr) continue;
+    std::uint32_t tag = index == this ? 0 : kTail;
+    for (Pool& pool : index->pools_) {
+      examined += index->drop_out_head(pool);
+      for (std::size_t i = pool.head; i < pool.rows.size(); ++i) {
+        std::uint32_t r = pool.rows[i];
+        ++examined;
+        if (!index->rows_[r].out && live(r | tag)) return true;
+      }
+    }
   }
-  return found;
+  return false;
 }
 
 template <class Live>
-std::size_t QueueRowIndex::drop_dead_head(Pool& pool, Live& live) {
-  std::size_t start = pool.head;
-  while (pool.head < pool.rows.size() && !live(pool.rows[pool.head])) ++pool.head;
-  return pool.head - start;
+std::size_t QueueRowIndex::scan_links(NodeId node, Live& live, std::uint32_t tag,
+                                      std::vector<std::uint32_t>& out) {
+  if (node < 0 || static_cast<std::size_t>(node) >= links_.size()) return 0;
+  std::vector<Link>& links = links_[static_cast<std::size_t>(node)];
+  std::size_t examined = 0;
+  for (std::size_t i = 0; i < links.size();) {
+    if (!current(links[i], node)) {
+      links[i] = links.back();  // order is free: the caller sorts
+      links.pop_back();
+      continue;
+    }
+    ++examined;
+    if (live(links[i].row | tag)) out.push_back(links[i].row | tag);
+    ++i;
+  }
+  return examined;
+}
+
+template <class Live>
+std::size_t QueueRowIndex::scan_pool(std::size_t p, NodeId node, Bytes free_memory,
+                                     bool idle_gpu, Live& live, std::uint32_t tag,
+                                     PoolScan& scan, std::vector<std::uint32_t>& out) {
+  if (p >= pools_.size()) return 0;
+  Pool& pool = pools_[p];
+  std::size_t examined = drop_out_head(pool);
+  for (std::size_t i = pool.head; i < pool.rows.size(); ++i) {
+    std::uint32_t r = pool.rows[i];
+    const Slot& s = rows_[r];
+    ++examined;
+    if (s.out) continue;
+    if (policy_.memory_guard && s.row.peak_memory + policy_.memory_headroom > free_memory) {
+      continue;  // only the lock bypass runs past the guard, and (a) has those
+    }
+    bool locked = policy_.opt_executor_lock && s.row.lock != kInvalidNode &&
+                  (!s.row.gpu_lock || idle_gpu);
+    if (locked && (s.row.lock == node || scan.have_elsewhere)) continue;
+    if (!live(r | tag)) continue;
+    out.push_back(r | tag);
+    if (!locked) {  // (c): nothing after it can win
+      scan.done = true;
+      break;
+    }
+    scan.have_elsewhere = true;
+  }
+  return examined;
 }
 
 /// Round-robin cursor over resource kinds ("dequeue one node from each

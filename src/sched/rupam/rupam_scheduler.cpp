@@ -40,7 +40,10 @@ std::size_t disk_gate(const Node& node) {
 }  // namespace
 
 RupamScheduler::RupamScheduler(SchedulerEnv env, RupamConfig config)
-    : SchedulerBase(std::move(env)), config_(config), tm_(db_, config.res_factor) {
+    : SchedulerBase(std::move(env)),
+      config_(config),
+      tm_(db_, config.res_factor, config.gpu_cpu_race,
+          DispatcherPolicy{config.opt_executor_lock, config.memory_guard, kMemoryGuardHeadroom}) {
   for (NodeId id : cluster().node_ids()) {
     if (cluster().node(id).gpus().total() > 0) gpu_nodes_.push_back(id);
     watch_io_gates(id);
@@ -113,26 +116,38 @@ void RupamScheduler::node_membership_changed(NodeId node, NodeLifecycle state) {
 }
 
 void RupamScheduler::stage_submitted(StageState& stage) {
+  auto pool = pools_.policy == PoolPolicy::kFair ? static_cast<std::uint32_t>(stage.pool.index())
+                                                 : 0u;
+  std::uint32_t slot = tm_.open_stage(stage.set.stage, stage.set.stage_name, pool);
+  if (slot_stages_.size() <= slot) slot_stages_.resize(slot + 1);
+  slot_stages_[slot] = &stage;
   for (std::size_t i = 0; i < stage.tasks.size(); ++i) {
-    tm_.enqueue(stage.tasks[i].spec, stage.set.stage, i);
+    TaskRef ref{slot, static_cast<std::uint32_t>(i)};
+    link_local(ref, stage.tasks[i].spec, tm_.enqueue(stage.tasks[i].spec, ref));
   }
+}
+
+void RupamScheduler::stage_removed(StageState& stage) {
+  slot_stages_[tm_.slot(stage.set.stage)] = nullptr;
+  tm_.close_stage(stage.set.stage);
 }
 
 void RupamScheduler::task_pending_changed(StageState& stage, std::size_t index, bool pending) {
   // Keep the TM queues in lock-step with the task's state: a launched
-  // task's refs park (the GPU queue still races them); a failed or
-  // relocated task's refs come back at their original queue positions.
+  // task's rows park (the GPU queue still races them); a failed or
+  // relocated task's rows come back at their original queue positions.
+  TaskRef ref{tm_.slot(stage.set.stage), static_cast<std::uint32_t>(index)};
   if (pending) {
-    tm_.note_pending_again(stage.set.stage, index);
+    link_local(ref, stage.tasks[index].spec, tm_.note_pending_again(ref));
   } else {
-    tm_.note_launched(stage.set.stage, index);
+    tm_.note_launched(ref);
   }
 }
 
 void RupamScheduler::task_succeeded(StageState& stage, TaskState& task,
                                     const TaskMetrics& metrics) {
+  tm_.note_finished(task_ref(stage, task));
   tm_.record_completion(task.spec, metrics);
-  tm_.note_finished(stage.set.stage, static_cast<std::size_t>(&task - stage.tasks.data()));
   relocating_.erase(task.spec.id);
 }
 
@@ -140,12 +155,47 @@ void RupamScheduler::task_failed(StageState& stage, TaskState& task, const std::
   relocating_.erase(task.spec.id);
   if (task.pending) {
     // Re-characterize with whatever the DB knows now and requeue.
-    tm_.enqueue(task.spec, stage.set.stage, static_cast<std::size_t>(&task - stage.tasks.data()));
+    TaskRef ref = task_ref(stage, task);
+    link_local(ref, task.spec, tm_.enqueue(task.spec, ref));
   }
 }
 
 void RupamScheduler::task_relaunchable(StageState& stage, TaskState& task) {
-  tm_.enqueue(task.spec, stage.set.stage, static_cast<std::size_t>(&task - stage.tasks.data()));
+  TaskRef ref = task_ref(stage, task);
+  link_local(ref, task.spec, tm_.enqueue(task.spec, ref));
+}
+
+void RupamScheduler::cache_block_changed(NodeId node, const std::string& key, bool present) {
+  tm_.for_each_reader(key, [&](TaskRef ref) {
+    if (present) {
+      tm_.link_task(ref, node);
+      return;
+    }
+    tm_.relink_task(ref);  // drops the link to `node` with the others
+    link_local(ref, task_at(ref).spec, TaskManager::kAllKinds);
+  });
+}
+
+RupamScheduler::TaskRef RupamScheduler::task_ref(const StageState& stage,
+                                                 const TaskState& task) const {
+  return TaskRef{tm_.slot(stage.set.stage), static_cast<std::uint32_t>(&task - stage.tasks.data())};
+}
+
+RupamScheduler::TaskRef RupamScheduler::ref_of(ResourceKind kind, std::uint32_t r) const {
+  if ((r & QueueRowIndex::kTail) != 0) {
+    return tm_.task_of(ResourceKind::kGpu, r & ~QueueRowIndex::kTail);
+  }
+  return tm_.task_of(kind, r);
+}
+
+void RupamScheduler::link_local(TaskRef ref, const TaskSpec& spec,
+                                TaskManager::KindMask kinds) {
+  if (kinds == 0) return;
+  for (NodeId node : spec.preferred_nodes) tm_.link_task(ref, node, kinds);
+  if (spec.input_cache_key.empty()) return;
+  if (const std::set<NodeId>* nodes = nodes_caching(spec.input_cache_key)) {
+    for (NodeId node : *nodes) tm_.link_task(ref, node, kinds);
+  }
 }
 
 void RupamScheduler::seed_monitor() {
@@ -210,78 +260,22 @@ bool RupamScheduler::any_idle_gpu() const {
 }
 
 bool RupamScheduler::queue_nonempty(ResourceKind kind) const {
-  if (!tm_.active(kind).empty()) return true;
+  if (tm_.pending_rows(kind) > 0) return true;
   if (!config_.gpu_cpu_race) return false;
-  if (kind == ResourceKind::kGpu) return !tm_.parked(kind).empty();
-  return kind == ResourceKind::kCpu && !tm_.active(ResourceKind::kGpu).empty() &&
+  if (kind == ResourceKind::kGpu) return tm_.running_rows(kind) > 0;
+  return kind == ResourceKind::kCpu && tm_.pending_rows(ResourceKind::kGpu) > 0 &&
          !any_idle_gpu();
 }
 
-RupamScheduler::RowSnapshot& RupamScheduler::rows_for(ResourceKind kind) {
-  RowSnapshot& snap = snapshots_[static_cast<std::size_t>(kind)];
+QueueRowIndex* RupamScheduler::tail_of(ResourceKind kind) {
   // The CPU side of the dual-run race (§III-C3, BLAS example): with no
   // device idle anywhere, the CPU queue also offers pending GPU tasks.
-  bool gpu_refs = kind == ResourceKind::kCpu && config_.gpu_cpu_race && !any_idle_gpu();
-  if (snap.round == dispatch_rounds() && snap.tm_version == tm_.version() &&
-      snap.gpu_refs == gpu_refs) {
-    return snap;
-  }
-  snap.round = dispatch_rounds();
-  snap.tm_version = tm_.version();
-  snap.gpu_refs = gpu_refs;
-  snap.rows.clear();
-  snap.index.clear(cluster().size(), dispatcher_policy());
-  bool fair = pools_.policy == PoolPolicy::kFair;
-  auto add = [&](const TaskManager::PendingRef& ref) {
-    auto it = stages_.find(ref.stage);
-    if (it == stages_.end()) return;
-    StageState& stage = it->second;
-    if (ref.task_index >= stage.tasks.size()) return;
-    TaskState& task = stage.tasks[ref.task_index];
-    if (task.spec.id != ref.task || task.finished) return;
-    note_task_checks(1);
-    // The ref carries the interned stage name, so the DB lookup hashes one
-    // 64-bit key instead of the stage-name string.
-    const TaskCharRecord* rec = db_.lookup(ref.name, task.spec.partition);
-    std::uint32_t r = snap.index.add(QueueRowIndex::Row{
-        fair ? static_cast<std::uint32_t>(stage.pool.index()) : 0u, task.spec.total_memory(),
-        rec != nullptr ? rec->opt_executor : kInvalidNode, rec != nullptr && rec->gpu});
-    snap.rows.push_back(Row{&stage, &task, rec});
-    // The nodes where locality_for beats ANY: input stored there, or its
-    // cached block held by that node's executor.
-    for (NodeId node : task.spec.preferred_nodes) snap.index.link(node, r);
-    if (!task.spec.input_cache_key.empty()) {
-      if (const std::set<NodeId>* nodes = nodes_caching(task.spec.input_cache_key)) {
-        for (NodeId node : *nodes) snap.index.link(node, r);
-      }
-    }
-  };
-  const TaskManager::Queue& active = tm_.active(kind);
-  if (kind == ResourceKind::kGpu && config_.gpu_cpu_race) {
-    // Merge active and parked refs in enqueue order: a parked GPU ref is a
-    // task already racing on a CPU that a freed device may poach.
-    const TaskManager::Queue& parked = tm_.parked(kind);
-    auto ait = active.begin();
-    auto pit = parked.begin();
-    while (ait != active.end() || pit != parked.end()) {
-      if (pit == parked.end() || (ait != active.end() && ait->first < pit->first)) {
-        add((ait++)->second);
-      } else {
-        add((pit++)->second);
-      }
-    }
-  } else {
-    for (const auto& [seq, ref] : active) add(ref);
-  }
-  if (gpu_refs) {
-    for (const auto& [seq, ref] : tm_.active(ResourceKind::kGpu)) add(ref);
-  }
-  return snap;
+  bool gpu_rows = kind == ResourceKind::kCpu && config_.gpu_cpu_race && !any_idle_gpu();
+  return gpu_rows ? &tm_.queue(ResourceKind::kGpu) : nullptr;
 }
 
-bool RupamScheduler::row_live(const RowSnapshot& snap, ResourceKind kind,
-                              std::uint32_t r) const {
-  const TaskState& task = *snap.rows[r].task;
+bool RupamScheduler::row_live(ResourceKind kind, std::uint32_t r) const {
+  const TaskState& task = task_at(ref_of(kind, r));
   if (task.finished) return false;
   if (launchable(task)) return true;
   // Task is racing on a CPU; a device may have opened up — the GPU copy.
@@ -289,23 +283,72 @@ bool RupamScheduler::row_live(const RowSnapshot& snap, ResourceKind kind,
          !task.has_gpu_attempt();
 }
 
-RupamScheduler::Pick RupamScheduler::pick_from_rows(RowSnapshot& snap, ResourceKind kind,
-                                                    NodeId node) {
+bool RupamScheduler::any_rows(ResourceKind kind) {
+  auto live = [&](std::uint32_t r) { return row_live(kind, r); };
+  std::size_t examined = 0;
+  QueueRowIndex* tail = tail_of(kind);
+  bool found = tm_.queue(kind).any_live(live, examined, tail);
+  note_task_checks(examined);
+  if (row_oracle_) {
+    build_oracle_snapshot(kind, tail != nullptr);
+    std::size_t ignored = 0;
+    bool expected = oracle_index_.any_live(
+        [&](std::uint32_t o) {
+          return row_live(kind, static_cast<std::uint32_t>(oracle_index_.row(o).handle));
+        },
+        ignored);
+    ++row_oracle_checks_;
+    if (expected != found) ++row_oracle_mismatches_;
+  }
+  return found;
+}
+
+RupamScheduler::Pick RupamScheduler::pick_from_rows(ResourceKind kind, NodeId node) {
   Bytes free_mem = cluster().node(node).free_memory();
   bool node_has_idle_gpu = cluster().node(node).gpus().idle() > 0;
-  std::vector<std::uint32_t>& candidates = candidates_scratch_;
-  note_task_checks(snap.index.candidates(
-      node, free_mem, node_has_idle_gpu,
-      [&](std::uint32_t r) { return row_live(snap, kind, r); }, candidates));
+  auto live = [&](std::uint32_t r) { return row_live(kind, r); };
+  QueueRowIndex* tail = tail_of(kind);
+  note_task_checks(tm_.queue(kind).candidates(node, free_mem, node_has_idle_gpu, live,
+                                              candidates_scratch_, tail));
+  Pick pick = select(kind, node, candidates_scratch_, /*fresh=*/false);
+  if (row_oracle_) {
+    build_oracle_snapshot(kind, tail != nullptr);
+    oracle_index_.candidates(
+        node, free_mem, node_has_idle_gpu,
+        [&](std::uint32_t o) {
+          return row_live(kind, static_cast<std::uint32_t>(oracle_index_.row(o).handle));
+        },
+        oracle_scratch_);
+    // Snapshot rows ascend in queue order, and so do the rows they stand for.
+    for (std::uint32_t& o : oracle_scratch_) {
+      o = static_cast<std::uint32_t>(oracle_index_.row(o).handle);
+    }
+    Pick expected = select(kind, node, oracle_scratch_, /*fresh=*/true);
+    ++row_oracle_checks_;
+    if (expected.task != pick.task || expected.gpu_race_copy != pick.gpu_race_copy) {
+      ++row_oracle_mismatches_;
+    }
+  }
+  return pick;
+}
+
+RupamScheduler::Pick RupamScheduler::select(ResourceKind kind, NodeId node,
+                                            const std::vector<std::uint32_t>& rows,
+                                            bool fresh) {
+  Bytes free_mem = cluster().node(node).free_memory();
+  bool node_has_idle_gpu = cluster().node(node).gpus().idle() > 0;
   std::vector<DispatchTaskView>& views = views_scratch_;
   views.clear();
-  for (std::uint32_t r : candidates) {
-    const TaskSpec& spec = snap.rows[r].task->spec;
+  for (std::uint32_t r : rows) {
+    TaskRef ref = ref_of(kind, r);
+    const TaskSpec& spec = task_at(ref).spec;
     DispatchTaskView v;
     v.index = r;
     v.peak_memory = spec.total_memory();
     v.locality = locality_for(spec, node);
-    if (const TaskCharRecord* rec = snap.rows[r].rec) {
+    const TaskCharRecord* rec =
+        fresh ? db_.lookup(db_.find_stage(spec.stage_name), spec.partition) : tm_.record(ref);
+    if (rec != nullptr) {
       // The best-node lock is meaningless for a GPU task when the node's
       // devices are all busy — its best runtime came from the GPU.
       if (!rec->gpu || node_has_idle_gpu) {
@@ -322,7 +365,8 @@ RupamScheduler::Pick RupamScheduler::pick_from_rows(RowSnapshot& snap, ResourceK
     for (std::size_t p : by_pool_used_) by_pool_[p].clear();
     by_pool_used_.clear();
     for (const DispatchTaskView& v : views) {
-      std::size_t p = pool_of(*snap.rows[v.index].stage).index();
+      std::size_t p =
+          pool_of(stage_at(ref_of(kind, static_cast<std::uint32_t>(v.index)))).index();
       if (by_pool_.size() <= p) by_pool_.resize(p + 1);  // first sight of a pool
       if (by_pool_[p].empty()) by_pool_used_.push_back(p);
       by_pool_[p].push_back(v);
@@ -341,29 +385,95 @@ RupamScheduler::Pick RupamScheduler::pick_from_rows(RowSnapshot& snap, ResourceK
     chosen = algorithm2_select(views, node, free_mem, policy);
   }
   if (!chosen) return {};
-  const Row& row = snap.rows[*chosen];
-  return Pick{row.stage, row.task, /*gpu_race_copy=*/!launchable(*row.task)};
+  TaskRef ref = ref_of(kind, static_cast<std::uint32_t>(*chosen));
+  TaskState& task = task_at(ref);
+  return Pick{&stage_at(ref), &task, /*gpu_race_copy=*/!launchable(task)};
+}
+
+void RupamScheduler::build_oracle_snapshot(ResourceKind kind, bool gpu_tail) {
+  // The queues as they were before rows were kept across rounds: a
+  // pending task's rows, and under racing every GPU-queue row of an
+  // unfinished task (the CPU queue's GPU tail held pending ones only).
+  oracle_index_.clear(dispatcher_policy());
+  bool fair = pools_.policy == PoolPolicy::kFair;
+  auto add = [&](ResourceKind queue, std::uint32_t tag) {
+    const QueueRowIndex& rows = tm_.queue(queue);
+    for (std::uint32_t r = 0; r < rows.size(); ++r) {
+      if (rows.gone(r)) continue;
+      TaskRef ref = tm_.task_of(queue, r);
+      const StageState& stage = stage_at(ref);
+      const TaskState& task = stage.tasks[ref.index];
+      bool racing = queue == ResourceKind::kGpu && config_.gpu_cpu_race && tag == 0;
+      if (task.finished || !(task.pending || racing)) continue;
+      const TaskSpec& spec = task.spec;
+      const TaskCharRecord* rec = db_.lookup(db_.find_stage(spec.stage_name), spec.partition);
+      std::uint32_t o = oracle_index_.add(QueueRowIndex::Row{
+          fair ? static_cast<std::uint32_t>(stage.pool.index()) : 0u, spec.total_memory(),
+          rec != nullptr ? rec->opt_executor : kInvalidNode, rec != nullptr && rec->gpu, r | tag});
+      for (NodeId node : spec.preferred_nodes) oracle_index_.link(node, o);
+      if (spec.input_cache_key.empty()) continue;
+      if (const std::set<NodeId>* nodes = nodes_caching(spec.input_cache_key)) {
+        for (NodeId node : *nodes) oracle_index_.link(node, o);
+      }
+    }
+  };
+  add(kind, 0);
+  if (gpu_tail) add(ResourceKind::kGpu, QueueRowIndex::kTail);
 }
 
 const std::vector<RupamScheduler::SpecCandidate>& RupamScheduler::collect_speculative(
     ResourceKind kind) {
-  std::vector<SpecCandidate>& out = spec_scratch_;
-  out.clear();
-  for (auto [stage_id, task_index] : find_speculatable()) {
-    auto it = stages_.find(stage_id);
-    if (it == stages_.end()) continue;
-    StageState& stage = it->second;
-    TaskState& task = stage.tasks[task_index];
-    // Match the straggler's bottleneck to the resource round, so the copy
-    // runs where that resource is most capable.
-    ResourceKind bottleneck = ResourceKind::kCpu;
-    if (const TaskCharRecord* rec = db_.lookup(task.spec.stage_name, task.spec.partition)) {
-      bottleneck = tm_.bottleneck(*rec);
+  bool new_round = spec_round_ != dispatch_rounds();
+  if (new_round) {
+    // The round's one walk. Inside a round no task becomes overdue (the
+    // clock stands still); a launch can only make an entry stale.
+    spec_round_ = dispatch_rounds();
+    walk_scratch_.clear();
+    walk_stragglers(walk_scratch_);
+    spec_walk_.clear();
+    for (const Overdue& o : walk_scratch_) {
+      Straggler s;
+      static_cast<Overdue&>(s) = o;
+      s.owner = &stages_.at(o.stage);
+      // Match the straggler's bottleneck to the resource round, so the copy
+      // runs where that resource is most capable.
+      const TaskSpec& spec = s.owner->tasks[o.index].spec;
+      if (const TaskCharRecord* rec = db_.lookup(spec.stage_name, spec.partition)) {
+        s.kind = tm_.bottleneck(*rec);
+      }
+      spec_walk_.push_back(s);
     }
-    if (bottleneck != kind) continue;
-    out.push_back(SpecCandidate{&stage, &task});
   }
-  return out;
+  if (new_round || spec_copies_ != copy_launches_) {
+    // Drop what this round's copies made stale and sort the rest: the
+    // same std::sort input a walk now would build.
+    spec_copies_ = copy_launches_;
+    spec_live_.clear();
+    for (std::size_t i = 0; i < spec_walk_.size();) {
+      Straggler& first = spec_walk_[i];
+      bool any = false;
+      for (; i < spec_walk_.size() && spec_walk_[i].owner == first.owner; ++i) {
+        if (straggler_candidate(first.owner->tasks[spec_walk_[i].index])) {
+          spec_live_.push_back(spec_walk_[i]);
+          any = true;
+        }
+      }
+      if (!any && !first.rewalked) {
+        // Every overdue task of the stage got a copy. A walk now would
+        // reset the stage's lone_launch_bound from the tasks left, so
+        // re-read that one stage: the next straggler crossing stays exact.
+        first.rewalked = true;
+        walk_scratch_.clear();
+        walk_stragglers(walk_scratch_, first.owner);
+      }
+    }
+    sort_overdue(spec_live_);
+  }
+  spec_scratch_.clear();
+  for (const Straggler& s : spec_live_) {
+    if (s.kind == kind) spec_scratch_.push_back(SpecCandidate{s.owner, &s.owner->tasks[s.index]});
+  }
+  return spec_scratch_;
 }
 
 RupamScheduler::Pick RupamScheduler::pick_speculative(
@@ -383,10 +493,11 @@ RupamScheduler::Pick RupamScheduler::pick_speculative(
 
 bool RupamScheduler::dispatch_possible() const {
   for (std::size_t k = 0; k < kNumResourceKinds; ++k) {
-    if (!tm_.active(static_cast<ResourceKind>(k)).empty()) return true;
+    if (tm_.pending_rows(static_cast<ResourceKind>(k)) > 0) return true;
   }
-  // A parked GPU ref can still yield a race copy when a device frees up.
-  if (config_.gpu_cpu_race && !tm_.parked(ResourceKind::kGpu).empty()) return true;
+  // A running task's GPU row can still yield a race copy when a device
+  // frees up.
+  if (config_.gpu_cpu_race && tm_.running_rows(ResourceKind::kGpu) > 0) return true;
   if (speculation_.enabled) {
     // Mirror of straggler_threshold()'s early-out: a stage can yield
     // speculatables only once `quantile` of its tasks have finished.
@@ -448,8 +559,8 @@ void RupamScheduler::try_dispatch() {
       const std::vector<NodeId>& order = round_order(kind);
       // Walk the priority queue until a node accepts a task; launch at
       // most one task per kind-visit so no resource type is starved.
-      RowSnapshot* rows = nullptr;  // resolved at the first offerable node
-      bool any_rows = false;
+      bool rows_checked = false;  // at the first offerable node
+      bool rows = false;
       std::size_t& head = order_head_[static_cast<std::size_t>(kind)];
       std::size_t offered = 0;
       for (std::size_t i = head; i < order.size(); ++i) {
@@ -460,13 +571,12 @@ void RupamScheduler::try_dispatch() {
         }
         note_node_visit();
         std::size_t rank = offered++;  // position among the admitted nodes
-        if (rows == nullptr) {
-          rows = &rows_for(kind);
-          any_rows = rows->index.any_live(
-              [&](std::uint32_t r) { return row_live(*rows, kind, r); });
-          if (!any_rows && speculatable().empty()) break;
+        if (!rows_checked) {
+          rows_checked = true;
+          rows = any_rows(kind);
+          if (!rows && speculatable().empty()) break;
         }
-        Pick pick = any_rows ? pick_from_rows(*rows, kind, node) : Pick{};
+        Pick pick = rows ? pick_from_rows(kind, node) : Pick{};
         bool speculative_copy = false;
         if (pick.task == nullptr) {
           pick = pick_speculative(speculatable(), node);
@@ -504,6 +614,7 @@ void RupamScheduler::try_dispatch() {
           continue;
         }
         if (as_copy) {
+          ++copy_launches_;
           if (speculative_copy) {
             note_speculative_launch(pick.task->spec.id);
           } else {

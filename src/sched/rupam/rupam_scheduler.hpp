@@ -22,19 +22,20 @@
 // during the walk, so a launch costs a walk, not a re-sort of every node;
 // the walk resumes past the closed nodes at the head of the ranking.
 //
-// A kind's rows are resolved from the TaskManager queue once per round,
-// and only once that kind's walk has found an offerable node, so a round
-// that launches nothing builds none. Algorithm 2 then sees only the rows
+// The TaskManager's queues are the row index Algorithm 2 reads, kept
+// across rounds (task_manager.hpp). Algorithm 2 sees only the rows
 // QueueRowIndex says can win at the offered node (locked to it, local to
 // it, and each pool's first guard-passing unlocked and locked-elsewhere
-// rows), which picks exactly the row the whole queue would. This rests on
-// one invariant: inside a round a launch changes only the launched task,
-// the node its attempt lands on (a replay interceptor may redirect it)
-// and the cluster-wide idle-GPU flag. So a row is re-checked at use with
-// the collection predicates (a GPU-queue task launched on a CPU comes back
-// as a race row at its original queue position), and a snapshot is rebuilt
-// when the idle-GPU flag flips or the TaskManager's queues change any
-// other way (TaskManager::version).
+// rows), which picks exactly the row the whole queue would. A row is
+// checked at use: launchable, or (GPU queue, racing) running on a CPU
+// only, so a GPU-queue task launched on a CPU comes back as a race row at
+// its queue position. With no device idle anywhere, the CPU queue offers
+// the GPU queue's rows after its own.
+//
+// Straggler copies (Algorithm 2's straggler path) come from one walk per
+// round, which the round's kind-visits share: each drops the entries the
+// round's launches made stale and sorts what is left as the walk's own
+// sort would have.
 #pragma once
 
 #include <array>
@@ -81,14 +82,26 @@ class RupamScheduler : public SchedulerBase {
   TaskCharDb& db() { return db_; }
   std::size_t gpu_races() const { return gpu_races_; }
 
+  /// Row-index oracle, a test seam: with it on, every any_live and
+  /// Algorithm 2 pick a round makes is made again over a snapshot built
+  /// from scratch (each queued task of a kind, its lock read from the DB,
+  /// its localities from its spec and the block locations), and each
+  /// disagreement counts as a mismatch.
+  void set_row_oracle(bool on) { row_oracle_ = on; }
+  std::size_t row_oracle_mismatches() const { return row_oracle_mismatches_; }
+  /// Picks the oracle compared.
+  std::size_t row_oracle_checks() const { return row_oracle_checks_; }
+
  protected:
   void try_dispatch() override;
   void node_membership_changed(NodeId node, NodeLifecycle state) override;
   void stage_submitted(StageState& stage) override;
+  void stage_removed(StageState& stage) override;
   void task_pending_changed(StageState& stage, std::size_t index, bool pending) override;
   void task_succeeded(StageState& stage, TaskState& task, const TaskMetrics& metrics) override;
   void task_failed(StageState& stage, TaskState& task, const std::string& reason) override;
   void task_relaunchable(StageState& stage, TaskState& task) override;
+  void cache_block_changed(NodeId node, const std::string& key, bool present) override;
 
  private:
   struct Pick {
@@ -96,26 +109,20 @@ class RupamScheduler : public SchedulerBase {
     TaskState* task = nullptr;
     bool gpu_race_copy = false;
   };
-  /// A queued task ref resolved once per round, with its DB record.
-  /// Whether it is a row right now — launchable, or (GPU queue, racing) a
-  /// CPU run a freed device may poach — is checked at use by row_live().
-  struct Row {
-    StageState* stage = nullptr;
-    TaskState* task = nullptr;
-    const TaskCharRecord* rec = nullptr;
-  };
-  /// One resource queue's rows for the current round, in queue order.
-  struct RowSnapshot {
-    std::size_t round = 0;         // dispatch_rounds() when built (0: never)
-    std::uint64_t tm_version = 0;  // TaskManager::version() when built
-    bool gpu_refs = false;         // CPU queue: GPU refs appended (no idle device)
-    std::vector<Row> rows;
-    QueueRowIndex index;
-  };
   struct SpecCandidate {
     StageState* stage = nullptr;
     TaskState* task = nullptr;
   };
+  /// An entry of the round's straggler walk, with its Algorithm 1
+  /// bottleneck.
+  struct Straggler : Overdue {
+    StageState* owner = nullptr;
+    ResourceKind kind = ResourceKind::kCpu;
+    /// First entry of its stage: the stage's bound was re-read after all
+    /// of its entries went stale.
+    bool rewalked = false;
+  };
+  using TaskRef = TaskManager::TaskRef;
 
   /// Request a round whenever one of `node`'s disk or NIC counts falls
   /// below its admission gate: those counts change at phase transitions,
@@ -132,19 +139,35 @@ class RupamScheduler : public SchedulerBase {
   /// first, sorted on first use in the round. Admission is checked while
   /// walking it.
   const std::vector<NodeId>& round_order(ResourceKind kind);
-  /// Could the `kind` queue hold a row at all? Cheap, from queue sizes.
+  /// Could the `kind` queue hold a row at all? Cheap, from row counts.
   bool queue_nonempty(ResourceKind kind) const;
-  /// `kind`'s snapshot for this round, built (or rebuilt) on demand: the
-  /// active refs, plus (GPU queue under racing) the parked refs merged in
-  /// enqueue order, plus (CPU queue when no device is idle anywhere) the
-  /// GPU queue's active refs.
-  RowSnapshot& rows_for(ResourceKind kind);
-  /// Is row `r` of `kind`'s snapshot offerable right now?
-  bool row_live(const RowSnapshot& snap, ResourceKind kind, std::uint32_t r) const;
+  /// The GPU queue `kind`'s queue offers after its own rows, if any: the
+  /// CPU queue's when racing and no device is idle anywhere.
+  QueueRowIndex* tail_of(ResourceKind kind);
+
+  TaskRef task_ref(const StageState& stage, const TaskState& task) const;
+  /// The task behind row `r` of `kind`'s queue (kTail: of its tail).
+  TaskRef ref_of(ResourceKind kind, std::uint32_t r) const;
+  StageState& stage_at(TaskRef ref) const { return *slot_stages_[ref.slot]; }
+  TaskState& task_at(TaskRef ref) const { return stage_at(ref).tasks[ref.index]; }
+  /// Link the task's rows to the nodes where it runs better than ANY: its
+  /// input stored there, or its cached block held by that node's executor.
+  void link_local(TaskRef ref, const TaskSpec& spec, TaskManager::KindMask kinds);
+  /// Is row `r` of `kind`'s queue offerable right now?
+  bool row_live(ResourceKind kind, std::uint32_t r) const;
+  /// Does `kind`'s queue hold a live row?
+  bool any_rows(ResourceKind kind);
   /// Algorithm 2 over the rows that can win at `node`.
-  Pick pick_from_rows(RowSnapshot& snap, ResourceKind kind, NodeId node);
+  Pick pick_from_rows(ResourceKind kind, NodeId node);
+  /// Algorithm 2 over `rows` (queue order; ids as ref_of reads them).
+  /// `fresh` reads each task's record from the DB instead of the queue.
+  Pick select(ResourceKind kind, NodeId node, const std::vector<std::uint32_t>& rows,
+              bool fresh);
+  /// The oracle's snapshot of `kind`'s queue (with the GPU queue's tail);
+  /// its rows' handles are the live queue's row ids.
+  void build_oracle_snapshot(ResourceKind kind, bool gpu_tail);
   /// Stragglers whose bottleneck matches `kind` (straggler path of
-  /// Algorithm 2), computed once per kind-visit. Reference into scratch.
+  /// Algorithm 2), from the round's one walk. Reference into scratch.
   const std::vector<SpecCandidate>& collect_speculative(ResourceKind kind);
   Pick pick_speculative(const std::vector<SpecCandidate>& candidates, NodeId node);
   /// Cheap pre-check: could any kind-visit possibly launch something?
@@ -167,11 +190,22 @@ class RupamScheduler : public SchedulerBase {
   std::set<TaskId> relocating_;  // guards repeated straggler kills per wave
   std::map<NodeId, SimTime> last_relocation_;  // per-node relocation rate limit
   std::vector<bool> memory_watched_;  // by NodeId: beats watched for the check
+  /// TaskManager stage slot -> its stage (null while the slot is free).
+  std::vector<StageState*> slot_stages_;
 
   // Dispatch-path scratch, reused across rounds: capacity settles at the
   // workload's high-water mark, after which kind-visits never allocate.
-  std::array<RowSnapshot, kNumResourceKinds> snapshots_;
   std::vector<std::uint32_t> candidates_scratch_;
+  std::vector<NodeId> local_scratch_;
+  /// The round's straggler walk (spec_round_: the round it belongs to),
+  /// the entries still stale-free at the last copy launch, sorted, and one
+  /// kind's share of them.
+  std::size_t spec_round_ = 0;
+  std::size_t spec_copies_ = 0;  // copy_launches_ when spec_live_ was made
+  std::size_t copy_launches_ = 0;
+  std::vector<Overdue> walk_scratch_;
+  std::vector<Straggler> spec_walk_;
+  std::vector<Straggler> spec_live_;
   std::vector<SpecCandidate> spec_scratch_;
   std::vector<DispatchTaskView> views_scratch_;
   /// Dense PoolId.index() → per-pool views (FAIR bucketing). Buckets keep
@@ -186,6 +220,12 @@ class RupamScheduler : public SchedulerBase {
   /// Per kind, how many nodes at the head of round_order() this round's
   /// walks found closed (they stay closed until the round ends).
   std::array<std::size_t, kNumResourceKinds> order_head_{};
+
+  bool row_oracle_ = false;
+  std::size_t row_oracle_mismatches_ = 0;
+  std::size_t row_oracle_checks_ = 0;
+  QueueRowIndex oracle_index_;
+  std::vector<std::uint32_t> oracle_scratch_;
 };
 
 }  // namespace rupam

@@ -842,17 +842,25 @@ void SchedulerBase::preemption_tick() {
 }
 
 const std::vector<std::pair<StageId, std::size_t>>& SchedulerBase::find_speculatable() {
+  overdue_scratch_.clear();
+  walk_stragglers(overdue_scratch_);
+  sort_overdue(overdue_scratch_);
   speculatable_scratch_.clear();
-  if (!speculation_.enabled) return speculatable_scratch_;
+  speculatable_scratch_.reserve(overdue_scratch_.size());
+  for (const Overdue& o : overdue_scratch_) speculatable_scratch_.emplace_back(o.stage, o.index);
+  return speculatable_scratch_;
+}
+
+void SchedulerBase::walk_stragglers(std::vector<Overdue>& out, StageState* only) {
+  if (!speculation_.enabled) return;
   const SpeculationRule rule;
   const SimTime now = sim().now();
-  overdue_scratch_.clear();
-  for (auto& [stage_id, stage] : stages_) {
+  auto walk = [&](StageState& stage) {
     SimTime threshold = straggler_threshold(stage.finished_runtimes, stage.tasks.size(), rule);
-    if (threshold < 0.0) continue;
+    if (threshold < 0.0) return;
     // Exact skip: the walk's `now - launch > threshold` is monotone in the
     // launch time, so if the bound fails it, every candidate fails it.
-    if (!(now - stage.lone_launch_bound > threshold)) continue;
+    if (!(now - stage.lone_launch_bound > threshold)) return;
     SimTime oldest = Simulator::kForever;
     for (std::size_t i = 0; i < stage.tasks.size(); ++i) {
       TaskState& task = stage.tasks[i];
@@ -861,17 +869,17 @@ const std::vector<std::pair<StageId, std::size_t>>& SchedulerBase::find_speculat
       oldest = std::min(oldest, launched);
       SimTime elapsed = now - launched;
       if (is_straggler(elapsed, threshold)) {
-        overdue_scratch_.push_back({elapsed / threshold, {stage_id, i}});
+        out.push_back(Overdue{elapsed / threshold, stage.set.stage, i});
       }
     }
     stage.lone_launch_bound = oldest;
+  };
+  if (only != nullptr) {
+    walk(*only);
+    return;
   }
-  // Most-overdue first: the worst stragglers get the next copy slots.
-  std::sort(overdue_scratch_.begin(), overdue_scratch_.end(),
-            [](const auto& a, const auto& b) { return a.first > b.first; });
-  speculatable_scratch_.reserve(overdue_scratch_.size());
-  for (const auto& [ratio, ref] : overdue_scratch_) speculatable_scratch_.push_back(ref);
-  return speculatable_scratch_;
+  ++dispatch_work_.straggler_walks;
+  for (auto& [stage_id, stage] : stages_) walk(stage);
 }
 
 SimTime SchedulerBase::next_straggler_crossing() {

@@ -15,6 +15,7 @@
 // delay-scheduling level.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <cstdint>
@@ -217,12 +218,15 @@ class SchedulerBase {
   /// into StageAware's per-round heap for a kind (once per round, however
   /// many launches the heap then serves), or an admitted node RUPAM passes
   /// to Algorithm 2. `task_checks` counts tasks examined; for RUPAM that
-  /// is the queued refs resolved into a round's row snapshot plus the rows
-  /// its candidate filter looks at per offered node.
+  /// is only the queue rows its candidate filter looks at (QueueRowIndex's
+  /// candidates and any_live). `straggler_walks` counts walks over every
+  /// active stage for stragglers (find_speculatable and RUPAM's one walk
+  /// per round).
   struct DispatchWorkCounters {
     std::size_t rounds = 0;
     std::size_t node_visits = 0;
     std::size_t task_checks = 0;
+    std::size_t straggler_walks = 0;
   };
   const DispatchWorkCounters& dispatch_work() const { return dispatch_work_; }
 
@@ -455,6 +459,29 @@ class SchedulerBase {
   /// Reference into member scratch, valid until the next call. A stage
   /// whose lone_launch_bound is not past its threshold costs O(1).
   const std::vector<std::pair<StageId, std::size_t>>& find_speculatable();
+  /// A task find_speculatable can return, with how far past its stage's
+  /// threshold it runs (elapsed / threshold).
+  struct Overdue {
+    double ratio = 0.0;
+    StageId stage = 0;
+    std::size_t index = 0;
+  };
+  /// find_speculatable's walk without its sort: appends every task it can
+  /// return, in stage then task order, and resets each walked stage's
+  /// lone_launch_bound to the exact minimum it saw. `only` walks that one
+  /// stage (under the same skip test).
+  void walk_stragglers(std::vector<Overdue>& out, StageState* only = nullptr);
+  /// Most overdue first, the order find_speculatable returns. A list
+  /// filtered from one walk, sorted again, orders equal ratios as a walk
+  /// at that moment would have: std::sort sees the same input.
+  template <class List>
+  static void sort_overdue(List& overdue) {
+    std::sort(overdue.begin(), overdue.end(),
+              [](const Overdue& a, const Overdue& b) { return a.ratio > b.ratio; });
+  }
+  /// What the straggler scan can return: unfinished, exactly one live
+  /// attempt, no speculative copy recorded.
+  bool straggler_candidate(const TaskState& task) const;
   /// Records that a speculative copy was launched (stats + dedup).
   void note_speculative_launch(TaskId task);
 
@@ -487,9 +514,6 @@ class SchedulerBase {
   /// The earliest future instant a single-attempt, un-copied task passes
   /// its stage's straggler threshold (kForever: none).
   SimTime next_straggler_crossing();
-  /// What the straggler scan can return: unfinished, exactly one live
-  /// attempt, no speculative copy recorded.
-  bool straggler_candidate(const TaskState& task) const;
   void fault_tolerance_tick();
   /// Declared dead by the liveness sweep and not revived since.
   bool dead(NodeId node) const {
@@ -566,7 +590,7 @@ class SchedulerBase {
   std::vector<std::size_t> pool_rank_scratch_;
   std::vector<StageState*> stage_order_scratch_;
   std::vector<std::pair<StageId, std::size_t>> speculatable_scratch_;
-  std::vector<std::pair<double, std::pair<StageId, std::size_t>>> overdue_scratch_;
+  std::vector<Overdue> overdue_scratch_;
   // Preemption-scan scratch (same shape: dense by PoolId).
   std::vector<PoolId> active_pools_scratch_;
   std::vector<double> pool_target_scratch_;

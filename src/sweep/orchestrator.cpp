@@ -1,5 +1,6 @@
 #include "sweep/orchestrator.hpp"
 
+#include <cstdio>
 #include <exception>
 #include <mutex>
 #include <optional>
@@ -7,6 +8,7 @@
 
 #include "app/simulation.hpp"
 #include "common/json_writer.hpp"
+#include "common/log.hpp"
 #include "common/stats.hpp"
 #include "faults/fault_plan.hpp"
 #include "sweep/work_queue.hpp"
@@ -175,7 +177,9 @@ SweepMatrix run_sweep(const SweepSpec& spec, const SweepOptions& options) {
                                               std::uint64_t)>(run_sweep_cell);
 
   std::mutex progress_mutex;
-  std::size_t done = 0;
+  std::vector<std::string> logs(total);  // each run's captured log lines
+  std::vector<char> finished(total, 0);
+  std::size_t released = 0;
   // Run i is (cell i / reps, replication i % reps): cell-major order.
   parallel_for(total, options.threads, [&](std::size_t i) {
     CellResult& cell = matrix.cells[i / reps];
@@ -188,6 +192,7 @@ SweepMatrix run_sweep(const SweepSpec& spec, const SweepOptions& options) {
     if (options.controller != nullptr && options.controller->stop_requested()) {
       error = "cancelled";
     } else {
+      LogCapture capture(logs[i]);
       try {
         slot = runner(spec, cell.coord, replication, seed);
       } catch (const std::exception& e) {
@@ -203,8 +208,18 @@ SweepMatrix run_sweep(const SweepSpec& spec, const SweepOptions& options) {
       slot.replication = replication;
     }
     std::lock_guard<std::mutex> lock(progress_mutex);
-    ++done;
-    if (options.on_progress) options.on_progress(done, total);
+    finished[i] = 1;
+    while (released < total && finished[released] != 0) {
+      std::string& lines = logs[released];
+      if (options.on_log) {
+        if (!lines.empty()) options.on_log(lines);
+      } else {
+        std::fputs(lines.c_str(), stderr);
+      }
+      std::string().swap(lines);
+      ++released;
+      if (options.on_progress) options.on_progress(released, total);
+    }
   });
 
   // Aggregation runs single-threaded after the join, in grid order — the

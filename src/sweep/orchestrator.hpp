@@ -117,8 +117,12 @@ struct SweepOptions {
   /// Optional external cancel: once stop is requested, queued runs drain
   /// as "cancelled" error entries instead of executing.
   SweepController* controller = nullptr;
-  /// Called after every finished run, serialized by the orchestrator
-  /// (never concurrently): (runs_done, runs_total).
+  /// Runs are released in run order: run i once runs 0..i are done. At
+  /// each release the orchestrator hands over the lines the run logged
+  /// (on_log; stderr when unset) and then calls on_progress with
+  /// (runs_released, runs_total), serialized (never concurrently). So
+  /// what a sweep logs does not depend on its thread count.
+  std::function<void(const std::string&)> on_log;
   std::function<void(std::size_t, std::size_t)> on_progress;
   /// Test seam: replaces the real per-run simulation. Receives the spec,
   /// cell coordinates, replication index and derived seed.

@@ -85,7 +85,7 @@ TEST(SelectionProperties, CandidateFilterPicksWhatTheFullQueuePicks) {
     policy.memory_headroom = rng.uniform() < 0.5 ? 0.0 : 0.5 * kGiB;
     auto pools = static_cast<std::uint32_t>(1 + rng.uniform_index(3));
     std::vector<RandomRow> rows(rng.uniform_index(14));
-    index.clear(kNodes, policy);
+    index.clear(policy);
     for (std::size_t r = 0; r < rows.size(); ++r) {
       RandomRow& row = rows[r];
       row.facts.pool = static_cast<std::uint32_t>(rng.uniform_index(pools));
@@ -140,7 +140,8 @@ TEST(SelectionProperties, CandidateFilterPicksWhatTheFullQueuePicks) {
       }
       auto actual = select(filtered, rows, pool_order, node, free_memory, policy);
       ASSERT_EQ(actual, expected) << "row set " << set << " offer " << offer;
-      ASSERT_EQ(index.any_live(live), !full.empty());
+      std::size_t examined = 0;
+      ASSERT_EQ(index.any_live(live, examined), !full.empty());
       ++compared;
 
       if (!expected) {

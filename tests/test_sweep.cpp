@@ -10,13 +10,16 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstdio>
 #include <mutex>
 #include <set>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "app/cli.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "sweep/orchestrator.hpp"
@@ -479,6 +482,28 @@ TEST(SweepRealRun, TinyCellIsDeterministicAndPopulated) {
   EXPECT_DOUBLE_EQ(r1.makespan, r2.makespan);
   EXPECT_DOUBLE_EQ(r1.mean_jct, r2.mean_jct);
   EXPECT_EQ(r1.kernel.events_executed, r2.kernel.events_executed);
+}
+
+// A threaded sweep's stderr is reproducible: each run's log lines are
+// released with its `[sweep] k/n runs` line in run order, so four threads
+// write exactly what one does (the smoke grid's crash plan logs lines).
+TEST(SweepLog, ThreadedStderrMatchesOneThread) {
+  auto sweep_err = [](int threads) {
+    CliOptions opts;
+    opts.sweep = std::string(RUPAM_TEST_DATA_DIR) + "/../examples/sweep_smoke.json";
+    opts.sweep_threads = threads;
+    opts.sweep_out = ::testing::TempDir() + "/sweep_log_matrix.json";
+    std::ostringstream out, err;
+    EXPECT_EQ(run_cli(opts, out, err), 0) << err.str();
+    std::remove(opts.sweep_out.c_str());
+    return err.str();
+  };
+  const std::string one = sweep_err(1);
+  ASSERT_NE(one.find("[sweep] 8/8 runs"), std::string::npos) << one;
+  ASSERT_NE(one.find("[WARN ]"), std::string::npos) << "the smoke grid logs no lines";
+  for (int attempt = 0; attempt < 3; ++attempt) {
+    EXPECT_EQ(sweep_err(4), one) << "attempt " << attempt;
+  }
 }
 
 }  // namespace

@@ -116,45 +116,65 @@ TEST(TaskManager, GpuStageMarkingPropagatesToSiblings) {
   EXPECT_EQ(kinds[0], ResourceKind::kGpu);
 }
 
+/// Index of the task behind the first in row of `kind`'s queue (the row a
+/// query meets first), or -1 when the queue has none.
+long first_in_row(TaskManager& tm, ResourceKind kind) {
+  std::uint32_t first = 0;
+  std::size_t examined = 0;
+  bool found = tm.queue(kind).any_live(
+      [&](std::uint32_t r) {
+        first = r;
+        return true;
+      },
+      examined);
+  return found ? static_cast<long>(tm.task_of(kind, first).index) : -1;
+}
+
 TEST(TaskManager, QueuesEnqueueAndClear) {
   TaskCharDb db;
   TaskManager tm(db);
-  tm.enqueue(spec_named("m", 0, true), 1, 0);
-  EXPECT_EQ(tm.active(ResourceKind::kCpu).size(), 1u);
-  EXPECT_EQ(tm.active(ResourceKind::kNetwork).size(), 1u);
-  EXPECT_EQ(tm.active(ResourceKind::kGpu).size(), 0u);
-  tm.note_finished(1, 0);  // a finished task leaves every queue it was in
-  EXPECT_EQ(tm.active(ResourceKind::kCpu).size(), 0u);
-  EXPECT_EQ(tm.active(ResourceKind::kNetwork).size(), 0u);
+  std::uint32_t slot = tm.open_stage(1, "m", 0);
+  tm.enqueue(spec_named("m", 0, true), {slot, 0});
+  EXPECT_EQ(tm.pending_rows(ResourceKind::kCpu), 1u);
+  EXPECT_EQ(tm.pending_rows(ResourceKind::kNetwork), 1u);
+  EXPECT_EQ(tm.pending_rows(ResourceKind::kGpu), 0u);
+  tm.note_finished({slot, 0});  // a finished task leaves every queue it was in
+  EXPECT_EQ(tm.pending_rows(ResourceKind::kCpu), 0u);
+  EXPECT_EQ(tm.pending_rows(ResourceKind::kNetwork), 0u);
+  EXPECT_EQ(first_in_row(tm, ResourceKind::kCpu), -1);
 }
 
 TEST(TaskManager, ParkAndRestorePreservesQueuePosition) {
   TaskCharDb db;
   TaskManager tm(db);
-  tm.enqueue(spec_named("m", 0, true), 1, 0);
-  tm.enqueue(spec_named("m", 1, true), 1, 1);
-  tm.enqueue(spec_named("m", 2, true), 1, 2);
-  ASSERT_EQ(tm.active(ResourceKind::kCpu).size(), 3u);
+  std::uint32_t slot = tm.open_stage(1, "m", 0);
+  for (std::uint32_t i = 0; i < 3; ++i) tm.enqueue(spec_named("m", static_cast<int>(i), true), {slot, i});
+  ASSERT_EQ(tm.pending_rows(ResourceKind::kCpu), 3u);
 
-  // Launch the head task: its refs park in every queue they occupy.
-  tm.note_launched(1, 0);
-  EXPECT_EQ(tm.active(ResourceKind::kCpu).size(), 2u);
-  EXPECT_EQ(tm.parked(ResourceKind::kCpu).size(), 1u);
-  EXPECT_EQ(tm.parked(ResourceKind::kNetwork).size(), 1u);
+  // Launch the head task: its rows park in every queue they occupy.
+  tm.note_launched({slot, 0});
+  EXPECT_EQ(tm.pending_rows(ResourceKind::kCpu), 2u);
+  EXPECT_EQ(tm.running_rows(ResourceKind::kCpu), 1u);
+  EXPECT_EQ(tm.running_rows(ResourceKind::kNetwork), 1u);
+  EXPECT_EQ(first_in_row(tm, ResourceKind::kCpu), 1);  // the head passed it
 
-  // A failure restores the refs at their original (front) position.
-  tm.note_pending_again(1, 0);
-  ASSERT_EQ(tm.active(ResourceKind::kCpu).size(), 3u);
-  EXPECT_EQ(tm.parked(ResourceKind::kCpu).size(), 0u);
-  EXPECT_EQ(tm.active(ResourceKind::kCpu).begin()->second.task_index, 0u);
+  // A failure restores the rows at their original (front) position.
+  tm.note_pending_again({slot, 0});
+  ASSERT_EQ(tm.pending_rows(ResourceKind::kCpu), 3u);
+  EXPECT_EQ(tm.running_rows(ResourceKind::kCpu), 0u);
+  EXPECT_EQ(first_in_row(tm, ResourceKind::kCpu), 0);
 
-  // Finishing drops every ref, parked or active.
-  tm.note_launched(1, 1);
-  tm.note_finished(1, 1);
-  tm.note_finished(1, 0);
-  EXPECT_EQ(tm.active(ResourceKind::kCpu).size(), 1u);
-  EXPECT_EQ(tm.parked(ResourceKind::kCpu).size(), 0u);
-  EXPECT_EQ(tm.active(ResourceKind::kCpu).begin()->second.task_index, 2u);
+  // Re-enqueued after the failure, the task keeps its one row, up front.
+  tm.enqueue(spec_named("m", 0, true), {slot, 0});
+  EXPECT_EQ(tm.pending_rows(ResourceKind::kCpu), 3u);
+
+  // Finishing drops every row, parked or in.
+  tm.note_launched({slot, 1});
+  tm.note_finished({slot, 1});
+  tm.note_finished({slot, 0});
+  EXPECT_EQ(tm.pending_rows(ResourceKind::kCpu), 1u);
+  EXPECT_EQ(tm.running_rows(ResourceKind::kCpu), 0u);
+  EXPECT_EQ(first_in_row(tm, ResourceKind::kCpu), 2);
 }
 
 TEST(TaskCharDb, LookupMissReturnsNull) {
